@@ -90,8 +90,9 @@ void PrintHitRateTable() {
 }
 
 // Predictions/sec at 1/2/4/8 threads over a warm result cache, with and
-// without a concurrent pusher republishing feature data (push-listener state
-// swaps + result-cache invalidations). The client serializes on no global
+// without a concurrent pusher republishing one subscription's feature data
+// (push-listener state swaps + a generation bump that stales that
+// subscription's cached results). The client serializes on no global
 // lock on this path, so throughput should scale with the thread count.
 void PrintThreadScalingTable() {
   bench::Banner("Client concurrency: prediction throughput vs threads",
@@ -165,8 +166,8 @@ void PrintThreadScalingTable() {
   table.Print(std::cout);
   unsigned hw = std::thread::hardware_concurrency();
   std::cout << "\nhot path: sharded result-cache hit; no global lock taken.\n"
-            << "pusher column: a concurrent writer republishes feature data\n"
-            << "(snapshot swap + cache invalidation) every 500us.\n"
+            << "pusher column: a concurrent writer republishes one subscription's\n"
+            << "feature data (snapshot swap + generation bump) every 500us.\n"
             << "hardware threads: " << hw
             << (hw < 4 ? "  (scaling is core-bound on this machine; flat\n"
                          "throughput under oversubscription still indicates a\n"

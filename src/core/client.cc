@@ -100,6 +100,7 @@ Client::Client(rc::store::KvStore* store, ClientConfig config)
     disk_ = std::make_unique<rc::store::DiskCache>(config_.disk_cache_dir,
                                                    config_.disk_expiry_seconds, metrics_);
   }
+  snapshot_miss_is_final_ = config_.mode == CacheMode::kPush && disk_ == nullptr;
   // Admission-controlled result cache with a lock-free hit path (capacity 0
   // disables it: lookups miss, inserts drop). Shares this client's registry
   // so rc_cache_* shows up next to rc_client_* in /metrics and /varz.
@@ -110,7 +111,7 @@ Client::Client(rc::store::KvStore* store, ClientConfig config)
     cache_options.metrics = metrics_;
     cache_options.metric_labels = config_.metric_labels;
     result_cache_ =
-        std::make_unique<rc::cache::ShardedCache<Prediction>>(cache_options);
+        std::make_unique<rc::cache::ShardedCache<CachedResult>>(cache_options);
   }
   master_state_ = std::make_shared<const ClientState>();
   snapshot_.store(master_state_);
@@ -130,6 +131,7 @@ void Client::RegisterInstruments() {
   auto counter = [this](std::string_view name, std::string_view help) {
     return &metrics_->GetCounter(name, config_.metric_labels, help);
   };
+  m_.state_publishes = counter("rc_client_state_publishes", "state snapshots published");
   m_.result_hits = counter("rc_client_result_hits", "result-cache hits");
   m_.result_misses = counter("rc_client_result_misses", "result-cache misses");
   m_.model_executions = counter("rc_client_model_executions", "model executions");
@@ -188,6 +190,7 @@ bool Client::Initialize() {
         LoadAllFromDiskLocked(*next);
       }
       PublishLocked(std::move(next));
+      BumpClientGenerationLocked();
       // Keep caches fresh as RC publishes new artifacts.
       store_subscription_ = store_->Subscribe([this](const std::string& key,
                                                      const VersionedBlob& blob) {
@@ -199,8 +202,14 @@ bool Client::Initialize() {
         if (!ingest.ok) return;
         if (ingest.index_dirty) PersistIndexLocked();
         PublishLocked(std::move(updated));
-        // New artifacts can invalidate cached results.
-        InvalidateResultCache();
+        // New feature data changes only its subscription's answers; a new
+        // model or spec can change any answer.
+        uint64_t subscription_id = 0;
+        if (ParseFeatureKey(key, subscription_id)) {
+          BumpSubscriptionGenerationLocked(subscription_id);
+        } else {
+          BumpClientGenerationLocked();
+        }
       });
     }
     return true;
@@ -211,6 +220,7 @@ bool Client::Initialize() {
   auto next = std::make_shared<ClientState>();
   LoadAllFromDiskLocked(*next);
   PublishLocked(std::move(next));
+  BumpClientGenerationLocked();
   return true;
 }
 
@@ -218,23 +228,67 @@ void Client::PublishLocked(std::shared_ptr<ClientState> next) {
   rc::obs::TraceSpan span("client/publish_state");
   master_state_ = StatePtr(std::move(next));
   snapshot_.store(master_state_);
+  m_.state_publishes->Increment();
 }
 
-std::optional<Prediction> Client::ResultCacheLookup(uint64_t key) const {
+// Publish first, then bump with release: a reader whose acquire load sees
+// the new generation also sees the new snapshot. Bumps are serialized by
+// writer_mu_, which is what makes stamps read as (client, then slot) safe to
+// compare; see DESIGN.md "Client concurrency model".
+void Client::BumpClientGenerationLocked() {
+  client_gen_.fetch_add(1, std::memory_order_release);
+}
+
+void Client::BumpSubscriptionGenerationLocked(uint64_t subscription_id) {
+  sub_gen_[SlotOf(subscription_id)].fetch_add(1, std::memory_order_release);
+}
+
+uint32_t Client::Stamp(uint32_t client_gen, uint64_t subscription_id) const {
+  // Each bump raises the sum by exactly one, so a stale stamp can only
+  // match again after 2^32 bumps.
+  return client_gen + sub_gen_[SlotOf(subscription_id)].load(std::memory_order_acquire);
+}
+
+std::optional<Prediction> Client::ResultCacheLookup(uint64_t key, uint32_t stamp) const {
   // Seqlock probe: zero mutex acquisitions on a hit (sharded_cache.h).
-  return result_cache_->Lookup(key);
+  auto cached = result_cache_->Lookup(key);
+  if (!cached || cached->stamp != stamp) return std::nullopt;
+  Prediction prediction;
+  prediction.valid = cached->valid != 0;
+  prediction.bucket = cached->bucket;
+  prediction.score = cached->score;
+  return prediction;
 }
 
 void Client::ResultCacheInsert(uint64_t key, const Prediction& prediction,
-                               uint64_t epoch) {
-  // The cache drops the insert if an invalidation ran after this
-  // prediction's snapshot was taken, so stale results never outlive the
-  // invalidation. Overflow evicts one entry via W-TinyLFU — never a flush.
-  result_cache_->Insert(key, prediction, epoch);
+                               uint32_t stamp) {
+  // A stale entry under the same key is overwritten in place. The stamp,
+  // not the cache's epoch token, keeps stale results from being served, so
+  // the token is always the current one. Overflow evicts one entry via
+  // W-TinyLFU — never a flush.
+  CachedResult value{};
+  value.score = prediction.score;
+  value.stamp = stamp;
+  value.bucket = static_cast<int16_t>(prediction.bucket);
+  value.valid = prediction.valid ? 1 : 0;
+  result_cache_->Insert(key, value, result_cache_->epoch());
 }
 
-void Client::InvalidateResultCache() {
-  result_cache_->Invalidate();
+std::optional<Prediction> Client::CountedLookup(uint64_t key, uint32_t stamp) {
+  auto cached = ResultCacheLookup(key, stamp);
+  if (!cached) {
+    m_.result_misses->Increment();
+    return std::nullopt;
+  }
+  m_.result_hits->Increment();
+  if (!cached->valid) m_.no_predictions->Increment();
+  return cached;
+}
+
+Prediction Client::FinalNone(uint64_t key, uint32_t stamp) {
+  m_.no_predictions->Increment();
+  ResultCacheInsert(key, Prediction::None(), stamp);
+  return Prediction::None();
 }
 
 void Client::SetDegraded(DegradedReason reason) {
@@ -472,27 +526,39 @@ std::optional<VersionedBlob> Client::FetchLocked(const std::string& key, bool al
   return std::nullopt;
 }
 
-bool Client::LoadModelLocked(ClientState& state, const std::string& model_name,
+void Client::IngestIntoFillLocked(StateFill& fill, const std::string& key,
+                                  const VersionedBlob& blob, bool& index_dirty) {
+  // A new copy is kept only if the ingest succeeded, so a rejected blob
+  // never leads to a publish.
+  std::shared_ptr<ClientState> next =
+      fill.copy != nullptr ? fill.copy : std::make_shared<ClientState>(*fill.base);
+  IngestResult ingest = IngestLocked(*next, key, blob);
+  index_dirty |= ingest.index_dirty;
+  if (ingest.ok) fill.copy = std::move(next);
+}
+
+bool Client::LoadModelLocked(StateFill& fill, const std::string& model_name,
                              bool allow_store) {
-  if (state.FindReadyModel(model_name) != nullptr) return true;
+  if (fill.view().FindReadyModel(model_name) != nullptr) return true;
   auto spec_blob = FetchLocked(SpecKey(model_name), allow_store);
   auto model_blob = FetchLocked(ModelKey(model_name), allow_store);
   if (!spec_blob || !model_blob) return false;
-  bool index_dirty = IngestLocked(state, SpecKey(model_name), *spec_blob).index_dirty;
-  index_dirty |= IngestLocked(state, ModelKey(model_name), *model_blob).index_dirty;
+  bool index_dirty = false;
+  IngestIntoFillLocked(fill, SpecKey(model_name), *spec_blob, index_dirty);
+  IngestIntoFillLocked(fill, ModelKey(model_name), *model_blob, index_dirty);
   if (index_dirty) PersistIndexLocked();
-  return state.FindReadyModel(model_name) != nullptr;
+  return fill.view().FindReadyModel(model_name) != nullptr;
 }
 
-bool Client::LoadFeaturesLocked(ClientState& state, uint64_t subscription_id,
+bool Client::LoadFeaturesLocked(StateFill& fill, uint64_t subscription_id,
                                 bool allow_store) {
-  if (state.FindFeatures(subscription_id) != nullptr) return true;
+  if (fill.view().FindFeatures(subscription_id) != nullptr) return true;
   auto blob = FetchLocked(FeatureKey(subscription_id), allow_store);
   if (!blob) return false;
-  if (IngestLocked(state, FeatureKey(subscription_id), *blob).index_dirty) {
-    PersistIndexLocked();
-  }
-  return state.FindFeatures(subscription_id) != nullptr;
+  bool index_dirty = false;
+  IngestIntoFillLocked(fill, FeatureKey(subscription_id), *blob, index_dirty);
+  if (index_dirty) PersistIndexLocked();
+  return fill.view().FindFeatures(subscription_id) != nullptr;
 }
 
 std::vector<std::string> Client::GetAvailableModels() const {
@@ -583,15 +649,13 @@ Prediction Client::PredictSingle(const std::string& model_name, const ClientInpu
 
 Prediction Client::PredictSingleImpl(const std::string& model_name,
                                      const ClientInputs& inputs) {
-  uint64_t key = inputs.CacheKey(model_name);
   {
     rc::obs::TraceSpan cache_span("client/result_cache");
-    if (auto cached = ResultCacheLookup(key)) {
-      m_.result_hits->Increment();
+    if (auto cached = CountedLookup(inputs.CacheKey(model_name),
+                                    Stamp(inputs.subscription_id))) {
       return *cached;
     }
   }
-  m_.result_misses->Increment();
 
   // Cache miss: coalesce with concurrent misses when a combiner is
   // configured. ok=false only when the combiner is shut down (client
@@ -605,78 +669,71 @@ Prediction Client::PredictSingleImpl(const std::string& model_name,
 
 std::optional<Prediction> Client::ProbeResultCache(const std::string& model_name,
                                                    const ClientInputs& inputs) {
-  uint64_t key = inputs.CacheKey(model_name);
-  if (auto cached = ResultCacheLookup(key)) {
-    m_.result_hits->Increment();
-    return cached;
-  }
-  m_.result_misses->Increment();
-  return std::nullopt;
+  return CountedLookup(inputs.CacheKey(model_name), Stamp(inputs.subscription_id));
 }
 
 Prediction Client::PredictUncoalesced(const std::string& model_name,
                                       const ClientInputs& inputs) {
   uint64_t key = inputs.CacheKey(model_name);
-  // Order matters: reading the epoch before the snapshot means a concurrent
-  // publish+invalidate is always detected at insert time.
-  uint64_t epoch = result_cache_->epoch();
+  // Order matters: reading the stamp before the snapshot means a result
+  // computed from a snapshot older than a push is stamped with the
+  // generation that push bumped.
+  uint32_t stamp = Stamp(inputs.subscription_id);
   StatePtr state = LoadState();
   const LoadedModel* model = state->FindReadyModel(model_name);
   bool features_present = state->FindFeatures(inputs.subscription_id) != nullptr ||
                           config_.allow_missing_feature_data;
   if (model == nullptr || !features_present) {
+    if (snapshot_miss_is_final_) return FinalNone(key, stamp);
     // Miss in the snapshot: fall back to the (serialized) fill path, which
     // may consult the store (pull mode) or the disk mirror.
-    return PredictMiss(model_name, inputs, key, epoch);
+    return PredictMiss(model_name, inputs, key, stamp);
   }
   Prediction prediction = Execute(*state, *model, inputs);
-  if (prediction.valid) ResultCacheInsert(key, prediction, epoch);
+  if (prediction.valid) ResultCacheInsert(key, prediction, stamp);
   return prediction;
 }
 
 Prediction Client::PredictMiss(const std::string& model_name, const ClientInputs& inputs,
-                               uint64_t cache_key, uint64_t epoch) {
+                               uint64_t cache_key, uint32_t stamp) {
   const bool pull = config_.mode == CacheMode::kPull;
   StatePtr state;
   {
     std::lock_guard<std::mutex> lock(writer_mu_);
     // Another thread (or a push) may have filled the gap while we waited.
-    StatePtr current = master_state_;
-    const LoadedModel* model = current->FindReadyModel(model_name);
-    bool features_present = current->FindFeatures(inputs.subscription_id) != nullptr ||
-                            config_.allow_missing_feature_data;
-    if (model == nullptr || !features_present) {
-      auto next = std::make_shared<ClientState>(*current);
+    // Fills only add artifacts that were missing, so no cached result goes
+    // stale and no generation is bumped; the state is copied and published
+    // only if something was actually ingested.
+    StateFill fill{master_state_, nullptr};
+    const bool filled =
+        fill.base->FindReadyModel(model_name) != nullptr &&
+        (fill.base->FindFeatures(inputs.subscription_id) != nullptr ||
+         config_.allow_missing_feature_data);
+    if (!filled) {
       if (pull && config_.pull_never_blocks) {
         // Never-blocking pull: answer no-prediction while warming the caches
         // for subsequent requests. (In production the warm-up happens on a
         // background thread.)
-        LoadModelLocked(*next, model_name, /*allow_store=*/true);
-        LoadFeaturesLocked(*next, inputs.subscription_id, /*allow_store=*/true);
-        PublishLocked(std::move(next));
+        LoadModelLocked(fill, model_name, /*allow_store=*/true);
+        LoadFeaturesLocked(fill, inputs.subscription_id, /*allow_store=*/true);
+        if (fill.copy != nullptr) PublishLocked(fill.copy);
         m_.no_predictions->Increment();
         return Prediction::None();
       }
-      bool model_ready = LoadModelLocked(*next, model_name, /*allow_store=*/pull);
+      bool model_ready = LoadModelLocked(fill, model_name, /*allow_store=*/pull);
+      if (model_ready) LoadFeaturesLocked(fill, inputs.subscription_id, /*allow_store=*/pull);
+      // Publishing keeps partial artifacts (e.g. a spec) too.
+      if (fill.copy != nullptr) PublishLocked(fill.copy);
       if (!model_ready) {
-        PublishLocked(std::move(next));  // keep any partial artifacts (e.g. spec)
         m_.no_predictions->Increment();
         return Prediction::None();
       }
-      LoadFeaturesLocked(*next, inputs.subscription_id, /*allow_store=*/pull);
-      PublishLocked(next);
-      state = std::move(next);
-    } else {
-      state = std::move(current);
     }
+    state = fill.copy != nullptr ? StatePtr(fill.copy) : fill.base;
   }
   const LoadedModel* model = state->FindReadyModel(model_name);
-  if (model == nullptr) {
-    m_.no_predictions->Increment();
-    return Prediction::None();
-  }
   Prediction prediction = Execute(*state, *model, inputs);
-  if (prediction.valid) ResultCacheInsert(cache_key, prediction, epoch);
+  if (prediction.valid) ResultCacheInsert(cache_key, prediction, stamp);
   return prediction;
 }
 
@@ -684,9 +741,9 @@ Prediction Client::PredictMiss(const std::string& model_name, const ClientInputs
 // key first, and only the misses are featurized into one contiguous arena and
 // scored through a single ExecEngine::PredictBatch walk (tree-major, so each
 // tree's pool slice is read once for the whole batch). Inputs whose model or
-// feature data are absent from the snapshot fall back to the same serialized
-// PredictMiss path PredictSingle uses, so batch and single semantics are
-// identical input-for-input.
+// feature data are absent from the snapshot take the same path PredictSingle
+// takes (a cached no-prediction, or PredictMiss), so batch and single
+// semantics are identical input-for-input.
 std::vector<Prediction> Client::PredictMany(const std::string& model_name,
                                             std::span<const ClientInputs> inputs) {
   rc::obs::TraceSpan span("client/predict");
@@ -695,30 +752,42 @@ std::vector<Prediction> Client::PredictMany(const std::string& model_name,
   if (inputs.empty()) return out;
 
   std::vector<uint64_t> keys(inputs.size());
+  // Every row's stamp is read before the snapshot below, exactly as in
+  // PredictUncoalesced, so the stamps are also the insert stamps.
+  std::vector<uint32_t> stamps(inputs.size());
   std::vector<size_t> misses;
   misses.reserve(inputs.size());
   {
     rc::obs::TraceSpan cache_span("client/result_cache");
+    const uint32_t client_gen = ClientGeneration();
+    uint64_t nones = 0;
     for (size_t i = 0; i < inputs.size(); ++i) {
       keys[i] = inputs[i].CacheKey(model_name);
-      if (auto cached = ResultCacheLookup(keys[i])) {
-        m_.result_hits->Increment();
+      stamps[i] = Stamp(client_gen, inputs[i].subscription_id);
+      if (auto cached = ResultCacheLookup(keys[i], stamps[i])) {
         out[i] = *cached;
+        nones += cached->valid ? 0 : 1;
       } else {
         misses.push_back(i);
       }
     }
+    m_.result_hits->Increment(inputs.size() - misses.size());
+    if (nones > 0) m_.no_predictions->Increment(nones);
   }
   if (misses.empty()) return out;
   m_.result_misses->Increment(misses.size());
 
-  // Epoch before snapshot, exactly as in PredictSingleImpl, so a concurrent
-  // publish+invalidate is detected at insert time.
-  uint64_t epoch = result_cache_->epoch();
+  // Rows the snapshot cannot answer: a cached no-prediction when only a
+  // push could supply the gap, else the serialized fill path.
+  auto answer_slow = [&](size_t i) {
+    out[i] = snapshot_miss_is_final_
+                 ? FinalNone(keys[i], stamps[i])
+                 : PredictMiss(model_name, inputs[i], keys[i], stamps[i]);
+  };
   StatePtr state = LoadState();
   const LoadedModel* model = state->FindReadyModel(model_name);
   if (model == nullptr) {
-    for (size_t i : misses) out[i] = PredictMiss(model_name, inputs[i], keys[i], epoch);
+    for (size_t i : misses) answer_slow(i);
     return out;
   }
 
@@ -793,19 +862,20 @@ std::vector<Prediction> Client::PredictMany(const std::string& model_name,
         if (p[c] > p[best]) best = c;
       }
       scored[u] = Prediction::Of(static_cast<int>(best), p[best]);
-      if (scored[u].valid) ResultCacheInsert(keys[unique_rows[u]], scored[u], epoch);
+      const size_t row = unique_rows[u];
+      if (scored[u].valid) ResultCacheInsert(keys[row], scored[u], stamps[row]);
     }
     for (size_t b = 0; b < batched.size(); ++b) out[batched[b]] = scored[slot_of[b]];
   }
 
-  for (size_t i : slow) out[i] = PredictMiss(model_name, inputs[i], keys[i], epoch);
+  for (size_t i : slow) answer_slow(i);
   return out;
 }
 
 void Client::ForceReloadCache() {
   std::lock_guard<std::mutex> lock(writer_mu_);
   if (store_ == nullptr) {
-    InvalidateResultCache();
+    BumpClientGenerationLocked();
     return;
   }
   if (!store_->available()) {
@@ -820,7 +890,7 @@ void Client::ForceReloadCache() {
   auto next = std::make_shared<ClientState>(*master_state_);
   LoadAllFromStoreLocked(*next);
   PublishLocked(std::move(next));
-  InvalidateResultCache();
+  BumpClientGenerationLocked();
 }
 
 void Client::FlushCache() {
@@ -829,7 +899,8 @@ void Client::FlushCache() {
   known_keys_.clear();
   known_keys_set_.clear();
   if (disk_ != nullptr) disk_->Clear();
-  InvalidateResultCache();
+  BumpClientGenerationLocked();
+  result_cache_->Invalidate();  // frees the entries the bump made stale
 }
 
 ClientStats Client::stats() const {

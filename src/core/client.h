@@ -25,7 +25,12 @@
 // shared_ptr under the stripe's (uncontended) mutex. The result cache is an
 // rc::cache::ShardedCache — W-TinyLFU admission, per-insert eviction, and a
 // lock-free (seqlock) hit path, so a result-cache hit performs zero mutex
-// acquisitions (see src/cache/sharded_cache.h).
+// acquisitions (see src/cache/sharded_cache.h). Cached results carry a
+// generation stamp instead of being flushed: a push bumps the generation of
+// what it changed (one subscription slot, or the whole client), and an entry
+// whose stamp no longer matches is a miss. In push mode without a disk
+// mirror, a subscription or model absent from the snapshot is answered with
+// a cached no-prediction straight from that snapshot — no lock, no copy.
 #ifndef RC_SRC_CORE_CLIENT_H_
 #define RC_SRC_CORE_CLIENT_H_
 
@@ -43,6 +48,7 @@
 #include <vector>
 
 #include "src/cache/sharded_cache.h"
+#include "src/common/hashing.h"
 #include "src/core/featurizer.h"
 #include "src/core/model_spec.h"
 #include "src/core/prediction.h"
@@ -317,6 +323,7 @@ class Client {
   // once at construction and stable for the registry's lifetime; every write
   // is a relaxed shard increment, so the hot path and stats() need no lock.
   struct Instruments {
+    rc::obs::Counter* state_publishes;
     rc::obs::Counter* result_hits;
     rc::obs::Counter* result_misses;
     rc::obs::Counter* model_executions;
@@ -338,19 +345,45 @@ class Client {
   // True once per config_.predict_latency_sample_every calls on this thread.
   bool ShouldSampleLatency() const;
 
+  // A result-cache value: the prediction plus the generation stamp it was
+  // computed under, packed into the cache's 16-byte value.
+  struct CachedResult {
+    double score;
+    uint32_t stamp;
+    int16_t bucket;
+    uint8_t valid;
+  };
+  static_assert(sizeof(CachedResult) == 16);
+
   // --- contention-free read side ---
   StatePtr LoadState() const { return snapshot_.load(); }
-  // Lock-free on hit (rc::cache seqlock probe — zero mutex acquisitions).
-  std::optional<Prediction> ResultCacheLookup(uint64_t key) const;
-  // Inserts unless the cache was invalidated after `epoch` was read.
-  void ResultCacheInsert(uint64_t key, const Prediction& prediction, uint64_t epoch);
+  // Generation stamps. Read the client generation first, then the slot's,
+  // and both before loading the snapshot a result is computed from.
+  uint32_t ClientGeneration() const { return client_gen_.load(std::memory_order_acquire); }
+  uint32_t Stamp(uint32_t client_gen, uint64_t subscription_id) const;
+  uint32_t Stamp(uint64_t subscription_id) const {
+    return Stamp(ClientGeneration(), subscription_id);
+  }
+  // Lock-free on hit (rc::cache seqlock probe — zero mutex acquisitions). An
+  // entry stamped with any other generation is a miss.
+  std::optional<Prediction> ResultCacheLookup(uint64_t key, uint32_t stamp) const;
+  void ResultCacheInsert(uint64_t key, const Prediction& prediction, uint32_t stamp);
+  // Lookup with hit/miss accounting; a cached no-prediction also counts as
+  // a no-prediction answer.
+  std::optional<Prediction> CountedLookup(uint64_t key, uint32_t stamp);
+  // A no-prediction for a model or subscription absent from the snapshot,
+  // cached under `stamp`. Only valid when snapshot_miss_is_final_.
+  Prediction FinalNone(uint64_t key, uint32_t stamp);
   // Executes the model against the snapshot; no locks taken.
   Prediction Execute(const ClientState& state, const LoadedModel& model,
                      const ClientInputs& inputs) const;
 
   // --- write side; all Locked methods require writer_mu_ held ---
   void PublishLocked(std::shared_ptr<ClientState> next);
-  void InvalidateResultCache();
+  // Stale every cached result, or only those in the subscription's slot.
+  // Call after the publish that changed the answers.
+  void BumpClientGenerationLocked();
+  void BumpSubscriptionGenerationLocked(uint64_t subscription_id);
   // Outcome of ingesting one blob. `ok` is false when the blob was rejected
   // (checksum mismatch, decode failure, unknown key family) — rejected blobs
   // never replace good state. `index_dirty` means the key was newly mirrored
@@ -365,8 +398,18 @@ class Client {
   rc::ml::ExecEngine::Mode EngineModeFor(const std::string& name) const;
   // Exports rc_client_model_bytes{model,pool} for a freshly compiled engine.
   void ExportModelBytes(const std::string& name, const rc::ml::ExecEngine& engine);
-  bool LoadModelLocked(ClientState& state, const std::string& model_name, bool allow_store);
-  bool LoadFeaturesLocked(ClientState& state, uint64_t subscription_id, bool allow_store);
+  // The writer's state during a miss fill: reads see the published state
+  // until the first successful ingest copies it.
+  struct StateFill {
+    StatePtr base;
+    std::shared_ptr<ClientState> copy;  // null until something was ingested
+    const ClientState& view() const { return copy != nullptr ? *copy : *base; }
+  };
+  bool LoadModelLocked(StateFill& fill, const std::string& model_name, bool allow_store);
+  bool LoadFeaturesLocked(StateFill& fill, uint64_t subscription_id, bool allow_store);
+  // Ingests into the fill, copying the base state on the first success.
+  void IngestIntoFillLocked(StateFill& fill, const std::string& key,
+                            const rc::store::VersionedBlob& blob, bool& index_dirty);
   std::optional<rc::store::VersionedBlob> FetchLocked(const std::string& key,
                                                       bool allow_store);
   // Store read with bounded retry + backoff behind the circuit breaker.
@@ -394,9 +437,10 @@ class Client {
   // PredictSingle itself (probe_result_cache mode).
   std::optional<Prediction> ProbeResultCache(const std::string& model_name,
                                              const ClientInputs& inputs);
-  // Slow path: a model or feature record was missing from the snapshot.
+  // Slow path: a model or feature record was missing from the snapshot and
+  // the store or disk mirror may supply it (pull mode, or a disk mirror).
   Prediction PredictMiss(const std::string& model_name, const ClientInputs& inputs,
-                         uint64_t cache_key, uint64_t epoch);
+                         uint64_t cache_key, uint32_t stamp);
 
   friend class BatchCombiner;  // calls PredictUncoalesced on its fast path
 
@@ -409,12 +453,24 @@ class Client {
   SnapshotHolder snapshot_;
   // The latest published state, for writers; guarded by writer_mu_.
   StatePtr master_state_;
-  // Admission-controlled result cache with a lock-free hit path. Its epoch
-  // is bumped before every invalidation so a reader racing with an
-  // invalidation never re-inserts a result computed from a stale snapshot.
+  // Push mode without a disk mirror: a model or subscription missing from
+  // the snapshot can only arrive by a push, so the miss is answered (and
+  // cached) as a no-prediction without taking writer_mu_.
+  bool snapshot_miss_is_final_ = false;
+  // Admission-controlled result cache with a lock-free hit path. Entries
+  // carry the generation stamp they were computed under (see Stamp).
   // Constructed after the metrics registry is resolved (rc_cache_* lands in
   // the same registry as this client's rc_client_* instruments).
-  std::unique_ptr<rc::cache::ShardedCache<Prediction>> result_cache_;
+  std::unique_ptr<rc::cache::ShardedCache<CachedResult>> result_cache_;
+  // Generations: a cached result is current iff its stamp equals
+  // client_gen_ + sub_gen_[slot of its subscription] (mod 2^32). Bumped
+  // under writer_mu_, after the publish, with release ordering.
+  static constexpr size_t kSubscriptionSlots = 1024;  // power of two
+  static size_t SlotOf(uint64_t subscription_id) {
+    return HashU64(subscription_id) & (kSubscriptionSlots - 1);
+  }
+  std::atomic<uint32_t> client_gen_{0};
+  std::array<std::atomic<uint32_t>, kSubscriptionSlots> sub_gen_{};
 
   // Serializes all state transitions (push listener, pull fills, reloads)
   // and guards the disk mirror + known-key index below. Mutable so the

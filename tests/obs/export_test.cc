@@ -78,7 +78,9 @@ TEST(JsonTextTest, EmptyRegistryRendersEmptyObject) {
 class TempFileTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "rc_obs_export_test.json";
+    // One file per test case: ctest runs the cases concurrently.
+    path_ = ::testing::TempDir() + "rc_obs_export_test_" +
+            ::testing::UnitTest::GetInstance()->current_test_info()->name() + ".json";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }

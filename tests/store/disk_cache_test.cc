@@ -10,7 +10,11 @@ namespace {
 
 class DiskCacheTest : public ::testing::Test {
  protected:
-  DiskCacheTest() : dir_(::testing::TempDir() + "/rc_disk_cache_test") {
+  // One directory per test case: ctest runs each case in its own process,
+  // concurrently, and a shared directory would let them wipe each other.
+  DiskCacheTest()
+      : dir_(::testing::TempDir() + "/rc_disk_cache_test_" +
+             ::testing::UnitTest::GetInstance()->current_test_info()->name()) {
     std::filesystem::remove_all(dir_);
   }
   ~DiskCacheTest() override { std::filesystem::remove_all(dir_); }

@@ -5,6 +5,7 @@
 // strictly scoped to its arming window.
 #include <chrono>
 #include <filesystem>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -144,7 +145,9 @@ TEST_F(StoreFaultsTest, InjectedLatencyDelaysReads) {
 class DiskCacheFaultsTest : public StoreFaultsTest {
  protected:
   DiskCacheFaultsTest()
-      : dir_(std::filesystem::temp_directory_path() / "rc_disk_faults_test") {
+      : dir_(std::filesystem::temp_directory_path() /
+             (std::string("rc_disk_faults_test_") +
+              ::testing::UnitTest::GetInstance()->current_test_info()->name())) {
     std::filesystem::remove_all(dir_);
   }
   ~DiskCacheFaultsTest() override { std::filesystem::remove_all(dir_); }

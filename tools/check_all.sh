@@ -97,6 +97,7 @@ NET_FAMILIES=(
   rc_combiner_batch_size
   rc_combiner_wait_us
   rc_combiner_pending
+  rc_client_state_publishes
 )
 for family in "${NET_FAMILIES[@]}"; do
   if ! grep -q "^${family}" <<<"${NET_EXPO}"; then
@@ -104,7 +105,7 @@ for family in "${NET_FAMILIES[@]}"; do
     exit 1
   fi
 done
-echo "all ${#NET_FAMILIES[@]} required rc_net_*/rc_combiner_* metric families present."
+echo "all ${#NET_FAMILIES[@]} required rc_net_*/rc_combiner_*/rc_client_* metric families present."
 
 echo "== admin introspection endpoint check =="
 # Boot a real server with the admin endpoint, 1-in-1 trace sampling, and

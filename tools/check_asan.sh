@@ -47,4 +47,8 @@ echo "== rc_cache_tests (ASan+UBSan, open addressing + rebuild) =="
 "${BUILD_DIR}/tests/rc_cache_tests" --gtest_filter='Word2Cache*:FrequencySketch*'
 echo "== rc_store_tests (ASan+UBSan, sharded KvStore listener lifetime) =="
 "${BUILD_DIR}/tests/rc_store_tests" --gtest_filter='KvStoreShardStress*'
+# The client's stamped cache values round-trip through the cache's raw
+# words, and the no-prediction storm fills and re-stamps them concurrently.
+echo "== rc_core_tests (ASan+UBSan, cache parity + no-prediction storm) =="
+"${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='ClientCacheParity*:ClientNoPredictionStress*'
 echo "ASan+UBSan check passed: no memory or UB reports."

@@ -58,4 +58,9 @@ echo "== rc_store_tests (TSan, sharded KvStore stress) =="
 "${BUILD_DIR}/tests/rc_store_tests" --gtest_filter='KvStoreShardStress*'
 echo "== rc_core_tests (TSan, client cache parity storm) =="
 "${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='ClientCacheParity*'
+# Cached no-predictions race the pushes that introduce their feature data:
+# the generation stamps are the only thing keeping a stale none from being
+# served, and their publish-then-bump ordering is what TSan vets here.
+echo "== rc_core_tests (TSan, no-prediction vs feature push storm) =="
+"${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='ClientNoPredictionStress*'
 echo "TSan check passed: no data races reported."
