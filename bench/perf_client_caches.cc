@@ -225,9 +225,9 @@ void PrintInstrumentationOverheadTable() {
 }
 
 // ===========================================================================
-// rc::cache arms (ISSUE 10): admission policy quality, locked vs lock-free
-// probe latency, global vs sharded store throughput. Everything below writes
-// into CacheBenchRegistry() -> BENCH_cache.json.
+// rc::cache arms: admission policy quality, lock-free probe latency, global
+// vs sharded store throughput. Everything below writes into
+// CacheBenchRegistry() -> BENCH_cache.json.
 // ===========================================================================
 
 // Replica of the pre-rc::cache result cache: 16 mutex-guarded unordered_map
@@ -375,81 +375,73 @@ void PrintCachePolicyTable() {
   std::cout << "\nacceptance bar: W-TinyLFU >= legacy flush + 10 points.\n\n";
 }
 
-// Locked vs lock-free probe: 4 reader threads over a warm cache, per-op cost
-// sampled in 64-op batches; p50/p99 of the batch means. The acceptance bar:
-// lock-free p99 no worse than the locked baseline.
+// Lock-free probe: 4 reader threads over a warm cache, per-op cost sampled
+// in 64-op batches; p50/p99 of the batch means. (The locked-probe control
+// arm measured against it is recorded in EXPERIMENTS.md.)
 void PrintProbeLatencyTable() {
-  bench::Banner("rc::cache probe path: locked vs lock-free (seqlock)",
-                "ISSUE 10 (zero mutex acquisitions on hit)");
+  bench::Banner("rc::cache probe path: lock-free (seqlock)",
+                "zero mutex acquisitions on hit");
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 1 << 20;
   constexpr int kBatch = 64;
 
-  auto run = [&](bool locked_probe) {
-    rc::cache::CacheOptions options;
-    options.capacity = 4096;
-    options.shards = 16;
-    options.locked_probe = locked_probe;
-    rc::cache::Word2Cache cache(options);
-    for (uint64_t k = 0; k < 1024; ++k) {
-      const uint64_t value[2] = {k, ~k};
-      cache.Insert(k, value, cache.epoch());
-    }
-    std::vector<std::vector<double>> samples(kThreads);
-    std::latch start(kThreads + 1);
-    std::vector<std::thread> readers;
-    readers.reserve(kThreads);
-    for (int t = 0; t < kThreads; ++t) {
-      readers.emplace_back([&, t] {
-        samples[t].reserve(kOpsPerThread / kBatch);
-        std::mt19937_64 rng(1000 + t);
-        start.arrive_and_wait();
-        uint64_t out[2];
-        for (int i = 0; i < kOpsPerThread / kBatch; ++i) {
-          auto begin = std::chrono::steady_clock::now();
-          for (int b = 0; b < kBatch; ++b) {
-            bool hit = cache.Lookup(rng() % 1024, out);
-            benchmark::DoNotOptimize(hit);
-            benchmark::DoNotOptimize(out);
-          }
-          auto elapsed = std::chrono::duration<double, std::nano>(
-              std::chrono::steady_clock::now() - begin);
-          samples[t].push_back(elapsed.count() / kBatch);
-        }
-      });
-    }
-    start.arrive_and_wait();
-    auto begin = std::chrono::steady_clock::now();
-    for (auto& th : readers) th.join();
-    auto wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - begin);
-    std::vector<double> all;
-    for (auto& s : samples) all.insert(all.end(), s.begin(), s.end());
-    std::sort(all.begin(), all.end());
-    struct Result { double p50, p99, mops; };
-    return Result{all[all.size() / 2], all[all.size() * 99 / 100],
-                  double(kThreads) * kOpsPerThread / wall.count() / 1e6};
-  };
-
-  TablePrinter table({"probe arm", "p50 ns", "p99 ns", "lookups/sec (4 thr)"});
-  for (bool locked : {true, false}) {
-    auto r = run(locked);
-    const char* arm = locked ? "locked" : "lockfree";
-    CacheBenchRegistry().GetGauge("rc_bench_cache_probe_ns",
-                                  {{"arm", arm}, {"stat", "p50"}},
-                                  "warm-hit probe latency (batch-mean ns)")
-        .Set(r.p50);
-    CacheBenchRegistry()
-        .GetGauge("rc_bench_cache_probe_ns", {{"arm", arm}, {"stat", "p99"}})
-        .Set(r.p99);
-    CacheBenchRegistry().GetGauge("rc_bench_cache_probe_mops", {{"arm", arm}},
-                                  "aggregate warm-hit lookup throughput (M ops/s)")
-        .Set(r.mops);
-    table.AddRow({locked ? "locked (old layout)" : "lock-free (seqlock)",
-                  TablePrinter::Fmt(r.p50, 1), TablePrinter::Fmt(r.p99, 1),
-                  TablePrinter::Fmt(r.mops * 1e6, 0)});
+  rc::cache::CacheOptions options;
+  options.capacity = 4096;
+  options.shards = 16;
+  rc::cache::Word2Cache cache(options);
+  for (uint64_t k = 0; k < 1024; ++k) {
+    const uint64_t value[2] = {k, ~k};
+    cache.Insert(k, value, cache.epoch());
   }
+  std::vector<std::vector<double>> samples(kThreads);
+  std::latch start(kThreads + 1);
+  std::vector<std::thread> readers;
+  readers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      samples[t].reserve(kOpsPerThread / kBatch);
+      std::mt19937_64 rng(1000 + t);
+      start.arrive_and_wait();
+      uint64_t out[2];
+      for (int i = 0; i < kOpsPerThread / kBatch; ++i) {
+        auto begin = std::chrono::steady_clock::now();
+        for (int b = 0; b < kBatch; ++b) {
+          bool hit = cache.Lookup(rng() % 1024, out);
+          benchmark::DoNotOptimize(hit);
+          benchmark::DoNotOptimize(out);
+        }
+        auto elapsed = std::chrono::duration<double, std::nano>(
+            std::chrono::steady_clock::now() - begin);
+        samples[t].push_back(elapsed.count() / kBatch);
+      }
+    });
+  }
+  start.arrive_and_wait();
+  auto begin = std::chrono::steady_clock::now();
+  for (auto& th : readers) th.join();
+  auto wall = std::chrono::duration<double>(std::chrono::steady_clock::now() - begin);
+  std::vector<double> all;
+  for (auto& s : samples) all.insert(all.end(), s.begin(), s.end());
+  std::sort(all.begin(), all.end());
+  const double p50 = all[all.size() / 2];
+  const double p99 = all[all.size() * 99 / 100];
+  const double mops = double(kThreads) * kOpsPerThread / wall.count() / 1e6;
+
+  CacheBenchRegistry().GetGauge("rc_bench_cache_probe_ns",
+                                {{"arm", "lockfree"}, {"stat", "p50"}},
+                                "warm-hit probe latency (batch-mean ns)")
+      .Set(p50);
+  CacheBenchRegistry()
+      .GetGauge("rc_bench_cache_probe_ns", {{"arm", "lockfree"}, {"stat", "p99"}})
+      .Set(p99);
+  CacheBenchRegistry().GetGauge("rc_bench_cache_probe_mops", {{"arm", "lockfree"}},
+                                "aggregate warm-hit lookup throughput (M ops/s)")
+      .Set(mops);
+  TablePrinter table({"probe arm", "p50 ns", "p99 ns", "lookups/sec (4 thr)"});
+  table.AddRow({"lock-free (seqlock)", TablePrinter::Fmt(p50, 1),
+                TablePrinter::Fmt(p99, 1), TablePrinter::Fmt(mops * 1e6, 0)});
   table.Print(std::cout);
-  std::cout << "\nacceptance bar: lock-free p99 <= locked p99.\n\n";
+  std::cout << "\n";
 }
 
 // Global-mutex (shards=1) vs sharded (shards=16) KvStore under concurrent

@@ -8,20 +8,36 @@
 // Structure (per shard):
 //  * Read path — an open-addressed, power-of-two table of seqlock-stamped
 //    fixed-size entries plus a SwissTable-style control-byte array (7-bit
-//    key tag, empty, tombstone). A hit performs ZERO mutex acquisitions:
-//    probe the control bytes, seqlock-read the slot (bounded retries; a
-//    validation failure is counted and treated as a mismatch), then record
-//    the access in the frequency sketch (lossy CAS) and a lossy ring buffer
-//    that writers drain for recency updates. Every slot field readers touch
-//    is an atomic, so the seqlock needs no fences and is visible to TSan as
-//    plain atomics (no annotations, no suppressions).
+//    key tag, empty, tombstone). A hit performs ZERO mutex acquisitions and
+//    no shared read-modify-write: probe the control bytes, seqlock-read the
+//    slot (bounded retries; a validation failure is counted and treated as
+//    a mismatch), then record the access in the frequency sketch (lossy,
+//    and silent once a hot key's nibbles saturate) and in the calling
+//    thread's read stripe (a relaxed load, a store of the key and a release
+//    store of the stripe head). Every slot field readers touch is an atomic,
+//    so the seqlock needs no fences and is visible to TSan as plain atomics
+//    (no annotations, no suppressions).
+//  * Table growth — the mask, control bytes, slots and sketch live in one
+//    immutable table object published through a single atomic pointer
+//    (release store, acquire load), so a reader never pairs a mask with
+//    arrays it does not belong to. A shard starts at 64 slots and doubles
+//    under its writer lock whenever live entries plus tombstones would pass
+//    half the table, up to NextPow2(max(64, 2 x shard capacity)). Growth
+//    replays the live entries in per-region LRU order into the new table,
+//    publishes it, and clears the old table's control bytes: a reader still
+//    probing the old table gets a false miss, never a stale value. With no
+//    reclamation scheme, retired tables are kept until ~Word2Cache; since
+//    tables only double, together they are smaller than the live one.
 //  * Write path — one mutex per shard serializes inserts/evictions and all
 //    policy state: a W-TinyLFU arrangement of a small admission window
 //    (LRU), a segmented main region (probation/protected LRUs), and the
 //    4-bit count-min FrequencySketch with doorkeeper + periodic halving.
-//    Capacity overflow evicts per insert — never a bulk flush: the window's
-//    LRU candidate duels the probation victim on sketch frequency, so
-//    one-shot scan keys cannot displace the Zipf-hot working set.
+//    Each insert first drains every read stripe into LRU touches. Capacity
+//    overflow evicts per insert — never a bulk flush: the window's LRU
+//    candidate duels the probation victim on sketch frequency, so one-shot
+//    scan keys cannot displace the Zipf-hot working set. A shard reaches
+//    its largest table before it can hold `capacity` entries, so eviction
+//    and admission always run against the full-size table and sketch.
 //  * Epoch invalidation — Insert carries the epoch token the caller read
 //    before computing the value; Invalidate() bumps the epoch and then
 //    clears each shard under its writer lock, so an insert racing an
@@ -29,10 +45,10 @@
 //    client's old sharded map used, preserved exactly).
 //
 // Deletion uses tombstones; when they accumulate past a quarter of the
-// table the writer rebuilds the shard in place. Readers racing a rebuild
-// (or any eviction) can see a spurious miss — never a wrong value: the
-// seqlock + key check reject torn or recycled slots, and for a cache a
-// false miss is just a recompute.
+// table the writer rebuilds the shard in place at the same size. Readers
+// racing a rebuild (or any eviction) can see a spurious miss — never a
+// wrong value: the seqlock + key check reject torn or recycled slots, and
+// for a cache a false miss is just a recompute.
 #ifndef RC_SRC_CACHE_SHARDED_CACHE_H_
 #define RC_SRC_CACHE_SHARDED_CACHE_H_
 
@@ -49,7 +65,7 @@
 namespace rc::cache {
 
 // Test hook: process-wide count of shard writer-mutex acquisitions (every
-// Insert / Invalidate / locked probe). Tests assert a warm hit storm leaves
+// Insert / Invalidate). Tests assert a warm hit storm leaves
 // this unchanged — the "zero mutex acquisitions on the hit path" criterion.
 uint64_t ShardLockAcquisitions();
 
@@ -67,9 +83,6 @@ struct CacheOptions {
   double window_fraction = 0.01;
   // Share of the main region reserved for the protected segment.
   double protected_fraction = 0.80;
-  // Bench arm: take the shard mutex around every lookup, turning the probe
-  // into the old locked layout — isolates what lock-freedom itself buys.
-  bool locked_probe = false;
   // Registry receiving the rc_cache_* instruments; null = a private one.
   rc::obs::MetricsRegistry* metrics = nullptr;
   rc::obs::Labels metric_labels;
@@ -84,6 +97,9 @@ struct CacheStats {
   uint64_t sketch_resets = 0;
   uint64_t probe_retries = 0;  // seqlock validation failures on the read path
   uint64_t rebuilds = 0;       // tombstone-compaction table rebuilds
+  // Bytes held by the shard tables: slots + control bytes + LRU metadata +
+  // sketch, live tables plus the retired ones kept for in-flight readers.
+  uint64_t table_bytes = 0;
 };
 
 // The engine: keys are caller-provided 64-bit hashes, values are exactly two
@@ -96,8 +112,8 @@ class Word2Cache {
   Word2Cache(const Word2Cache&) = delete;
   Word2Cache& operator=(const Word2Cache&) = delete;
 
-  // Lock-free on hit (unless options.locked_probe). Fills out[2] and
-  // records the access for the admission policy.
+  // Lock-free on hit. Fills out[2] and records the access for the admission
+  // policy.
   bool Lookup(uint64_t key, uint64_t out[2]) const;
 
   // Inserts (or updates in place) unless the cache was invalidated after
@@ -118,20 +134,22 @@ class Word2Cache {
   size_t shard_count() const { return shard_mask_ + 1; }
 
  private:
+  struct Table;
   struct Shard;
 
   void RegisterInstruments();
   Shard& ShardFor(uint64_t mixed_hash) const;
 
   // Write-side helpers; all require the shard's writer lock.
-  static void EnsureTableLocked(Shard& s);
-  static uint32_t FindSlotLocked(const Shard& s, uint64_t key, uint64_t h);
-  uint32_t PlaceLocked(Shard& s, uint64_t key, uint64_t h,
-                       const uint64_t value[2]);
+  void InstallTableLocked(Shard& s, size_t size);
+  void RelayoutLocked(Shard& s, size_t size);
+  static uint32_t FindSlotLocked(const Table& t, uint64_t key, uint64_t h);
+  static uint32_t PlaceLocked(Shard& s, uint64_t key, uint64_t h,
+                              const uint64_t value[2]);
   void EvictSlotLocked(Shard& s, uint32_t idx);
   void EvictFromWindowLocked(Shard& s);
-  void TouchLocked(Shard& s, uint32_t idx);
-  void DrainRingLocked(Shard& s);
+  static void TouchLocked(Shard& s, uint32_t idx);
+  static void DrainStripesLocked(Shard& s);
   void MaybeRebuildLocked(Shard& s);
 
   CacheOptions options_;
@@ -140,11 +158,13 @@ class Word2Cache {
   size_t shard_capacity_ = 0;
   std::atomic<uint64_t> epoch_{0};
   std::atomic<int64_t> total_entries_{0};
+  std::atomic<uint64_t> table_bytes_{0};
 
   std::unique_ptr<rc::obs::MetricsRegistry> owned_metrics_;
   rc::obs::MetricsRegistry* metrics_ = nullptr;
   struct Instruments {
     rc::obs::Gauge* entries;
+    rc::obs::Gauge* table_bytes;
     rc::obs::Counter* admit_rejects;
     rc::obs::Counter* evictions_window;
     rc::obs::Counter* evictions_probation;

@@ -13,8 +13,6 @@
 #include <cstring>
 #include <string_view>
 
-#include "src/net/server.h"  // EINTR-safe read/write/accept wrappers
-
 namespace rc::net {
 
 namespace {
@@ -49,7 +47,15 @@ size_t HeaderEnd(const std::vector<uint8_t>& in) {
 
 }  // namespace
 
-AdminServer::AdminServer(AdminServerConfig config) : config_(std::move(config)) {}
+AdminServer::AdminServer(AdminServerConfig config) : config_(std::move(config)) {
+  rc::obs::MetricsRegistry* metrics = config_.metrics;
+  if (metrics == nullptr) {
+    owned_metrics_ = std::make_unique<rc::obs::MetricsRegistry>();
+    metrics = owned_metrics_.get();
+  }
+  rejected_fd_limit_ =
+      &metrics->GetCounter("rc_net_conn_rejected", {{"reason", "fd_limit"}});
+}
 
 AdminServer::~AdminServer() { Stop(); }
 
@@ -158,7 +164,12 @@ void AdminServer::AcceptReady() {
     int fd = AcceptEintr(listen_fd_);
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == ECONNABORTED || errno == EMFILE || errno == ENFILE) continue;
+      if (errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE) {  // see FdReserve
+        if (!fd_reserve_.Shed(listen_fd_)) return;
+        rejected_fd_limit_->Increment();
+        continue;
+      }
       return;
     }
     int one = 1;

@@ -28,6 +28,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "src/net/server.h"
+#include "src/obs/metrics.h"
+
 namespace rc::net {
 
 struct AdminServerConfig {
@@ -36,6 +39,9 @@ struct AdminServerConfig {
   // Ceiling on buffered request bytes before the header block completes;
   // beyond it the request is answered 414 (URI/headers too long).
   size_t max_request_bytes = 8192;
+  // Registry receiving rc_net_conn_rejected{reason="fd_limit"}; null = a
+  // private one.
+  rc::obs::MetricsRegistry* metrics = nullptr;
 };
 
 class AdminServer {
@@ -96,6 +102,9 @@ class AdminServer {
   std::unordered_map<int, std::unique_ptr<Conn>> conns_;
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
+  FdReserve fd_reserve_;
+  std::unique_ptr<rc::obs::MetricsRegistry> owned_metrics_;
+  rc::obs::Counter* rejected_fd_limit_ = nullptr;
 };
 
 }  // namespace rc::net

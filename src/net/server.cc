@@ -1,6 +1,7 @@
 #include "src/net/server.h"
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
@@ -46,6 +47,29 @@ int AcceptEintr(int fd) {
   }
 }
 
+namespace {
+
+int OpenSpareFd() { return ::open("/dev/null", O_RDONLY | O_CLOEXEC); }
+
+}  // namespace
+
+FdReserve::FdReserve() : spare_fd_(OpenSpareFd()) {}
+
+FdReserve::~FdReserve() {
+  if (spare_fd_ >= 0) ::close(spare_fd_);
+}
+
+bool FdReserve::Shed(int listen_fd) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (spare_fd_ < 0) spare_fd_ = OpenSpareFd();  // a descriptor freed up since
+  if (spare_fd_ < 0) return false;
+  ::close(spare_fd_);
+  const int fd = AcceptEintr(listen_fd);
+  if (fd >= 0) ::close(fd);
+  spare_fd_ = OpenSpareFd();
+  return fd >= 0;
+}
+
 Server::Server(rc::core::Client* client, ServerConfig config)
     : client_(client), config_(std::move(config)) {
   if (config_.metrics != nullptr) {
@@ -56,6 +80,10 @@ Server::Server(rc::core::Client* client, ServerConfig config)
   }
   m_.connections_accepted = &metrics_->GetCounter(
       "rc_net_connections_accepted", {}, "TCP connections accepted");
+  m_.rejected_fd_limit = &metrics_->GetCounter(
+      "rc_net_conn_rejected", {{"reason", "fd_limit"}},
+      "connections accepted and closed at once because the process was at its "
+      "descriptor limit");
   m_.connections_active =
       &metrics_->GetGauge("rc_net_connections_active", {}, "open TCP connections");
   m_.requests = &metrics_->GetCounter("rc_net_requests", {}, "frames answered");
@@ -270,7 +298,14 @@ void Server::AcceptReady(Worker& worker) {
     int fd = AcceptEintr(listen_fd_);
     if (fd < 0) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) return;
-      if (errno == ECONNABORTED || errno == EMFILE || errno == ENFILE) continue;
+      if (errno == ECONNABORTED) continue;
+      if (errno == EMFILE || errno == ENFILE) {
+        // Shed the pending connection rather than retry in place: retrying
+        // spins on it and starves this worker's own connections.
+        if (!fd_reserve_.Shed(listen_fd_)) return;
+        m_.rejected_fd_limit->Increment();
+        continue;
+      }
       return;
     }
     int one = 1;

@@ -68,6 +68,30 @@ struct ServerConfig {
   rc::common::Clock* clock = nullptr;
 };
 
+// Accept-side guard for the descriptor limit. When accept() fails with
+// EMFILE/ENFILE the pending connection stays queued and the listener stays
+// readable, so a plain retry spins without serving anyone. This holds one
+// spare descriptor: Shed() frees it, accepts the pending connection, closes
+// it at once and takes the spare back. Shared by the RCNP and admin
+// listeners; thread-safe, since every RCNP worker runs the accept loop.
+class FdReserve {
+ public:
+  FdReserve();
+  ~FdReserve();
+
+  FdReserve(const FdReserve&) = delete;
+  FdReserve& operator=(const FdReserve&) = delete;
+
+  // Accepts and closes one pending connection on `listen_fd`. True if one
+  // was shed; false if none was pending or no spare could be taken back
+  // (the caller should then return to its event loop).
+  bool Shed(int listen_fd);
+
+ private:
+  std::mutex mu_;
+  int spare_fd_ = -1;
+};
+
 class Server {
  public:
   // The core client must be initialized and outlive the server.
@@ -158,6 +182,7 @@ class Server {
   rc::obs::MetricsRegistry* metrics_ = nullptr;
   struct Instruments {
     rc::obs::Counter* connections_accepted;
+    rc::obs::Counter* rejected_fd_limit;
     rc::obs::Gauge* connections_active;
     rc::obs::Counter* requests;
     rc::obs::Counter* predictions;
@@ -167,6 +192,7 @@ class Server {
     rc::obs::Histogram* request_latency_us;
   } m_{};
   std::atomic<uint64_t> active_connections_{0};
+  FdReserve fd_reserve_;
 };
 
 // --- EINTR-safe syscall wrappers (shared with the pooled client) ---

@@ -98,5 +98,24 @@ TEST(FrequencySketchTest, ConcurrentObserveIsSafeAndRoughlyAccurate) {
   EXPECT_GE(sketch.Frequency(hot), 14);
 }
 
+TEST(FrequencySketchTest, InheritCarriesEstimatesIntoALargerSketch) {
+  // A growing cache table replaces its sketch; the live keys' estimates
+  // (doorkeeper credit and count-min floor) must survive the move.
+  FrequencySketch small;
+  small.Init(32);
+  const uint64_t hot = HashU64(1);
+  const uint64_t once = HashU64(2);
+  for (int i = 0; i < 6; ++i) small.Observe(hot);
+  small.Observe(once);
+  FrequencySketch large;
+  large.Init(1024);
+  const std::vector<uint64_t> live = {hot, once};
+  large.Inherit(small, live);
+  EXPECT_EQ(large.Frequency(hot), small.Frequency(hot));
+  EXPECT_EQ(large.Frequency(once), 1);  // doorkeeper credit only
+  EXPECT_EQ(large.Frequency(HashU64(3)), 0);
+  EXPECT_GT(large.bytes(), small.bytes());
+}
+
 }  // namespace
 }  // namespace rc::cache

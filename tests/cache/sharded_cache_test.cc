@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/metrics.h"
+
 namespace rc::cache {
 namespace {
 
@@ -156,17 +158,8 @@ TEST(Word2CacheTest, HitPathTakesZeroShardLocks) {
   // Misses are lock-free too.
   EXPECT_FALSE(cache.Lookup(1 << 30, out));
   EXPECT_EQ(ShardLockAcquisitions(), locks_before);
-}
-
-TEST(Word2CacheTest, LockedProbeArmCountsLocks) {
-  // Sanity for the hook itself: the bench's locked_probe arm must register.
-  CacheOptions options = SmallOptions(64);
-  options.locked_probe = true;
-  Word2Cache cache(options);
-  InsertKey(cache, 1);
-  const uint64_t locks_before = ShardLockAcquisitions();
-  uint64_t out[2];
-  ASSERT_TRUE(cache.Lookup(1, out));
+  // The hook itself counts: an insert takes its shard's lock.
+  InsertKey(cache, 1 << 30);
   EXPECT_EQ(ShardLockAcquisitions(), locks_before + 1);
 }
 
@@ -221,6 +214,98 @@ TEST(Word2CacheTest, ConcurrentReadersNeverSeeTornValues) {
   writer.join();
   for (auto& th : readers) th.join();
   EXPECT_EQ(torn.load(), 0u) << "a reader observed a torn or stale-keyed value";
+}
+
+TEST(Word2CacheTest, ReaderRecencyReachesTheNextInsert) {
+  // Plain LRU, one shard at capacity: key 0 is the LRU head. A hit from
+  // another thread goes through that thread's read stripe, and the next
+  // insert drains it before choosing a victim — so key 0 survives and the
+  // next-oldest key is evicted instead.
+  CacheOptions options = SmallOptions(64);
+  options.admission = false;
+  Word2Cache cache(options);
+  for (uint64_t k = 0; k < 64; ++k) InsertKey(cache, k);
+  std::thread reader([&] {
+    uint64_t out[2];
+    EXPECT_TRUE(cache.Lookup(0, out));
+  });
+  reader.join();
+  InsertKey(cache, 1000);
+  uint64_t out[2];
+  EXPECT_TRUE(cache.Lookup(0, out)) << "the reader's hit did not refresh key 0";
+  EXPECT_FALSE(cache.Lookup(1, out)) << "the next LRU key should be the victim";
+  EXPECT_TRUE(cache.Lookup(1000, out));
+  EXPECT_EQ(cache.size(), 64u);
+}
+
+TEST(Word2CacheTest, GrowthUnderConcurrentReadersKeepsEveryValue) {
+  // More reader threads than read stripes, so stripes are shared, while one
+  // writer grows a single shard from its first 64-slot table to capacity.
+  // A reader must never see a torn or wrong-key value, and after each
+  // doubling every key inserted so far must still be retrievable.
+  constexpr uint64_t kCapacity = 4096;
+  constexpr int kReaders = static_cast<int>(rc::obs::kShards) + 4;
+  Word2Cache cache(SmallOptions(kCapacity));
+  std::atomic<uint64_t> inserted{0};
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> wrong{0};
+  std::vector<std::thread> readers;
+  readers.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&, t] {
+      uint64_t out[2];
+      uint64_t k = static_cast<uint64_t>(t);
+      while (!stop.load(std::memory_order_relaxed)) {
+        const uint64_t n = inserted.load(std::memory_order_acquire);
+        k = (k * 6364136223846793005ULL + 1442695040888963407ULL);
+        const uint64_t key = (k >> 33) % (n + 1);
+        if (cache.Lookup(key, out) &&
+            (out[0] != W0(key) || out[1] != W1(key))) {
+          wrong.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+    });
+  }
+  uint64_t bytes = cache.Stats().table_bytes;
+  int doublings = 0;
+  for (uint64_t k = 0; k < kCapacity; ++k) {
+    InsertKey(cache, k);
+    inserted.store(k + 1, std::memory_order_release);
+    if (cache.Stats().table_bytes == bytes) continue;
+    bytes = cache.Stats().table_bytes;
+    if (k > 0) ++doublings;
+    for (uint64_t j = 0; j <= k; ++j) {
+      uint64_t out[2];
+      ASSERT_TRUE(cache.Lookup(j, out)) << "key " << j << " lost at insert " << k;
+      ASSERT_EQ(out[0], W0(j));
+      ASSERT_EQ(out[1], W1(j));
+    }
+  }
+  stop.store(true, std::memory_order_relaxed);
+  for (auto& th : readers) th.join();
+  EXPECT_EQ(wrong.load(), 0u) << "a reader saw a torn or wrong-key value";
+  EXPECT_EQ(doublings, 7) << "64 -> 8192 slots is seven doublings";
+  EXPECT_EQ(cache.size(), kCapacity);
+  EXPECT_EQ(cache.Stats().evictions_window, 0u);
+}
+
+TEST(Word2CacheTest, TableBytesFollowLiveEntries) {
+  // A client-sized cache (capacity 2^20, 16 shards) holding a few thousand
+  // keys must not pay for full-capacity tables.
+  rc::obs::MetricsRegistry registry;
+  CacheOptions options;
+  options.capacity = 1 << 20;
+  options.metrics = &registry;
+  Word2Cache cache(options);
+  EXPECT_EQ(cache.Stats().table_bytes, 0u);
+  for (uint64_t k = 0; k < 2000; ++k) InsertKey(cache, k);
+  const uint64_t bytes = cache.Stats().table_bytes;
+  EXPECT_GT(bytes, 0u);
+  EXPECT_LT(bytes, 2u << 20) << "tables should follow the 2,000 live keys";
+  EXPECT_EQ(registry.GetGauge("rc_cache_table_bytes", {}).Value(),
+            static_cast<double>(bytes));
+  uint64_t out[2];
+  for (uint64_t k = 0; k < 2000; ++k) ASSERT_TRUE(cache.Lookup(k, out));
 }
 
 TEST(ShardedCacheTest, TypedFacadeRoundTripsSmallStructs) {

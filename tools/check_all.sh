@@ -69,6 +69,7 @@ REQUIRED_FAMILIES=(
   rc_cache_sketch_resets
   rc_cache_probe_retries
   rc_cache_rebuilds
+  rc_cache_table_bytes
 )
 for family in "${REQUIRED_FAMILIES[@]}"; do
   if ! grep -q "^${family}" <<<"${EXPO}"; then
@@ -82,6 +83,7 @@ echo "== network service smoke check =="
 NET_EXPO="$("${BUILD_DIR}/tools/rc_server" --smoke --vms 3000 2>/dev/null)"
 NET_FAMILIES=(
   rc_net_connections_accepted
+  rc_net_conn_rejected
   rc_net_connections_active
   rc_net_requests
   rc_net_predictions

@@ -39,6 +39,11 @@ echo "== rc_ml_tests (ASan+UBSan, exec-engine parity) =="
 # frames — exactly the bounds-handling shapes ASan exists to vet.
 echo "== rc_net_tests (ASan+UBSan, admin endpoint + wire tracing) =="
 "${BUILD_DIR}/tests/rc_net_tests" --gtest_filter='AdminServer*:TracePropagation*:NetProtocol*'
+# At the descriptor limit both listeners shed queued connections through a
+# spare descriptor (close, accept, close, reopen) — fd juggling that ASan
+# and UBSan vet for double closes and use of a closed descriptor's state.
+echo "== rc_net_tests (ASan+UBSan, descriptor-limit shedding) =="
+"${BUILD_DIR}/tests/rc_net_tests" --gtest_filter='FdLimit*'
 # The open-addressed cache indexes raw slot/ctrl arrays under concurrent
 # eviction, tombstone reuse, and in-place rebuild — exactly the off-by-one
 # shapes ASan vets. The shard-stress suite vets listener lifetime (the

@@ -189,6 +189,7 @@ int main(int argc, char** argv) {
     rc::obs::RegisterBuildInfo(registry);
     rc::net::AdminServerConfig admin_config;
     admin_config.port = static_cast<uint16_t>(admin_port);
+    admin_config.metrics = &registry;
     admin = std::make_unique<rc::net::AdminServer>(admin_config);
     admin->Handle("/metrics", [&registry] {
       rc::obs::UpdateProcessGauges(registry);
