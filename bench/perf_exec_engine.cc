@@ -5,12 +5,11 @@
 // batch sizes 1/8/64/512, verifies the engine hot loops allocate nothing,
 // and writes the series to BENCH_exec_engine.json.
 //
-// --compare runs the walk-mode arms instead: scalar vs AVX2 vs quantized at
-// batch 64 on identical inputs, reporting per-arm rows/s, per-model pool
-// bytes (f64 vs quantized — the cache-residency claim), and speedup vs the
-// scalar lockstep walk, all merged into BENCH_exec_engine.json. The AVX2
-// arm is verified bit-exact against scalar and the quantized arm within
-// tolerance before any timing is trusted.
+// --compare runs the walk-mode arms instead: scalar vs AVX2 at batch 64 on
+// identical inputs, reporting per-arm rows/s, per-model pool bytes, and
+// speedup vs the scalar lockstep walk, all merged into
+// BENCH_exec_engine.json. The AVX2 arm is verified bit-exact against scalar
+// before any timing is trusted.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -218,9 +217,9 @@ double RunCompare(const std::string& name, const Model& model, size_t features,
   std::vector<double> proba(kBatch * k);
 
   // Cross-arm parity on one deterministic batch before timing anything:
-  // AVX2 must match scalar bit-for-bit, quantized within leaf-table
-  // tolerance (the parity suites assert this exhaustively; the bench
-  // re-checks so a reported speedup can never come from a wrong answer).
+  // AVX2 must match scalar bit-for-bit (the parity suites assert this
+  // exhaustively; the bench re-checks so a reported speedup can never come
+  // from a wrong answer).
   {
     std::vector<double> scalar_out(kBatch * k), arm_out(kBatch * k);
     engine.PredictBatch(X.data(), kBatch, features, scalar_out.data(),
@@ -234,16 +233,6 @@ double RunCompare(const std::string& name, const Model& model, size_t features,
         break;
       }
     }
-    engine.PredictBatch(X.data(), kBatch, features, arm_out.data(),
-                        ExecEngine::Mode::kQuantized);
-    for (size_t i = 0; i < scalar_out.size(); ++i) {
-      if (!(std::fabs(scalar_out[i] - arm_out[i]) <= 1e-3)) {
-        std::cerr << "PARITY FAILURE: quantized arm off by "
-                  << std::fabs(scalar_out[i] - arm_out[i]) << " at " << i << "\n";
-        parity_ok = false;
-        break;
-      }
-    }
   }
 
   struct Arm {
@@ -251,8 +240,7 @@ double RunCompare(const std::string& name, const Model& model, size_t features,
     const char* label;
   };
   const Arm arms[] = {{ExecEngine::Mode::kScalar, "scalar"},
-                      {ExecEngine::Mode::kAvx2, "avx2"},
-                      {ExecEngine::Mode::kQuantized, "quantized"}};
+                      {ExecEngine::Mode::kAvx2, "avx2"}};
   double scalar_rows = 0.0;
   double avx2_ratio = 0.0;
   for (const Arm& arm : arms) {
@@ -269,9 +257,7 @@ double RunCompare(const std::string& name, const Model& model, size_t features,
     const double speedup =
         scalar_rows > 0.0 ? s.examples_per_sec / scalar_rows : 0.0;
     if (arm.mode == ExecEngine::Mode::kAvx2) avx2_ratio = speedup;
-    const size_t pool_bytes = arm.mode == ExecEngine::Mode::kQuantized
-                                  ? engine.quantized_bytes()
-                                  : engine.bytes();
+    const size_t pool_bytes = engine.bytes();
     rc::obs::Labels labels{{"model", name}, {"arm", arm.label}};
     reg.GetGauge("rc_bench_exec_engine_compare_rows_per_sec", labels,
                  "batch-64 rows/s per walk-mode arm")
@@ -280,8 +266,7 @@ double RunCompare(const std::string& name, const Model& model, size_t features,
                  "throughput vs the scalar lockstep walk")
         .Set(speedup);
     reg.GetGauge("rc_bench_exec_engine_model_bytes",
-                 {{"model", name},
-                  {"pool", arm.mode == ExecEngine::Mode::kQuantized ? "quantized" : "f64"}},
+                 {{"model", name}, {"pool", "f64"}},
                  "walked pool + leaf tables (bytes)")
         .Set(static_cast<double>(pool_bytes));
     table.AddRow({name, std::string(arm.label) + " (runs " +
@@ -294,7 +279,7 @@ double RunCompare(const std::string& name, const Model& model, size_t features,
 }
 
 int RunCompareMain() {
-  rc::bench::Banner("Execution engine: scalar vs AVX2 vs quantized walk",
+  rc::bench::Banner("Execution engine: scalar vs AVX2 walk",
                     "batch 64, identical inputs (DESIGN.md)");
   rc::obs::MetricsRegistry registry;
   Rng rng(42);
@@ -330,26 +315,10 @@ int RunCompareMain() {
                                 alloc_check_ok, parity_ok);
   table.Print(std::cout);
 
-  auto pool_ratio = [](const ExecEngine& e) {
-    return e.bytes() > 0 ? static_cast<double>(e.quantized_bytes()) /
-                               static_cast<double>(e.bytes())
-                         : 0.0;
-  };
   std::cout << "\navx2 batch-64 vs scalar lockstep: rf "
             << TablePrinter::Fmt(rf_ratio, 2) << "x, gbt "
             << TablePrinter::Fmt(gbt_ratio, 2)
             << "x (acceptance: >= 1.5x)\n";
-  std::cout << "quantized pool vs f64 pool bytes: rf "
-            << TablePrinter::Fmt(pool_ratio(*forest.engine()), 2) << "x, gbt "
-            << TablePrinter::Fmt(pool_ratio(*gbt.engine()), 2)
-            << "x (acceptance: <= 0.5x); bin tables (off the per-node hot "
-               "path): rf "
-            << TablePrinter::Fmt(
-                   static_cast<double>(forest.engine()->bin_table_bytes()) / 1024.0, 0)
-            << " KiB, gbt "
-            << TablePrinter::Fmt(
-                   static_cast<double>(gbt.engine()->bin_table_bytes()) / 1024.0, 0)
-            << " KiB\n";
   std::cout << "engine hot loops: "
             << (alloc_check_ok ? "0 allocations, as designed"
                                : "ALLOCATION CHECK FAILED")

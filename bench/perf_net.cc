@@ -11,10 +11,10 @@
 // way distinct fabric controllers would. Results are aggregated over pipes
 // and written to BENCH_net.json.
 //
-// --combiner off|shared|worker selects the server's cross-request batching
-// mode (DESIGN.md "Cross-request batching"); --compare runs the same load
-// twice — combiner off, then the selected mode — against one trained model
-// set and reports the throughput speedup. The combiner acceptance runs with
+// --combiner off|on switches the server's embedded client's cross-request
+// batching (ClientConfig::combiner; DESIGN.md "Cross-request batching");
+// --compare runs the same load twice — combiner off, then on — against one
+// trained model set and reports the throughput speedup. The combiner acceptance runs with
 // --cache off --keys 1 --many-ratio 0: a single hot key, no result cache,
 // all singles, so every request reaches the execution engine and coalescing
 // is the only thing being measured.
@@ -75,7 +75,7 @@ struct Options {
   double many_ratio = 0.25;  // fraction of requests that are PredictMany
   size_t batch = 16;      // PredictMany batch size
   int models = 2;         // distinct models driven by the load (1 or 2)
-  rc::net::CombinerMode combiner = rc::net::CombinerMode::kOff;
+  bool combiner = false;  // the client's cross-request batching
   int64_t combiner_wait_us = 40;
   // Fast-path-when-idle serves a lone request immediately (best P50 when
   // arrivals rarely overlap). Off forces every request to park for the
@@ -85,10 +85,7 @@ struct Options {
   bool combiner_fast_path = true;
   size_t combiner_max_batch = 64;  // flush-on-full threshold
   bool cache = true;      // server-side result cache (off isolates execution)
-  bool compare = false;   // run combiner-off then --combiner mode, same load
-  // ExecEngine walk serving the server's predictions (auto/scalar/avx2/
-  // quantized); lets the net bench A/B the engine modes end-to-end.
-  rc::ml::ExecEngine::Mode engine_mode = rc::ml::ExecEngine::Mode::kAuto;
+  bool compare = false;   // run combiner off then on, same load
   // Ensemble size overrides (0 = bench defaults). The combiner acceptance
   // uses large forests so execution dominates the request path — that is the
   // regime where coalescing duplicate work is supposed to pay.
@@ -192,13 +189,16 @@ bool RecvResult(int fd, LoadResult* r) {
 // epoll server. Reports the ephemeral port over `port_fd`, then idles until
 // SIGTERM.
 [[noreturn]] void RunServer(const rc::core::TrainedModels& trained, const Options& opt,
-                            rc::net::CombinerMode mode, int port_fd) {
+                            bool combiner, int port_fd) {
   rc::store::KvStore store;
   rc::core::OfflinePipeline::Publish(trained, store);
   rc::obs::MetricsRegistry registry;
   rc::core::ClientConfig client_config;
   client_config.metrics = &registry;
-  client_config.engine_mode = opt.engine_mode;
+  client_config.combiner.enabled = combiner;
+  client_config.combiner.max_wait_us = opt.combiner_wait_us;
+  client_config.combiner.fast_path_when_idle = opt.combiner_fast_path;
+  client_config.combiner.max_batch = opt.combiner_max_batch;
   if (!opt.cache) client_config.result_cache_capacity = 0;
   rc::core::Client client(&store, client_config);
   if (!client.Initialize()) _exit(4);
@@ -207,10 +207,6 @@ bool RecvResult(int fd, LoadResult* r) {
   server_config.port = 0;
   server_config.num_workers = opt.workers;
   server_config.metrics = &registry;
-  server_config.combiner_mode = mode;
-  server_config.combiner_max_wait_us = opt.combiner_wait_us;
-  server_config.combiner_fast_path_when_idle = opt.combiner_fast_path;
-  server_config.combiner_max_batch = opt.combiner_max_batch;
   rc::net::Server server(&client, server_config);
   if (!server.Start()) _exit(5);
 
@@ -237,7 +233,7 @@ bool RecvResult(int fd, LoadResult* r) {
   std::signal(SIGTERM, [](int) { stop = 1; });
   while (stop == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   server.Stop();
-  if (mode != rc::net::CombinerMode::kOff) {
+  if (combiner) {
     // Surface the coalescing instruments so a run's batch-size distribution
     // and flush reasons are inspectable without re-plumbing the registry.
     std::string text = rc::obs::PrometheusText(registry);
@@ -358,15 +354,6 @@ size_t ScrapeOnce(uint16_t admin_port, const char* path) {
   return total;
 }
 
-const char* ModeName(rc::net::CombinerMode mode) {
-  switch (mode) {
-    case rc::net::CombinerMode::kOff: return "off";
-    case rc::net::CombinerMode::kShared: return "shared";
-    case rc::net::CombinerMode::kPerWorker: return "worker";
-  }
-  return "?";
-}
-
 // One aggregated measurement: the end-of-run numbers from a full
 // server + load-fleet lifecycle.
 struct RunSummary {
@@ -379,18 +366,18 @@ struct RunSummary {
   uint64_t errors = 0;
 };
 
-// Forks the server (in `mode`) and the load fleet, drives the configured
+// Forks the server (client combiner on or off) and the load fleet, drives the configured
 // duration, and aggregates every process's results.
 RunSummary RunOnce(const rc::core::TrainedModels& trained,
                    const std::vector<rc::core::ClientInputs>& keys, const Options& opt,
-                   rc::net::CombinerMode mode) {
+                   bool combiner) {
   RunSummary summary;
   int port_pipe[2];
   if (pipe(port_pipe) != 0) return summary;
   pid_t server_pid = fork();
   if (server_pid == 0) {
     close(port_pipe[0]);
-    RunServer(trained, opt, mode, port_pipe[1]);
+    RunServer(trained, opt, combiner, port_pipe[1]);
   }
   close(port_pipe[1]);
   uint16_t ports[2] = {0, 0};
@@ -403,7 +390,7 @@ RunSummary RunOnce(const rc::core::TrainedModels& trained,
   const uint16_t port = ports[0];
   const uint16_t admin_port = ports[1];
   std::cout << "server up on 127.0.0.1:" << port << " (" << opt.workers
-            << " workers, combiner " << ModeName(mode) << ", cache "
+            << " workers, combiner " << (combiner ? "on" : "off") << ", cache "
             << (opt.cache ? "on" : "off") << "); driving " << opt.procs << " procs x "
             << opt.threads << " threads, zipf(" << opt.zipf_s << ") over " << keys.size()
             << " keys, " << opt.duration_s << "s...\n";
@@ -523,12 +510,11 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--batch") == 0) opt.batch = static_cast<size_t>(std::atoll(next()));
     else if (std::strcmp(argv[i], "--models") == 0) opt.models = std::atoi(next());
     else if (std::strcmp(argv[i], "--combiner") == 0) {
-      std::string mode = next();
-      if (mode == "off") opt.combiner = rc::net::CombinerMode::kOff;
-      else if (mode == "shared") opt.combiner = rc::net::CombinerMode::kShared;
-      else if (mode == "worker") opt.combiner = rc::net::CombinerMode::kPerWorker;
+      std::string v = next();
+      if (v == "on") opt.combiner = true;
+      else if (v == "off") opt.combiner = false;
       else {
-        std::cerr << "--combiner must be off, shared, or worker\n";
+        std::cerr << "--combiner must be on or off\n";
         return 2;
       }
     } else if (std::strcmp(argv[i], "--combiner-wait-us") == 0) {
@@ -551,13 +537,6 @@ int main(int argc, char** argv) {
         std::cerr << "--cache must be on or off\n";
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--engine-mode") == 0) {
-      auto parsed = rc::ml::ExecEngine::ParseMode(next());
-      if (!parsed) {
-        std::cerr << "--engine-mode must be auto, scalar, avx2, or quantized\n";
-        return 2;
-      }
-      opt.engine_mode = *parsed;
     } else if (std::strcmp(argv[i], "--compare") == 0) {
       opt.compare = true;
     } else if (std::strcmp(argv[i], "--admin-scrape") == 0) {
@@ -569,17 +548,13 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "usage: perf_net [--vms N] [--procs L] [--threads T] [--workers W]\n"
                    "                [--duration-s S] [--keys K] [--zipf S] [--many-ratio R]\n"
-                   "                [--batch B] [--models 1|2] [--combiner off|shared|worker]\n"
-                   "                [--combiner-wait-us U] [--cache on|off] [--compare]\n"
-                   "                [--trees N] [--gbt-rounds N] [--admin-scrape]\n"
-                   "                [--engine-mode auto|scalar|avx2|quantized]\n";
+                   "                [--batch B] [--models 1|2] [--combiner off|on]\n"
+                   "                [--combiner-wait-us U] [--combiner-max-batch N]\n"
+                   "                [--combiner-fast-path on|off] [--cache on|off]\n"
+                   "                [--compare] [--trees N] [--gbt-rounds N] [--admin-scrape]\n";
       return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
     }
   }
-  if (opt.compare && opt.combiner == rc::net::CombinerMode::kOff) {
-    opt.combiner = rc::net::CombinerMode::kShared;  // compare needs an "on" arm
-  }
-
   rc::bench::Banner("rc::net service: closed-loop loopback load",
                     "Fig. 10 budget + 1 ms over TCP");
 
@@ -612,14 +587,14 @@ int main(int argc, char** argv) {
   };
 
   if (opt.compare) {
-    RunSummary off = RunOnce(trained, keys, opt, rc::net::CombinerMode::kOff);
+    RunSummary off = RunOnce(trained, keys, opt, /*combiner=*/false);
     if (!off.ok) return 1;
-    RunSummary on = RunOnce(trained, keys, opt, opt.combiner);
+    RunSummary on = RunOnce(trained, keys, opt, /*combiner=*/true);
     if (!on.ok) return 1;
     const double speedup =
         off.predictions_per_s > 0.0 ? on.predictions_per_s / off.predictions_per_s : 0.0;
 
-    rc::TablePrinter table({"metric", "combiner off", ModeName(opt.combiner)});
+    rc::TablePrinter table({"metric", "combiner off", "combiner on"});
     table.AddRow({"predictions/s", rc::TablePrinter::Fmt(off.predictions_per_s, 0),
                   rc::TablePrinter::Fmt(on.predictions_per_s, 0)});
     table.AddRow({"single p50", rc::TablePrinter::Fmt(off.p50_single, 1) + " us",
@@ -639,11 +614,11 @@ int main(int argc, char** argv) {
 
     gauge("rc_bench_net_combiner_off_predictions_per_s",
           "combiner-off loopback predictions per second", off.predictions_per_s);
-    gauge(std::string("rc_bench_net_combiner_") + ModeName(opt.combiner) + "_predictions_per_s",
+    gauge("rc_bench_net_combiner_on_predictions_per_s",
           "combiner-on loopback predictions per second", on.predictions_per_s);
     gauge("rc_bench_net_combiner_off_single_p99_us", "combiner-off PredictSingle p99",
           off.p99_single);
-    gauge(std::string("rc_bench_net_combiner_") + ModeName(opt.combiner) + "_single_p99_us",
+    gauge("rc_bench_net_combiner_on_single_p99_us",
           "combiner-on PredictSingle p99", on.p99_single);
     gauge("rc_bench_net_combiner_speedup", "combiner-on / combiner-off predictions per second",
           speedup);

@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "src/obs/trace_events.h"
+#include "src/obs/trace_context.h"
 
 namespace rc::core {
 
@@ -13,7 +13,6 @@ const char* ToString(CombineFlush flush) {
     case CombineFlush::kFull: return "full";
     case CombineFlush::kHandoff: return "handoff";
     case CombineFlush::kShutdown: return "shutdown";
-    case CombineFlush::kCacheHit: return "cache-hit";
   }
   return "unknown";
 }
@@ -67,17 +66,6 @@ CombineResult BatchCombiner::Predict(const std::string& model,
                                      const ClientInputs& inputs) {
   rc::obs::TraceSpan call_span("combiner/predict");
   m_.requests->Increment();
-  if (config_.probe_result_cache) {
-    // Lock-free re-probe (rc::cache seqlock path): a hit returns without
-    // touching the combiner mutex or any cache shard mutex.
-    if (auto cached = client_->ProbeResultCache(model, inputs)) {
-      CombineResult hit;
-      hit.prediction = *cached;
-      hit.degraded = client_->degraded_reason();
-      hit.flush = CombineFlush::kCacheHit;
-      return hit;
-    }
-  }
   Slot slot;
   slot.inputs = &inputs;
 
@@ -238,8 +226,7 @@ void BatchCombiner::DispatchLocked(std::unique_lock<std::mutex>& lock,
     case CombineFlush::kFull: m_.flush_full->Increment(); break;
     case CombineFlush::kHandoff: m_.flush_handoff->Increment(); break;
     case CombineFlush::kFastPath:
-    case CombineFlush::kShutdown:
-    case CombineFlush::kCacheHit: break;  // not dispatch reasons
+    case CombineFlush::kShutdown: break;  // not dispatch reasons
   }
   // Handoff: a batch that opened while we executed holds requests that have
   // already waited an execution's worth of time — flush it immediately.

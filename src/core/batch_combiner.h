@@ -59,7 +59,6 @@ enum class CombineFlush : uint8_t {
   kFull,          // batch reached max_batch
   kHandoff,       // a completing dispatch flushed the open batch
   kShutdown,      // combiner shut down while the request was parked
-  kCacheHit,      // answered from the result cache (probe_result_cache only)
 };
 const char* ToString(CombineFlush flush);
 
@@ -72,11 +71,6 @@ struct BatchCombinerConfig {
   // flight. Disable to force every caller through the parked path (the
   // deterministic tests do, so a lone caller exercises the window).
   bool fast_path_when_idle = true;
-  // Probe the client's result cache before parking, so cache hits never wait
-  // out a window. On when the combiner fronts PredictSingle itself (the
-  // rc::net server's combiner); off when the client routes its own misses
-  // here (Client::PredictSingleImpl already probed).
-  bool probe_result_cache = false;
   // Injected time source; null uses MonotonicClock::Instance().
   rc::common::Clock* clock = nullptr;
   // Registry for the rc_combiner_* instruments; null = the client's registry.

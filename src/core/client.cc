@@ -12,7 +12,7 @@
 #include "src/common/hashing.h"
 #include "src/core/batch_combiner.h"
 #include "src/ml/exec_engine.h"
-#include "src/obs/trace_events.h"
+#include "src/obs/trace_context.h"
 
 namespace rc::core {
 
@@ -440,10 +440,8 @@ Client::IngestResult Client::IngestLocked(ClientState& state, const std::string&
       }
       entry->model = rc::ml::Classifier::DeserializeTagged(blob.data);
       // DeserializeTagged compiled the engine on this (load) path; pin the
-      // pointer so the batch hot path skips the virtual engine() lookup, and
-      // stamp the configured walk mode so Execute never consults the config.
+      // pointer so the batch hot path skips the virtual engine() lookup.
       entry->engine = entry->model->engine();
-      entry->mode = EngineModeFor(name);
       entry->blob_version = blob.version;
       entry->loaded_at_ns = rc::obs::NowNs();
       if (entry->engine != nullptr) ExportModelBytes(name, *entry->engine);
@@ -461,7 +459,6 @@ Client::IngestResult Client::IngestLocked(ClientState& state, const std::string&
         entry->model = it->second->model;
         entry->engine = it->second->engine;
       }
-      entry->mode = EngineModeFor(spec.name);
       entry->blob_version = blob.version;
       entry->loaded_at_ns = rc::obs::NowNs();
       entry->spec = spec;
@@ -596,40 +593,23 @@ Prediction Client::Execute(const ClientState& state, const LoadedModel& entry,
   }
   m_.model_executions->Increment();
   rc::obs::TraceSpan execute_span("client/execute");
-  // Compiled models run the engine directly so the stamped walk mode
-  // applies; the virtual path serves classifier types without an engine.
-  const auto scored =
-      entry.engine != nullptr
-          ? entry.engine->PredictScored(row, proba, entry.mode)
-          : entry.model->PredictScored(row, proba);
+  // Compiled models run the engine directly; the virtual path serves
+  // classifier types without an engine.
+  const auto scored = entry.engine != nullptr
+                          ? entry.engine->PredictScored(row, proba)
+                          : entry.model->PredictScored(row, proba);
   return Prediction::Of(scored.label, scored.score);
-}
-
-rc::ml::ExecEngine::Mode Client::EngineModeFor(const std::string& name) const {
-  if (auto it = config_.engine_mode_overrides.find(name);
-      it != config_.engine_mode_overrides.end()) {
-    return it->second;
-  }
-  return config_.engine_mode;
 }
 
 void Client::ExportModelBytes(const std::string& name,
                               const rc::ml::ExecEngine& engine) {
   // Ingest path (writer-locked, rare), so get-or-create per model is fine.
-  auto labeled = [&](const char* pool) {
-    rc::obs::Labels labels = config_.metric_labels;
-    labels.emplace_back("model", name);
-    labels.emplace_back("pool", pool);
-    return labels;
-  };
-  metrics_->GetGauge("rc_client_model_bytes", labeled("f64"),
+  rc::obs::Labels labels = config_.metric_labels;
+  labels.emplace_back("model", name);
+  labels.emplace_back("pool", "f64");
+  metrics_->GetGauge("rc_client_model_bytes", labels,
                      "compiled node pool + leaf table bytes")
       .Set(static_cast<double>(engine.bytes()));
-  if (engine.has_quantized()) {
-    metrics_->GetGauge("rc_client_model_bytes", labeled("quantized"),
-                       "u16 quantized pool + leaf table bytes")
-        .Set(static_cast<double>(engine.quantized_bytes()));
-  }
 }
 
 Prediction Client::PredictSingle(const std::string& model_name, const ClientInputs& inputs) {
@@ -665,11 +645,6 @@ Prediction Client::PredictSingleImpl(const std::string& model_name,
     if (coalesced.ok) return coalesced.prediction;
   }
   return PredictUncoalesced(model_name, inputs);
-}
-
-std::optional<Prediction> Client::ProbeResultCache(const std::string& model_name,
-                                                   const ClientInputs& inputs) {
-  return CountedLookup(inputs.CacheKey(model_name), Stamp(inputs.subscription_id));
 }
 
 Prediction Client::PredictUncoalesced(const std::string& model_name,
@@ -848,7 +823,7 @@ std::vector<Prediction> Client::PredictMany(const std::string& model_name,
       rc::obs::TraceSpan exec_span("client/exec_batch");
       if (model->engine != nullptr) {
         model->engine->PredictBatch(X.data(), unique_rows.size(), nf,
-                                    proba.data(), model->mode);
+                                    proba.data());
       } else {
         model->model->PredictBatch(X.data(), unique_rows.size(), nf, proba.data());
       }

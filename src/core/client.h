@@ -128,20 +128,6 @@ struct ClientConfig {
   // see BatchCombiner).
   CombinerOptions combiner;
 
-  // --- execution engine walk selection (DESIGN.md "Execution engine") ---
-  // Which ExecEngine walk serves this client's predictions. kAuto (default)
-  // picks the fastest exact walk the host supports — the AVX2 kernel when
-  // compiled in and CPUID agrees, else the portable scalar walk; both return
-  // bit-identical probabilities. kQuantized selects the u16 cache-resident
-  // pool (~0.45x the f64 footprint; probabilities within leaf-table
-  // quantization tolerance) and degrades to kAuto for models it cannot
-  // represent. Stamped on each model once at ingest — never consulted on the
-  // prediction hot path.
-  rc::ml::ExecEngine::Mode engine_mode = rc::ml::ExecEngine::Mode::kAuto;
-  // Per-model exceptions to engine_mode, keyed by model name (e.g. pin one
-  // memory-heavy model to kQuantized while the rest stay exact).
-  std::unordered_map<std::string, rc::ml::ExecEngine::Mode> engine_mode_overrides;
-
   // --- observability (DESIGN.md "Observability") ---
   // Registry receiving this client's `rc_client_*` instruments. Null (the
   // default) gives the client a private registry, so per-instance stats()
@@ -272,9 +258,6 @@ class Client {
     // batched hot path needs no virtual dispatch. Owned by `model` (which
     // this entry holds); null for classifier types without a compiled form.
     const rc::ml::ExecEngine* engine = nullptr;
-    // Engine walk for this model (config engine_mode / per-model override),
-    // stamped at ingest; the engine resolves it to what the host supports.
-    rc::ml::ExecEngine::Mode mode = rc::ml::ExecEngine::Mode::kAuto;
     // Snapshot identity for /healthz: the store version of the last blob
     // applied to this entry and when it was published.
     uint64_t blob_version = 0;
@@ -394,8 +377,6 @@ class Client {
   };
   IngestResult IngestLocked(ClientState& state, const std::string& key,
                             const rc::store::VersionedBlob& blob);
-  // config_.engine_mode_overrides[name] if present, else config_.engine_mode.
-  rc::ml::ExecEngine::Mode EngineModeFor(const std::string& name) const;
   // Exports rc_client_model_bytes{model,pool} for a freshly compiled engine.
   void ExportModelBytes(const std::string& name, const rc::ml::ExecEngine& engine);
   // The writer's state during a miss fill: reads see the published state
@@ -433,10 +414,6 @@ class Client {
   // PredictMiss), result-cache insert. Never consults the result cache and
   // never re-enters the combiner — it is the combiner's fast-path callee.
   Prediction PredictUncoalesced(const std::string& model_name, const ClientInputs& inputs);
-  // Result-cache probe with hit/miss accounting, for a combiner that fronts
-  // PredictSingle itself (probe_result_cache mode).
-  std::optional<Prediction> ProbeResultCache(const std::string& model_name,
-                                             const ClientInputs& inputs);
   // Slow path: a model or feature record was missing from the snapshot and
   // the store or disk mirror may supply it (pull mode, or a disk mirror).
   Prediction PredictMiss(const std::string& model_name, const ClientInputs& inputs,

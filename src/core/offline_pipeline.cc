@@ -8,7 +8,7 @@
 #include "src/analysis/periodicity.h"
 #include "src/common/faults.h"
 #include "src/common/sim_time.h"
-#include "src/obs/trace_events.h"
+#include "src/obs/trace_context.h"
 
 namespace rc::core {
 

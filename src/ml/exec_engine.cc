@@ -1,7 +1,6 @@
 #include "src/ml/exec_engine.h"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -18,7 +17,6 @@ const char* ExecEngine::ModeName(Mode mode) {
     case Mode::kAuto: return "auto";
     case Mode::kScalar: return "scalar";
     case Mode::kAvx2: return "avx2";
-    case Mode::kQuantized: return "quantized";
   }
   return "unknown";
 }
@@ -27,7 +25,6 @@ std::optional<ExecEngine::Mode> ExecEngine::ParseMode(std::string_view name) {
   if (name == "auto") return Mode::kAuto;
   if (name == "scalar") return Mode::kScalar;
   if (name == "avx2") return Mode::kAvx2;
-  if (name == "quantized") return Mode::kQuantized;
   return std::nullopt;
 }
 
@@ -49,10 +46,6 @@ bool ExecEngine::Avx2Available() {
 }
 
 ExecEngine::Mode ExecEngine::Resolve(Mode mode) const {
-  if (mode == Mode::kQuantized) {
-    if (has_quantized()) return Mode::kQuantized;
-    mode = Mode::kAuto;  // model not representable: fastest exact walk
-  }
   if (mode == Mode::kAuto) return Avx2Available() ? Mode::kAvx2 : Mode::kScalar;
   if (mode == Mode::kAvx2 && !Avx2Available()) return Mode::kScalar;
   return mode;
@@ -66,59 +59,10 @@ size_t ExecEngine::bytes() const {
          leaf_values_.size() * sizeof(double);
 }
 
-size_t ExecEngine::quantized_bytes() const {
-  if (quant_ == nullptr) return 0;
-  const Quantized& q = *quant_;
-  return (q.feature.size() + q.threshold.size() + q.left.size() +
-          q.right.size() + q.leaf_probs.size()) * sizeof(uint16_t) +
-         q.leaf_values.size() * sizeof(float);
-}
-
-size_t ExecEngine::bin_table_bytes() const {
-  if (quant_ == nullptr) return 0;
-  return quant_->cuts.size() * sizeof(double) +
-         quant_->cut_offsets.size() * sizeof(uint32_t);
-}
-
-std::span<const double> ExecEngine::QuantizedCuts(int feature) const {
-  if (quant_ == nullptr || feature < 0 || feature >= num_features_) return {};
-  const size_t f = static_cast<size_t>(feature);
-  const uint32_t lo = quant_->cut_offsets[f];
-  const uint32_t hi = quant_->cut_offsets[f + 1];
-  return {quant_->cuts.data() + lo, hi - lo};
-}
-
-// First index i with x < cuts[i]; `count` when there is none. NaN compares
-// false against every cut, so it maps to `count` — past every stored rank —
-// and therefore descends right at every node, exactly like the f64 walk.
-static uint16_t BinOf(const double* cuts, uint32_t count, double x) {
-  uint32_t lo = 0;
-  while (count > 0) {
-    const uint32_t half = count / 2;
-    if (!(x < cuts[lo + half])) {
-      lo += half + 1;
-      count -= half + 1;
-    } else {
-      count = half;
-    }
-  }
-  return static_cast<uint16_t>(lo);
-}
-
-uint16_t ExecEngine::QuantizeValue(int feature, double x) const {
-  const std::span<const double> cuts = QuantizedCuts(feature);
-  return BinOf(cuts.data(), static_cast<uint32_t>(cuts.size()), x);
-}
-
 void ExecEngine::AddTree(const DecisionTree& tree) {
   const std::span<const DecisionTree::Node> nodes = tree.nodes();
   if (nodes.empty()) throw std::invalid_argument("ExecEngine: empty tree");
   const size_t k = static_cast<size_t>(num_classes_);
-
-  tree_node_base_.push_back(static_cast<uint32_t>(feature_idx_.size()));
-  tree_leaf_base_.push_back(static_cast<uint32_t>(
-      family_ == Family::kAveragedForest ? leaf_probs_.size() / k
-                                         : leaf_values_.size()));
 
   // Pass 1: assign every node its link. Internal nodes take pool slots in
   // node order; leaves copy their payload into the engine table and encode
@@ -164,87 +108,6 @@ void ExecEngine::AddTree(const DecisionTree& tree) {
   tree_depth_.push_back(static_cast<int32_t>(tree.depth()) - 1);
 }
 
-void ExecEngine::BuildQuantized() {
-  const size_t trees = root_link_.size();
-  const size_t nodes = feature_idx_.size();
-  const size_t nf = static_cast<size_t>(num_features_);
-  if (nf > kMaxQuantFeatures || trees > kMaxQuantTrees) return;
-  if (family_ == Family::kAveragedForest &&
-      static_cast<size_t>(num_classes_) > kMaxQuantClasses) {
-    return;
-  }
-  // Per-tree node/leaf spans must fit the 15-bit relative links.
-  const size_t total_leaves = leaf_payload_count();
-  for (size_t t = 0; t < trees; ++t) {
-    const size_t node_end = t + 1 < trees ? tree_node_base_[t + 1] : nodes;
-    const size_t leaf_end = t + 1 < trees ? tree_leaf_base_[t + 1] : total_leaves;
-    if (node_end - tree_node_base_[t] > kMaxQuantTreeNodes) return;
-    if (leaf_end - tree_leaf_base_[t] > kMaxQuantTreeLeaves) return;
-  }
-
-  auto q = std::make_unique<Quantized>();
-
-  // Per-feature sorted distinct training-observed thresholds.
-  std::vector<std::vector<double>> per_feature(nf);
-  for (size_t i = 0; i < nodes; ++i) {
-    per_feature[static_cast<size_t>(feature_idx_[i])].push_back(threshold_[i]);
-  }
-  q->cut_offsets.reserve(nf + 1);
-  q->cut_offsets.push_back(0);
-  for (size_t f = 0; f < nf; ++f) {
-    std::vector<double>& cuts = per_feature[f];
-    std::sort(cuts.begin(), cuts.end());
-    cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
-    if (cuts.size() > kMaxQuantCuts) return;
-    q->cuts.insert(q->cuts.end(), cuts.begin(), cuts.end());
-    q->cut_offsets.push_back(static_cast<uint32_t>(q->cuts.size()));
-  }
-
-  // Shrunken node pool, same node order as the f64 pool. A node's threshold
-  // becomes rank+1 of its cut so the walk's `bin < rank+1` test equals
-  // `x < threshold` exactly (see QuantizeValue).
-  q->feature.resize(nodes);
-  q->threshold.resize(nodes);
-  q->left.resize(nodes);
-  q->right.resize(nodes);
-  size_t t = 0;
-  for (size_t i = 0; i < nodes; ++i) {
-    while (t + 1 < trees && i >= tree_node_base_[t + 1]) ++t;
-    const size_t f = static_cast<size_t>(feature_idx_[i]);
-    q->feature[i] = static_cast<uint16_t>(f);
-    const double* cuts = q->cuts.data() + q->cut_offsets[f];
-    const uint32_t count = q->cut_offsets[f + 1] - q->cut_offsets[f];
-    const double* pos = std::lower_bound(cuts, cuts + count, threshold_[i]);
-    q->threshold[i] = static_cast<uint16_t>((pos - cuts) + 1);
-    auto encode = [&](int32_t link) -> uint16_t {
-      if (link >= 0) {
-        return static_cast<uint16_t>(static_cast<uint32_t>(link) -
-                                     tree_node_base_[t]);
-      }
-      return static_cast<uint16_t>(
-          Quantized::kLeafBit |
-          (static_cast<uint32_t>(~link) - tree_leaf_base_[t]));
-    };
-    const uint64_t pair = static_cast<uint64_t>(child_pair_[i]);
-    q->left[i] = encode(static_cast<int32_t>(pair));
-    q->right[i] = encode(static_cast<int32_t>(pair >> 32));
-  }
-
-  // Quantized leaf tables: 1/65535 fixed point for forest probabilities
-  // (accumulated in u32, exact up to the per-leaf rounding), f32 for boosted
-  // leaf values.
-  if (family_ == Family::kAveragedForest) {
-    q->leaf_probs.resize(leaf_probs_.size());
-    for (size_t i = 0; i < leaf_probs_.size(); ++i) {
-      const double p = std::clamp(static_cast<double>(leaf_probs_[i]), 0.0, 1.0);
-      q->leaf_probs[i] = static_cast<uint16_t>(std::lround(p * 65535.0));
-    }
-  } else {
-    q->leaf_values.assign(leaf_values_.begin(), leaf_values_.end());
-  }
-  quant_ = std::move(q);
-}
-
 ExecEngine ExecEngine::Compile(const RandomForest& forest) {
   ExecEngine engine;
   engine.family_ = Family::kAveragedForest;
@@ -260,7 +123,6 @@ ExecEngine ExecEngine::Compile(const RandomForest& forest) {
     }
     engine.AddTree(tree);
   }
-  engine.BuildQuantized();
   return engine;
 }
 
@@ -281,7 +143,6 @@ ExecEngine ExecEngine::Compile(const GradientBoostedTrees& gbt) {
     }
     engine.AddTree(tree);
   }
-  engine.BuildQuantized();
   return engine;
 }
 
@@ -345,12 +206,7 @@ void ExecEngine::PredictBatch(const double* X, size_t n, size_t stride,
                               double* proba_out, Mode mode) const {
   const size_t k = static_cast<size_t>(num_classes_);
   if (n == 0) return;
-  const Mode resolved = Resolve(mode);
-  if (resolved == Mode::kQuantized) {
-    PredictBatchQuantized(X, n, stride, proba_out);
-    return;
-  }
-  const bool avx2 = resolved == Mode::kAvx2 && stride <= kMaxSimdStride;
+  const bool avx2 = Resolve(mode) == Mode::kAvx2 && stride <= kMaxSimdStride;
 
   // All families walk tree-major (outer loop over trees, lanes of examples
   // in lockstep inside): a tree's slice of the pool stays hot across the
@@ -417,134 +273,6 @@ void ExecEngine::PredictBatch(const double* X, size_t n, size_t stride,
         for (size_t j = 0; j < m; ++j) {
           proba_out[(i0 + j) * k + cls] +=
               learning_rate_ * leaf_values_[static_cast<size_t>(payload[j])];
-        }
-      }
-    }
-  }
-  FinalizeRows(n, proba_out);
-}
-
-void ExecEngine::BinBlock(const double* X, size_t m, size_t stride,
-                          uint16_t* bins) const {
-  const Quantized& q = *quant_;
-  const size_t nf = static_cast<size_t>(num_features_);
-  for (size_t j = 0; j < m; ++j) {
-    const double* row = X + j * stride;
-    uint16_t* b = bins + j * nf;
-    for (size_t f = 0; f < nf; ++f) {
-      const uint32_t lo = q.cut_offsets[f];
-      b[f] = BinOf(q.cuts.data() + lo, q.cut_offsets[f + 1] - lo, row[f]);
-    }
-  }
-}
-
-void ExecEngine::WalkLaneQuantized(size_t t, const uint16_t* bins, size_t m,
-                                   int32_t* payload) const {
-  const int32_t root = root_link_[t];
-  if (root < 0) {
-    for (size_t j = 0; j < m; ++j) payload[j] = ~root;
-    return;
-  }
-  const Quantized& q = *quant_;
-  const uint32_t node_base = tree_node_base_[t];
-  const uint32_t leaf_base = tree_leaf_base_[t];
-  const int32_t rounds = tree_depth_[t];
-  const uint16_t* feat = q.feature.data();
-  const uint16_t* thr = q.threshold.data();
-  const uint16_t* left = q.left.data();
-  const uint16_t* right = q.right.data();
-  const size_t nf = static_cast<size_t>(num_features_);
-  // Tree-relative links; kLeafBit plays the sign bit's terminator role. The
-  // tree's root is always its first pool slot (AddTree assigns internal
-  // slots in node order and node 0 is the root), so every lane starts at
-  // relative link 0. Same branchless mask-select shape as StepBranchless.
-  uint32_t link[kWalkLanes];
-  for (size_t j = 0; j < m; ++j) link[j] = 0;
-  for (int32_t r = 0; r < rounds; ++r) {
-    for (size_t j = 0; j < m; ++j) {
-      const uint32_t l = link[j];
-      const uint32_t done =
-          static_cast<uint32_t>(-static_cast<int32_t>(l >> 15));
-      const size_t u = node_base + ((l & 0x7FFFu) & ~done);
-      const uint32_t go_left = static_cast<uint32_t>(
-          -static_cast<int32_t>(bins[j * nf + feat[u]] < thr[u]));
-      const uint32_t next = (left[u] & go_left) | (right[u] & ~go_left);
-      link[j] = (l & done) | (next & ~done);
-    }
-  }
-  for (size_t j = 0; j < m; ++j) {
-    payload[j] = static_cast<int32_t>(leaf_base + (link[j] & 0x7FFFu));
-  }
-}
-
-void ExecEngine::PredictBatchQuantized(const double* X, size_t n, size_t stride,
-                                       double* proba_out) const {
-  const size_t k = static_cast<size_t>(num_classes_);
-  const size_t trees = root_link_.size();
-  const Quantized& q = *quant_;
-  // Block-major (16 rows binned once, then every tree walked over the
-  // block) instead of the exact walk's tree-major order: the shrunken pool
-  // is L2-resident at Table-1 sizes, so re-touching every tree per block is
-  // cheap, and each row's feature vector is binned exactly once. Per-row
-  // accumulation order over trees is unchanged, so outputs differ from the
-  // exact walk only by the leaf-table quantization.
-  uint16_t bins[kWalkLanes * kMaxQuantFeatures];  // 16 KiB stack
-  int32_t payload[kWalkLanes];
-
-  if (family_ == Family::kAveragedForest) {
-    // u32 fixed-point accumulator: trees * 65535 < 2^32 by kMaxQuantTrees.
-    uint32_t acc[kWalkLanes * kMaxQuantClasses];
-    const double inv =
-        trees == 0 ? 0.0 : 1.0 / (65535.0 * static_cast<double>(trees));
-    for (size_t i0 = 0; i0 < n; i0 += kWalkLanes) {
-      const size_t m = std::min(kWalkLanes, n - i0);
-      BinBlock(X + i0 * stride, m, stride, bins);
-      std::fill(acc, acc + m * k, 0u);
-      for (size_t t = 0; t < trees; ++t) {
-        WalkLaneQuantized(t, bins, m, payload);
-        for (size_t j = 0; j < m; ++j) {
-          const uint16_t* probs =
-              q.leaf_probs.data() + static_cast<size_t>(payload[j]) * k;
-          uint32_t* a = acc + j * k;
-          for (size_t c = 0; c < k; ++c) a[c] += probs[c];
-        }
-      }
-      for (size_t j = 0; j < m; ++j) {
-        double* out = proba_out + (i0 + j) * k;
-        for (size_t c = 0; c < k; ++c) {
-          out[c] = static_cast<double>(acc[j * k + c]) * inv;
-        }
-      }
-    }
-    return;
-  }
-
-  const bool binary = (num_classes_ == 2);
-  for (size_t i0 = 0; i0 < n; i0 += kWalkLanes) {
-    const size_t m = std::min(kWalkLanes, n - i0);
-    BinBlock(X + i0 * stride, m, stride, bins);
-    if (binary) {
-      for (size_t j = 0; j < m; ++j) proba_out[(i0 + j) * 2 + 1] = base_score_[0];
-      for (size_t t = 0; t < trees; ++t) {
-        WalkLaneQuantized(t, bins, m, payload);
-        for (size_t j = 0; j < m; ++j) {
-          proba_out[(i0 + j) * 2 + 1] +=
-              learning_rate_ *
-              static_cast<double>(q.leaf_values[static_cast<size_t>(payload[j])]);
-        }
-      }
-    } else {
-      for (size_t j = 0; j < m; ++j) {
-        std::copy(base_score_.begin(), base_score_.end(),
-                  proba_out + (i0 + j) * k);
-      }
-      for (size_t t = 0; t < trees; ++t) {
-        const size_t cls = t % k;
-        WalkLaneQuantized(t, bins, m, payload);
-        for (size_t j = 0; j < m; ++j) {
-          proba_out[(i0 + j) * k + cls] +=
-              learning_rate_ *
-              static_cast<double>(q.leaf_values[static_cast<size_t>(payload[j])]);
         }
       }
     }

@@ -30,15 +30,14 @@
 // included). All entry points are allocation-free: callers own the output
 // buffers, and the engine needs no scratch beyond them.
 //
-// Walk modes (`ExecEngine::Mode`): the lockstep walk has three executions.
-// kScalar is the portable branchless 16-lane walk; kAvx2 runs full 16-lane
-// blocks through the gather/compare/blend kernel in exec_engine_avx2.cc
-// (runtime CPUID dispatch — bit-exact with kScalar, since the kernel only
-// selects leaf indices); kQuantized walks a shrunken u16 node pool against
-// per-feature binned inputs (exact split decisions, tolerance-level output
-// deltas from quantized leaf tables — see "Quantized pool" below). kAuto
-// resolves to kAvx2 when available, else kScalar; unsupported explicit
-// requests degrade the same way, so every mode works on every host.
+// Walk modes (`ExecEngine::Mode`): one exact walk with two executions.
+// kScalar is the portable branchless 16-lane walk — the only walk on hosts
+// without AVX2 and the parity reference for the kernel; kAvx2 runs full
+// 32- and 16-row blocks through the gather/compare/blend kernel in
+// exec_engine_avx2.cc (runtime CPUID dispatch — bit-exact with kScalar,
+// since the kernel only selects leaf indices). kAuto resolves to kAvx2 when
+// available, else kScalar; an explicit kAvx2 request degrades the same way,
+// so every mode works on every host.
 #ifndef RC_SRC_ML_EXEC_ENGINE_H_
 #define RC_SRC_ML_EXEC_ENGINE_H_
 
@@ -69,13 +68,12 @@ class ExecEngine {
   // the header comment; Resolve() maps a requested mode to the one that
   // actually runs on this host/model.
   enum class Mode : uint8_t {
-    kAuto = 0,       // fastest exact walk: AVX2 when available, else scalar
-    kScalar = 1,     // portable branchless lockstep walk
-    kAvx2 = 2,       // gather/blend kernel; falls back to scalar if absent
-    kQuantized = 3,  // u16 binned pool; falls back to kAuto if not compiled
+    kAuto = 0,    // AVX2 when available, else scalar
+    kScalar = 1,  // portable branchless lockstep walk
+    kAvx2 = 2,    // gather/blend kernel; falls back to scalar if absent
   };
   static const char* ModeName(Mode mode);
-  // Parses "auto" / "scalar" / "avx2" / "quantized" (exact match).
+  // Parses "auto" / "scalar" / "avx2" (exact match).
   static std::optional<Mode> ParseMode(std::string_view name);
   // True when the AVX2 kernel is compiled in (RC_ENABLE_AVX2), the CPU
   // reports AVX2, and the RC_DISABLE_AVX2 env kill-switch is not set (any
@@ -100,34 +98,13 @@ class ExecEngine {
   }
 
   // The mode a request actually executes as on this host: kAuto picks AVX2
-  // when available, kAvx2 degrades to kScalar without the kernel, and
-  // kQuantized degrades to the resolved kAuto when the quantized pool was
-  // not representable for this model.
+  // when available, and kAvx2 degrades to kScalar without the kernel.
   Mode Resolve(Mode mode) const;
 
   // --- memory footprint (the cache-residency story; see bytes() users in
   // core::Client's rc_client_model_bytes gauge and perf_exec_engine) ---
   // f64 node pool (feature/threshold/child arrays) + leaf payload tables.
   size_t bytes() const;
-  // The quantized u16 pool + its quantized leaf tables; 0 when absent.
-  size_t quantized_bytes() const;
-  // Per-feature bin cut tables backing the quantized walk (consulted once
-  // per row at binning time, not per node — reported separately from the
-  // per-node-hot quantized_bytes()).
-  size_t bin_table_bytes() const;
-  bool has_quantized() const { return quant_ != nullptr; }
-
-  // --- quantized-pool introspection (tests; the binning property suite) ---
-  // Sorted distinct training-observed thresholds for `feature`; empty when
-  // the feature is unsplit or no quantized pool exists.
-  std::span<const double> QuantizedCuts(int feature) const;
-  // The bin index the quantized walk would use for `x` on `feature`: the
-  // first cut index i with x < cuts[i] (cut count if none — NaN lands here,
-  // so NaN keeps descending right, exactly like the f64 compare). The
-  // quantized node stores rank+1 of its threshold, so
-  //   bin(x) < stored  <=>  x < threshold
-  // for every representable input; quantization never flips a split.
-  uint16_t QuantizeValue(int feature, double x) const;
 
   // Batched inference: `X` is row-major with `n` examples of `stride`
   // doubles each (stride >= num_features(); only the first num_features()
@@ -154,10 +131,6 @@ class ExecEngine {
 
   // Flattens one tree into the pool; returns nothing, appends the root link.
   void AddTree(const DecisionTree& tree);
-  // Builds the quantized pool from the finished f64 pool; silently skips
-  // (has_quantized() == false, kQuantized falls back) when the model exceeds
-  // the u16 representation limits below.
-  void BuildQuantized();
 
   // Lockstep width for the batched walk. Each example's descent is a chain
   // of dependent loads; stepping a lane of descents round-robin gives the
@@ -170,16 +143,6 @@ class ExecEngine {
   // scalar walk splits a block into 16-lane lockstep chunks, so block size
   // never changes scalar results.
   static constexpr size_t kSimdBlock = 32;
-  // Representation limits for the quantized pool (BuildQuantized): per-tree
-  // node/leaf links are 15-bit tree-relative, feature indices and bin ranks
-  // are u16, and the forest's integer leaf accumulator must not overflow
-  // 32 bits (trees * 65535 < 2^32).
-  static constexpr size_t kMaxQuantFeatures = 512;  // bounds the stack bin buffer
-  static constexpr size_t kMaxQuantClasses = 64;
-  static constexpr size_t kMaxQuantTreeNodes = 0x7FFF;
-  static constexpr size_t kMaxQuantTreeLeaves = 0x8000;
-  static constexpr size_t kMaxQuantCuts = 0xFFFE;
-  static constexpr size_t kMaxQuantTrees = 60000;
   // AVX2 gather indices are int32 row_offset + feature; keep 4 * stride
   // comfortably inside int32 or fall back to the scalar walk.
   static constexpr size_t kMaxSimdStride = size_t{1} << 28;
@@ -217,28 +180,8 @@ class ExecEngine {
   void WalkBlock(bool avx2, int32_t root, int32_t rounds, const double* X,
                  size_t stride, size_t m, int32_t* payload) const;
 
-  // Walks one tree from `link` for example `x`; returns the leaf payload.
-  int32_t Walk(int32_t link, const double* x) const {
-    while (link >= 0) {
-      const size_t u = static_cast<size_t>(link);
-      const uint64_t pair = static_cast<uint64_t>(child_pair_[u]);
-      link = static_cast<int32_t>(
-          x[static_cast<size_t>(feature_idx_[u])] < threshold_[u] ? pair
-                                                                  : pair >> 32);
-    }
-    return ~link;
-  }
   // Turns accumulated logits (boosted) / sums (forest) into probabilities.
   void FinalizeRows(size_t n, double* proba_out) const;
-
-  // --- quantized walk (see "Quantized pool" in DESIGN.md) ---
-  void PredictBatchQuantized(const double* X, size_t n, size_t stride,
-                             double* proba_out) const;
-  // Bins `m` rows of X into `bins` (m x num_features u16, row-major).
-  void BinBlock(const double* X, size_t m, size_t stride, uint16_t* bins) const;
-  // Lockstep walk of tree `t` over pre-binned rows; absolute leaf payloads.
-  void WalkLaneQuantized(size_t t, const uint16_t* bins, size_t m,
-                         int32_t* payload) const;
 
   Family family_ = Family::kAveragedForest;
   int num_classes_ = 0;
@@ -253,10 +196,6 @@ class ExecEngine {
   // round count for the lockstep lane walk, so the batch loop needs no
   // "any lane still descending?" check between rounds.
   std::vector<int32_t> tree_depth_;
-  // Per-tree first node-pool slot / first leaf-payload index (the quantized
-  // pool's 15-bit links are relative to these).
-  std::vector<uint32_t> tree_node_base_;
-  std::vector<uint32_t> tree_leaf_base_;
   // The SoA internal-node pool, all trees concatenated. Child links are
   // packed in pairs — left in the low 32 bits, right in the high 32 — so a
   // descent step costs one child load (one gather per 4 lanes in the AVX2
@@ -267,27 +206,6 @@ class ExecEngine {
   // Leaf payload tables (one of the two, per family).
   std::vector<float> leaf_probs_;    // forest: payload * num_classes + c
   std::vector<double> leaf_values_;  // boosted: payload
-
-  // Quantized pool: per-feature bin cut tables plus a u16 SoA node pool
-  // parallel (same node order) to the f64 pool. A child link is a 15-bit
-  // tree-relative node index, or kLeafBit | 15-bit tree-relative leaf
-  // payload index. Thresholds are bin ranks (+1), so the walk compares two
-  // u16s instead of two doubles; split decisions are exact by the rank
-  // construction (see QuantizeValue). Leaf tables shrink too: forest
-  // probabilities as 1/65535 fixed point accumulated in u32 (tolerance
-  // ~1.5e-5), boosted leaf values as f32.
-  struct Quantized {
-    static constexpr uint16_t kLeafBit = 0x8000;
-    std::vector<uint32_t> cut_offsets;  // num_features + 1
-    std::vector<double> cuts;           // concatenated sorted distinct thresholds
-    std::vector<uint16_t> feature;
-    std::vector<uint16_t> threshold;  // bin rank + 1; walk tests bin < threshold
-    std::vector<uint16_t> left;
-    std::vector<uint16_t> right;
-    std::vector<uint16_t> leaf_probs;  // forest: round(p * 65535)
-    std::vector<float> leaf_values;    // boosted
-  };
-  std::unique_ptr<const Quantized> quant_;
 };
 
 }  // namespace rc::ml

@@ -59,6 +59,9 @@ class GradientBoostedTrees final : public Classifier {
   static GradientBoostedTrees Deserialize(ByteReader& r);
 
  private:
+  // Only Fit and Deserialize create models, and both end in CompileEngine(),
+  // so engine_ is never null.
+  GradientBoostedTrees() = default;
   void CompileEngine();
 
   // K == 2: one tree per round (logistic); K > 2: K trees per round

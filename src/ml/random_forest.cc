@@ -82,21 +82,12 @@ std::vector<double> RandomForest::PredictProba(std::span<const double> x) const 
 }
 
 void RandomForest::PredictInto(std::span<const double> x, std::span<double> out) const {
-  if (engine_ != nullptr) {
-    engine_->PredictInto(x, out);
-    return;
-  }
-  auto probs = PredictProbaLegacy(x);
-  std::copy(probs.begin(), probs.end(), out.begin());
+  engine_->PredictInto(x, out);
 }
 
 void RandomForest::PredictBatch(const double* X, size_t n, size_t stride,
                                 double* proba_out) const {
-  if (engine_ != nullptr) {
-    engine_->PredictBatch(X, n, stride, proba_out);
-    return;
-  }
-  Classifier::PredictBatch(X, n, stride, proba_out);
+  engine_->PredictBatch(X, n, stride, proba_out);
 }
 
 std::vector<double> RandomForest::PredictProbaLegacy(std::span<const double> x) const {

@@ -55,6 +55,9 @@ class RandomForest final : public Classifier {
   static RandomForest Deserialize(ByteReader& r);
 
  private:
+  // Only Fit and Deserialize create models, and both end in CompileEngine(),
+  // so engine_ is never null.
+  RandomForest() = default;
   void CompileEngine();
 
   std::vector<DecisionTree> trees_;

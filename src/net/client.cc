@@ -13,7 +13,7 @@
 #include "src/common/clock.h"
 #include "src/common/faults.h"
 #include "src/net/server.h"  // EINTR-safe read/write wrappers
-#include "src/obs/trace_events.h"
+#include "src/obs/trace_context.h"
 
 namespace rc::net {
 

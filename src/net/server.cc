@@ -13,8 +13,7 @@
 #include <cstring>
 
 #include "src/common/faults.h"
-#include "src/core/batch_combiner.h"
-#include "src/obs/trace_events.h"
+#include "src/obs/trace_context.h"
 
 namespace rc::net {
 
@@ -100,25 +99,6 @@ Server::Server(rc::core::Client* client, ServerConfig config)
 
 Server::~Server() { Stop(); }
 
-std::unique_ptr<rc::core::BatchCombiner> Server::MakeCombiner(
-    rc::obs::Labels labels) const {
-  rc::core::BatchCombinerConfig cc;
-  cc.max_wait_us = config_.combiner_max_wait_us;
-  cc.max_batch = config_.combiner_max_batch;
-  cc.fast_path_when_idle = config_.combiner_fast_path_when_idle;
-  // The server-owned combiner fronts PredictSingle itself, so it must probe
-  // the result cache to keep hits from parking.
-  cc.probe_result_cache = true;
-  cc.clock = config_.clock;
-  cc.metrics = metrics_;
-  cc.metric_labels = std::move(labels);
-  return std::make_unique<rc::core::BatchCombiner>(client_, std::move(cc));
-}
-
-rc::core::BatchCombiner* Server::CombinerFor(Worker& worker) const {
-  return worker.combiner != nullptr ? worker.combiner.get() : shared_combiner_.get();
-}
-
 bool Server::Start() {
   if (running_.load(std::memory_order_acquire)) return true;
 
@@ -146,15 +126,9 @@ bool Server::Start() {
     port_ = ntohs(addr.sin_port);
   }
 
-  if (config_.combiner_mode == CombinerMode::kShared) {
-    shared_combiner_ = MakeCombiner({{"scope", "shared"}});
-  }
   int workers = config_.num_workers > 0 ? config_.num_workers : 1;
   for (int i = 0; i < workers; ++i) {
     auto worker = std::make_unique<Worker>();
-    if (config_.combiner_mode == CombinerMode::kPerWorker) {
-      worker->combiner = MakeCombiner({{"scope", "worker"}, {"worker", std::to_string(i)}});
-    }
     worker->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
     worker->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
     if (worker->epoll_fd < 0 || worker->wake_fd < 0) {
@@ -188,7 +162,6 @@ void Server::Stop() {
       if (worker->wake_fd >= 0) ::close(worker->wake_fd);
     }
     workers_.clear();
-    shared_combiner_.reset();
     if (listen_fd_ >= 0) {
       ::close(listen_fd_);
       listen_fd_ = -1;
@@ -196,14 +169,6 @@ void Server::Stop() {
     return;
   }
   stopping_.store(true, std::memory_order_release);
-  // Drain combiners first: a worker thread parked in a combiner window must
-  // be released before its wake_fd write can matter (requests parked at that
-  // instant are answered ok=false by the shutdown drain; the handler falls
-  // back to a direct PredictSingle, so no frame goes unanswered).
-  if (shared_combiner_ != nullptr) shared_combiner_->Shutdown();
-  for (auto& worker : workers_) {
-    if (worker->combiner != nullptr) worker->combiner->Shutdown();
-  }
   for (auto& worker : workers_) {
     uint64_t one = 1;
     (void)WriteEintr(worker->wake_fd, &one, sizeof(one));
@@ -218,7 +183,6 @@ void Server::Stop() {
     if (worker->wake_fd >= 0) ::close(worker->wake_fd);
   }
   workers_.clear();
-  shared_combiner_.reset();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
@@ -288,7 +252,7 @@ void Server::AcceptReady(Worker& worker) {
   // EPOLLEXCLUSIVE wakes one worker per readiness edge, but this loop drains
   // the whole backlog — a burst of simultaneous connects would otherwise all
   // land on the worker that happened to wake first. Since a worker handles
-  // its connections' frames serially (and may park in the shared combiner),
+  // its connections' frames serially (and may park in the client's combiner),
   // piling every connection onto one worker both serializes the load and
   // starves the combiner of concurrent arrivals. Round-robin each accepted
   // socket across workers instead: remote ones go through the target's
@@ -368,12 +332,12 @@ bool Server::ReadReady(Worker& worker, Connection& conn) {
     return false;
   }
   conn.read_dur_ns = rc::obs::NowNs() - conn.read_start_ns;
-  ProcessFrames(worker, conn);
+  ProcessFrames(conn);
   if (!WriteReady(worker, conn)) return false;
   return true;
 }
 
-void Server::ProcessFrames(Worker& worker, Connection& conn) {
+void Server::ProcessFrames(Connection& conn) {
   size_t off = 0;
   while (!conn.want_close && conn.in.size() - off >= kLengthPrefixBytes) {
     uint32_t payload_len;
@@ -389,14 +353,13 @@ void Server::ProcessFrames(Worker& worker, Connection& conn) {
       break;
     }
     if (conn.in.size() - off < kLengthPrefixBytes + payload_len) break;  // partial frame
-    HandleFrame(worker, conn, conn.in.data() + off + kLengthPrefixBytes, payload_len);
+    HandleFrame(conn, conn.in.data() + off + kLengthPrefixBytes, payload_len);
     off += kLengthPrefixBytes + payload_len;
   }
   if (off > 0) conn.in.erase(conn.in.begin(), conn.in.begin() + static_cast<ptrdiff_t>(off));
 }
 
-void Server::HandleFrame(Worker& worker, Connection& conn, const uint8_t* payload,
-                         size_t size) {
+void Server::HandleFrame(Connection& conn, const uint8_t* payload, size_t size) {
   uint64_t start_ns = rc::obs::NowNs();
   m_.requests->Increment();
   rc::ml::ByteReader r(payload, size);
@@ -442,17 +405,7 @@ void Server::HandleFrame(Worker& worker, Connection& conn, const uint8_t* payloa
       PredictSingleRequest req;
       status = DecodePredictSingleRequest(r, &req);
       if (status != WireStatus::kOk) break;
-      core::Prediction p;
-      rc::core::BatchCombiner* combiner = CombinerFor(worker);
-      if (combiner != nullptr) {
-        rc::core::CombineResult coalesced = combiner->Predict(req.model, req.inputs);
-        // ok=false only during Stop()'s drain; answer directly so the frame
-        // still gets its response before the connection closes.
-        p = coalesced.ok ? coalesced.prediction
-                         : client_->PredictSingle(req.model, req.inputs);
-      } else {
-        p = client_->PredictSingle(req.model, req.inputs);
-      }
+      const core::Prediction p = client_->PredictSingle(req.model, req.inputs);
       m_.predictions->Increment();
       AppendPredictSingleResponse(conn.out, header.request_id, p, wire_version);
       m_.request_latency_us->Record(static_cast<double>(rc::obs::NowNs() - start_ns) / 1000.0);

@@ -8,8 +8,10 @@
 // lifetime (per-connection state is worker-local — no cross-thread locking
 // on the request path). Request handling calls straight into
 // core::Client::PredictSingle/PredictMany, so the batched ExecEngine path,
-// result caches, and degradation behavior of the in-process library all
-// carry over unchanged.
+// result caches, degradation behavior, and cross-request batching of the
+// in-process library all carry over unchanged: coalescing concurrent
+// kPredictSingle frames is the client's job (ClientConfig::combiner), not
+// the server's.
 //
 // Robustness contract (pinned by tests/net/frame_fuzz_test.cc):
 //  * every read/write/accept retries EINTR and handles short counts;
@@ -37,16 +39,6 @@
 
 namespace rc::net {
 
-// Where kPredictSingle coalescing happens (DESIGN.md "Cross-request
-// batching"). kShared gives one BatchCombiner all worker threads park in, so
-// concurrent singles across connections coalesce into one ExecEngine walk.
-// kPerWorker gives each worker its own combiner: no cross-worker contention,
-// but a worker thread processes frames serially, so batches only form
-// against an in-flight dispatch (handoff) — it is the measured control arm
-// that shows where the coalescing win actually comes from (bench/perf_net
-// --combiner). kOff routes straight to core::Client::PredictSingle.
-enum class CombinerMode { kOff, kShared, kPerWorker };
-
 struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; read the bound port back via port()
@@ -56,16 +48,6 @@ struct ServerConfig {
   // Registry receiving the rc_net_* instruments; null = private registry
   // (same convention as core::Client).
   rc::obs::MetricsRegistry* metrics = nullptr;
-
-  // Cross-request batching of kPredictSingle frames. The server-owned
-  // combiner probes the client's result cache first (hits never park), so
-  // enabling it only changes scheduling, never results.
-  CombinerMode combiner_mode = CombinerMode::kOff;
-  int64_t combiner_max_wait_us = 40;
-  size_t combiner_max_batch = 64;
-  bool combiner_fast_path_when_idle = true;
-  // Injected time source for the combiner window; null = MonotonicClock.
-  rc::common::Clock* clock = nullptr;
 };
 
 // Accept-side guard for the descriptor limit. When accept() fails with
@@ -145,8 +127,6 @@ class Server {
     // awaiting registration in this worker's epoll set (see AcceptReady).
     std::mutex pending_mu;
     std::vector<int> pending_fds;
-    // kPerWorker mode: this worker's combiner (null otherwise).
-    std::unique_ptr<rc::core::BatchCombiner> combiner;
   };
 
   void WorkerLoop(Worker& worker);
@@ -157,12 +137,9 @@ class Server {
   bool ReadReady(Worker& worker, Connection& conn);
   bool WriteReady(Worker& worker, Connection& conn);
   // Parses and answers every complete frame buffered in conn.in.
-  void ProcessFrames(Worker& worker, Connection& conn);
+  void ProcessFrames(Connection& conn);
   // Decodes and dispatches one frame payload, appending the response.
-  void HandleFrame(Worker& worker, Connection& conn, const uint8_t* payload, size_t size);
-  // The combiner handling this worker's kPredictSingle frames (null = direct).
-  rc::core::BatchCombiner* CombinerFor(Worker& worker) const;
-  std::unique_ptr<rc::core::BatchCombiner> MakeCombiner(rc::obs::Labels labels) const;
+  void HandleFrame(Connection& conn, const uint8_t* payload, size_t size);
   void CloseConnection(Worker& worker, int fd);
   bool UpdateEpollOut(Worker& worker, Connection& conn, bool want);
 
@@ -170,8 +147,6 @@ class Server {
   ServerConfig config_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
-  // kShared mode: the combiner every worker parks in (null otherwise).
-  std::unique_ptr<rc::core::BatchCombiner> shared_combiner_;
   std::vector<std::unique_ptr<Worker>> workers_;
   // Round-robin cursor for spreading accepted connections across workers.
   std::atomic<uint64_t> next_worker_{0};

@@ -5,7 +5,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "src/obs/trace_events.h"
+#include "src/obs/metrics.h"
 
 namespace rc::obs {
 
@@ -56,27 +56,49 @@ uint64_t Tracer::NextSpanId() {
 uint64_t RecordSpanUnder(const char* name, const TraceContext& parent,
                          uint64_t start_ns, uint64_t duration_ns,
                          uint64_t link_trace_id, uint64_t link_span_id) {
-  const bool chrome = TraceLog::Global().enabled();
-  if (!parent.valid() && !chrome) return 0;
-  uint64_t span_id = Tracer::NextSpanId();
-  if (parent.valid()) {
-    SpanRecord rec;
-    rec.name = name;
-    rec.trace_id = parent.trace_id;
-    rec.span_id = span_id;
-    rec.parent_span_id = parent.span_id;
-    rec.start_ns = start_ns;
-    rec.duration_ns = duration_ns;
-    rec.tid = internal::ThreadTraceTid();
-    rec.link_trace_id = link_trace_id;
-    rec.link_span_id = link_span_id;
-    TraceStore::Global().Record(rec);
+  if (!parent.valid()) return 0;
+  SpanRecord rec;
+  rec.name = name;
+  rec.trace_id = parent.trace_id;
+  rec.span_id = Tracer::NextSpanId();
+  rec.parent_span_id = parent.span_id;
+  rec.start_ns = start_ns;
+  rec.duration_ns = duration_ns;
+  rec.tid = internal::ThreadTraceTid();
+  rec.link_trace_id = link_trace_id;
+  rec.link_span_id = link_span_id;
+  TraceStore::Global().Record(rec);
+  return rec.span_id;
+}
+
+void TraceSpan::StartTraced(const TraceContext& parent) {
+  traced_ = true;
+  trace_id_ = parent.trace_id;
+  parent_span_id_ = parent.span_id;
+  span_id_ = Tracer::NextSpanId();
+  prev_ = internal::t_current;
+  internal::t_current = TraceContext{trace_id_, span_id_, true};
+  start_ns_ = NowNs();
+}
+
+void TraceSpan::Finish() {
+  const uint64_t duration_ns = NowNs() - start_ns_;
+  internal::t_current = prev_;
+  SpanRecord rec;
+  rec.name = name_;
+  rec.trace_id = trace_id_;
+  rec.span_id = span_id_;
+  rec.parent_span_id = parent_span_id_;
+  rec.start_ns = start_ns_;
+  rec.duration_ns = duration_ns;
+  rec.tid = internal::ThreadTraceTid();
+  rec.link_trace_id = link_trace_id_;
+  rec.link_span_id = link_span_id_;
+  TraceStore::Global().Record(rec);
+  // A parentless span is the trace root: its end is the trace's end.
+  if (parent_span_id_ == 0) {
+    TraceStore::Global().FinishTrace(trace_id_, duration_ns);
   }
-  if (chrome) {
-    TraceLog::Global().Append(name, start_ns, duration_ns, parent.trace_id, span_id,
-                              parent.span_id);
-  }
-  return span_id;
 }
 
 TraceStore::TraceStore()

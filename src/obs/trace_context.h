@@ -1,19 +1,30 @@
 // rc::obs — hierarchical request tracing: a per-thread trace context stack
 // (trace_id / span_id / sampling decision), deterministic 1-in-N root
-// sampling, and a bounded in-memory store of finished traces for the
-// /tracez introspection endpoint.
+// sampling, the RAII TraceSpan instrumentation point, and a bounded
+// in-memory store of finished traces for the /tracez introspection endpoint.
 //
-// Relationship to trace_events.h: TraceSpan (RAII) is the single
-// instrumentation point. When a sampled context is current, each span pushes
-// itself onto the thread's context stack, so nested spans form a real tree
-// (parent_span_id links) and the finished records land in TraceStore. The
-// flat Chrome-trace ring (TraceLog) keeps working independently; a span
-// feeds either, both, or neither depending on what is enabled.
+// TraceSpan is the single instrumentation point and TraceStore its single
+// sink. When a sampled context is current, each span pushes itself onto the
+// thread's context stack, so nested spans form a real tree (parent_span_id
+// links) and the finished records land in TraceStore. Span names must be
+// string literals (or otherwise outlive the store): records keep the
+// pointer, never a copy.
 //
-// Cost model: with sampling off (the default) the added cost of a TraceSpan
-// is one thread-local read. Sampled spans take the TraceStore mutex once at
+// Cost model: with sampling off (the default) a TraceSpan costs one
+// thread-local read. Sampled spans take the TraceStore mutex once at
 // destruction — sampling (Tracer::SetSampleEvery) bounds how often that
 // happens on the hot path.
+//
+// Instrumented paths (grep for the names):
+//   prediction:  client/predict  client/result_cache  client/featurize
+//                client/execute  client/exec_batch
+//   combiner:    combiner/predict  combiner/park  combiner/dispatch
+//                combiner/coalesced
+//   network:     netclient/call  net/read_frame  net/predict
+//                net/write_frame
+//   store path:  client/store_read  client/crc_verify  client/decode
+//                client/publish_state  store/get  store/put  disk/read
+//                disk/write  pipeline/publish
 //
 // Cross-process: contexts travel over RCNP v2 frames (src/net/protocol.h).
 // Trace and span ids are salted with the pid so ids minted on both ends of
@@ -45,7 +56,7 @@ struct TraceContext {
 namespace internal {
 // The thread's current context. TraceSpan push/pops it; wire ingress
 // installs it via ScopedTraceContext. Direct writes outside this header and
-// trace_events are a bug.
+// trace_context.cc are a bug.
 inline thread_local TraceContext t_current{};
 // Small sequential id of the calling thread, for span records.
 uint32_t ThreadTraceTid();
@@ -96,7 +107,7 @@ class Tracer {
 };
 
 // One finished span. `name` must be a string literal (same contract as
-// TraceSpan / TraceLog). link_* is an optional follows-from edge to a span
+// TraceSpan). link_* is an optional follows-from edge to a span
 // in another (or the same) trace — the combiner uses it to tie coalesced
 // callers to the batch dispatch that actually did their work.
 struct SpanRecord {
@@ -119,6 +130,59 @@ struct SpanRecord {
 uint64_t RecordSpanUnder(const char* name, const TraceContext& parent,
                          uint64_t start_ns, uint64_t duration_ns,
                          uint64_t link_trace_id = 0, uint64_t link_span_id = 0);
+
+// RAII span. When the governing TraceContext is sampled, the span allocates
+// its own span id, becomes the thread's current context for its lifetime
+// (children parent to it), and records to TraceStore on finish. Otherwise
+// it does nothing beyond the context read.
+class TraceSpan {
+ public:
+  explicit TraceSpan(const char* name) : name_(name) {
+    const TraceContext cur = internal::t_current;
+    if (cur.valid()) StartTraced(cur);
+  }
+
+  // Starts the span under an explicit parent context instead of the
+  // thread's current one: root spans (ctx from Tracer::StartTrace(), which
+  // carries span_id 0 so this span becomes the parentless root) and spans
+  // continuing a wire context.
+  TraceSpan(const char* name, const TraceContext& ctx) : name_(name) {
+    if (ctx.valid()) StartTraced(ctx);
+  }
+
+  ~TraceSpan() {
+    if (traced_) Finish();
+  }
+  TraceSpan(const TraceSpan&) = delete;
+  TraceSpan& operator=(const TraceSpan&) = delete;
+
+  // Attaches a follows-from edge (rendered on /tracez); the combiner links
+  // a parked caller's span to the batch dispatch that served it.
+  void SetLink(uint64_t link_trace_id, uint64_t link_span_id) {
+    link_trace_id_ = link_trace_id;
+    link_span_id_ = link_span_id;
+  }
+
+  // This span's context, for handing to another thread or the wire.
+  TraceContext context() const {
+    if (!traced_) return {};
+    return TraceContext{trace_id_, span_id_, true};
+  }
+
+ private:
+  void StartTraced(const TraceContext& parent);
+  void Finish();
+
+  const char* name_;
+  bool traced_ = false;
+  uint64_t start_ns_ = 0;
+  uint64_t trace_id_ = 0;
+  uint64_t span_id_ = 0;
+  uint64_t parent_span_id_ = 0;
+  uint64_t link_trace_id_ = 0;
+  uint64_t link_span_id_ = 0;
+  TraceContext prev_;
+};
 
 // Bounded in-memory store of sampled traces, rendered by /tracez.
 //

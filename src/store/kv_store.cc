@@ -8,7 +8,7 @@
 #include "src/common/crc32.h"
 #include "src/common/faults.h"
 #include "src/common/hashing.h"
-#include "src/obs/trace_events.h"
+#include "src/obs/trace_context.h"
 
 namespace rc::store {
 

@@ -407,37 +407,5 @@ TEST_F(BatchCombinerTest, ClientOwnedCombinerCoalescesPredictSingle) {
   EXPECT_EQ(clock.NowUs(), 0);
 }
 
-TEST_F(BatchCombinerTest, ProbeResultCacheAnswersHitsWithoutParking) {
-  // A server-owned combiner (probe_result_cache) fronts PredictSingle: the
-  // first call executes, the second is a cache hit that must never park even
-  // with the fast path disabled.
-  rc::store::KvStore store;
-  OfflinePipeline::Publish(*trained_, store);
-  rc::common::VirtualClock clock;
-  ClientConfig config;
-  config.clock = &clock;
-  Client client(&store, config);
-  ASSERT_TRUE(client.Initialize());
-
-  BatchCombinerConfig cc;
-  cc.max_wait_us = 40;
-  cc.fast_path_when_idle = true;
-  cc.probe_result_cache = true;
-  cc.clock = &clock;
-  BatchCombiner combiner(&client, cc);
-
-  auto inputs = ServableInputs(1);
-  CombineResult miss = combiner.Predict(kModel, inputs[0]);
-  ASSERT_TRUE(miss.ok);
-  EXPECT_EQ(miss.flush, CombineFlush::kFastPath);
-  CombineResult hit = combiner.Predict(kModel, inputs[0]);
-  ASSERT_TRUE(hit.ok);
-  EXPECT_EQ(hit.flush, CombineFlush::kCacheHit);
-  EXPECT_EQ(hit.prediction.bucket, miss.prediction.bucket);
-  EXPECT_EQ(clock.NowUs(), 0);
-  EXPECT_EQ(client.stats().result_hits, 1u);
-  EXPECT_EQ(client.stats().result_misses, 1u);
-}
-
 }  // namespace
 }  // namespace rc::core

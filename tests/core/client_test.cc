@@ -334,74 +334,59 @@ TEST_F(ClientTest, NoStoreNoDiskFailsInitialize) {
   EXPECT_FALSE(client.Initialize());
 }
 
-// Every engine mode must serve valid predictions through the full client
-// path (featurize -> engine walk -> argmax), and the exact modes must agree
-// with each other bucket-for-bucket (scalar and AVX2 are bit-identical;
-// quantized may differ only when two classes are within leaf-table
-// tolerance, which a trained model's argmax almost never is — we assert the
-// prediction is valid rather than equal for it).
+// The client serves through the compiled engine under Mode::kAuto. Every
+// exact walk must give the same prediction for the client's feature row
+// (scalar and AVX2 are bit-identical), and PredictMany's batched walk must
+// agree with PredictSingle.
 TEST_F(ClientTest, EngineModeServesPredictionsInEveryMode) {
   using Mode = rc::ml::ExecEngine::Mode;
-  ClientInputs inputs = KnownInputs();
-  Prediction scalar;
-  for (Mode mode : {Mode::kScalar, Mode::kAuto, Mode::kAvx2, Mode::kQuantized}) {
-    ClientConfig config;
-    config.engine_mode = mode;
-    Client client(store_.get(), config);
-    ASSERT_TRUE(client.Initialize());
-    Prediction p = client.PredictSingle("VM_P95UTIL", inputs);
-    ASSERT_TRUE(p.valid) << rc::ml::ExecEngine::ModeName(mode);
-    EXPECT_GT(p.score, 0.0);
-    EXPECT_LE(p.score, 1.0);
-    if (mode == Mode::kScalar) {
-      scalar = p;
-    } else if (mode != Mode::kQuantized) {
-      EXPECT_EQ(p.bucket, scalar.bucket) << rc::ml::ExecEngine::ModeName(mode);
-      EXPECT_EQ(p.score, scalar.score) << rc::ml::ExecEngine::ModeName(mode);
-    }
-
-    // PredictMany runs the batched walk under the same stamped mode.
-    std::vector<ClientInputs> batch(5, inputs);
-    auto many = client.PredictMany("VM_P95UTIL", batch);
-    ASSERT_EQ(many.size(), batch.size());
-    for (const Prediction& m : many) {
-      ASSERT_TRUE(m.valid);
-      EXPECT_EQ(m.bucket, p.bucket);
-    }
-  }
-}
-
-TEST_F(ClientTest, EngineModeOverridesPinSingleModels) {
-  using Mode = rc::ml::ExecEngine::Mode;
-  ClientConfig config;
-  config.engine_mode = Mode::kScalar;
-  config.engine_mode_overrides["VM_AVGUTIL"] = Mode::kQuantized;
-  Client client(store_.get(), config);
+  Client client(store_.get(), ClientConfig{});
   ASSERT_TRUE(client.Initialize());
   ClientInputs inputs = KnownInputs();
-  // Both models serve; the override only changes which walk runs.
-  EXPECT_TRUE(client.PredictSingle("VM_P95UTIL", inputs).valid);
-  EXPECT_TRUE(client.PredictSingle("VM_AVGUTIL", inputs).valid);
+  Prediction p = client.PredictSingle("VM_P95UTIL", inputs);
+  ASSERT_TRUE(p.valid);
+  EXPECT_GT(p.score, 0.0);
+  EXPECT_LE(p.score, 1.0);
+
+  const ModelSpec& spec = trained_->specs.at("VM_P95UTIL");
+  const rc::ml::Classifier& model = *trained_->models.at("VM_P95UTIL");
+  ASSERT_NE(model.engine(), nullptr);
+  Featurizer featurizer(spec.metric, spec.encoding);
+  std::vector<double> row(featurizer.num_features());
+  featurizer.EncodeTo(inputs, trained_->feature_data.at(inputs.subscription_id),
+                      row);
+  std::vector<double> proba(static_cast<size_t>(model.num_classes()));
+  for (Mode mode : {Mode::kAuto, Mode::kScalar, Mode::kAvx2}) {
+    const auto scored = model.engine()->PredictScored(row, proba, mode);
+    EXPECT_EQ(scored.label, p.bucket) << rc::ml::ExecEngine::ModeName(mode);
+    EXPECT_EQ(scored.score, p.score) << rc::ml::ExecEngine::ModeName(mode);
+  }
+
+  std::vector<ClientInputs> batch(5, inputs);
+  auto many = client.PredictMany("VM_P95UTIL", batch);
+  ASSERT_EQ(many.size(), batch.size());
+  for (const Prediction& m : many) {
+    ASSERT_TRUE(m.valid);
+    EXPECT_EQ(m.bucket, p.bucket);
+    EXPECT_EQ(m.score, p.score);
+  }
 }
 
 TEST_F(ClientTest, ModelBytesGaugeExportedPerModel) {
   Client client(store_.get(), ClientConfig{});
   ASSERT_TRUE(client.Initialize());
   auto snapshot = client.metrics().Collect();
-  size_t f64_series = 0, quantized_series = 0;
+  size_t series = 0, f64_series = 0;
   for (const auto& g : snapshot.gauges) {
     if (g.info.name != "rc_client_model_bytes") continue;
+    ++series;
     EXPECT_GT(g.value, 0.0) << g.info.labels;
     EXPECT_NE(g.info.labels.find("model="), std::string::npos) << g.info.labels;
     if (g.info.labels.find("pool=\"f64\"") != std::string::npos) ++f64_series;
-    if (g.info.labels.find("pool=\"quantized\"") != std::string::npos) {
-      ++quantized_series;
-    }
   }
-  // Six published models, each with a compiled engine; the quantized series
-  // exists for every model the u16 pool can represent (all of them here).
+  // Six published models, each with a compiled engine and one f64 series.
   EXPECT_EQ(f64_series, 6u);
-  EXPECT_EQ(quantized_series, 6u);
+  EXPECT_EQ(series, f64_series);
 }
 
 }  // namespace

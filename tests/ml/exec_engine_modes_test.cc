@@ -1,13 +1,9 @@
-// Mode-dispatch, AVX2, and quantized-pool suites for ExecEngine.
+// Mode-dispatch and AVX2 suites for ExecEngine.
 //
 //  * kScalar vs kAvx2 must be EXACTLY equal (EXPECT_EQ on doubles) for every
 //    batch size around the SIMD block boundaries and for NaN / infinity /
 //    denormal inputs — the AVX2 kernel only selects leaves, it performs no
 //    arithmetic, so any drift is a kernel bug, not rounding.
-//  * The quantized walk is held to a tolerance (its leaf tables are u16/f32)
-//    but its SPLIT DECISIONS must match f64 exactly: the binning property
-//    test probes every training threshold of every feature at the cut, one
-//    ULP either side, and the usual adversarial specials.
 //
 // Suites are named ExecEngine* so tools/check_all.sh's --gtest_filter
 // ('ExecEngine*') and the sanitizer scripts pick them up automatically.
@@ -79,7 +75,7 @@ std::vector<double> AdversarialBatch(size_t n, size_t stride, size_t features,
 
 TEST(ExecEngineModesTest, ParseModeAndModeNameRoundTrip) {
   using Mode = ExecEngine::Mode;
-  for (Mode m : {Mode::kAuto, Mode::kScalar, Mode::kAvx2, Mode::kQuantized}) {
+  for (Mode m : {Mode::kAuto, Mode::kScalar, Mode::kAvx2}) {
     auto parsed = ExecEngine::ParseMode(ExecEngine::ModeName(m));
     ASSERT_TRUE(parsed.has_value()) << ExecEngine::ModeName(m);
     EXPECT_EQ(*parsed, m);
@@ -87,6 +83,7 @@ TEST(ExecEngineModesTest, ParseModeAndModeNameRoundTrip) {
   EXPECT_FALSE(ExecEngine::ParseMode("").has_value());
   EXPECT_FALSE(ExecEngine::ParseMode("AVX2").has_value());
   EXPECT_FALSE(ExecEngine::ParseMode("auto ").has_value());
+  EXPECT_FALSE(ExecEngine::ParseMode("quantized").has_value());
 }
 
 TEST(ExecEngineModesTest, ResolveHonoursHostAndModel) {
@@ -103,9 +100,6 @@ TEST(ExecEngineModesTest, ResolveHonoursHostAndModel) {
   EXPECT_EQ(engine.Resolve(Mode::kAuto), fastest_exact);
   EXPECT_EQ(engine.Resolve(Mode::kScalar), Mode::kScalar);
   EXPECT_EQ(engine.Resolve(Mode::kAvx2), fastest_exact);
-  // This model fits the u16 representation, so kQuantized sticks.
-  ASSERT_TRUE(engine.has_quantized());
-  EXPECT_EQ(engine.Resolve(Mode::kQuantized), Mode::kQuantized);
 }
 
 // Scalar and AVX2 walks must agree bit-for-bit at every batch size spanning
@@ -151,129 +145,6 @@ TEST(ExecEngineModesTest, Avx2BitExactAcrossBlockBoundaries) {
   }
 }
 
-// The quantized walk re-derives every split through the bin tables; its
-// probabilities come from u16 (forest) / f32 (boosted) leaf payloads, so the
-// comparison is tolerance-based — but the answers must stay calibrated
-// probabilities, and the pool must deliver the promised footprint win.
-TEST(ExecEngineQuantizedTest, ToleranceParityAndFootprint) {
-  Rng rng(33);
-  struct Case {
-    bool boosted;
-    size_t features;
-    int classes;
-    int trees;
-    int depth;
-  };
-  for (const Case& c : {Case{false, 40, 3, 16, 10}, Case{true, 24, 2, 24, 6}}) {
-    Dataset data = RandomDataset(1200, c.features, c.classes, rng);
-    const ExecEngine* engine = nullptr;
-    RandomForest forest = [&] {
-      RandomForestConfig config;
-      config.num_trees = c.trees;
-      config.tree.max_depth = c.depth;
-      return RandomForest::Fit(data, config);
-    }();
-    GradientBoostedTrees gbt = [&] {
-      GbtConfig config;
-      config.num_rounds = c.trees;
-      config.tree.max_depth = c.depth;
-      return GradientBoostedTrees::Fit(data, config);
-    }();
-    engine = c.boosted ? gbt.engine() : forest.engine();
-    ASSERT_TRUE(engine->has_quantized());
-    // The footprint acceptance: u16 pool at most half the f64 pool.
-    EXPECT_LE(engine->quantized_bytes(), engine->bytes() / 2)
-        << "quantized " << engine->quantized_bytes() << " vs f64 "
-        << engine->bytes();
-
-    const size_t k = static_cast<size_t>(engine->num_classes());
-    const size_t n = 96;
-    std::vector<double> X = AdversarialBatch(n, c.features, c.features, rng);
-    std::vector<double> exact(n * k), quant(n * k);
-    engine->PredictBatch(X.data(), n, c.features, exact.data(),
-                         ExecEngine::Mode::kScalar);
-    engine->PredictBatch(X.data(), n, c.features, quant.data(),
-                         ExecEngine::Mode::kQuantized);
-    for (size_t i = 0; i < n; ++i) {
-      double sum = 0.0;
-      for (size_t cls = 0; cls < k; ++cls) {
-        const double q = quant[i * k + cls];
-        EXPECT_NEAR(exact[i * k + cls], q, 1e-3) << "row " << i << " class " << cls;
-        EXPECT_GE(q, 0.0);
-        sum += q;
-      }
-      EXPECT_NEAR(sum, 1.0, 1e-3) << "row " << i;
-    }
-  }
-}
-
-// The invariant that makes quantization split-exact: the node for sorted cut
-// i stores rank i+1, and the walk descends left iff bin(x) < i+1, so
-//   bin(x) <= i  <=>  x < cuts[i]
-// must hold for EVERY feature, EVERY training threshold, and every probe —
-// at the cut, one ULP either side, and the adversarial specials.
-TEST(ExecEngineQuantizedTest, BinningNeverFlipsASplit) {
-  Rng rng(44);
-  Dataset data = RandomDataset(900, 15, 3, rng);
-  RandomForestConfig config;
-  config.num_trees = 12;
-  config.tree.max_depth = 9;
-  RandomForest forest = RandomForest::Fit(data, config);
-  const ExecEngine& engine = *forest.engine();
-  ASSERT_TRUE(engine.has_quantized());
-
-  const double specials[] = {kNaN,  kInf,    -kInf,   0.0,
-                             -0.0,  kDenorm, -kDenorm,
-                             std::numeric_limits<double>::lowest(),
-                             std::numeric_limits<double>::max()};
-  size_t cut_total = 0;
-  for (int f = 0; f < engine.num_features(); ++f) {
-    const std::span<const double> cuts = engine.QuantizedCuts(f);
-    cut_total += cuts.size();
-    auto check = [&](double x) {
-      const uint16_t bin = engine.QuantizeValue(f, x);
-      for (size_t i = 0; i < cuts.size(); ++i) {
-        // bin <= i must be exactly "x < cuts[i]" — NaN bins past every cut.
-        EXPECT_EQ(bin <= i, x < cuts[i])
-            << "feature " << f << " cut " << i << " (" << cuts[i] << ") x=" << x;
-      }
-    };
-    for (size_t i = 0; i < cuts.size(); ++i) {
-      check(cuts[i]);
-      check(std::nextafter(cuts[i], -kInf));
-      check(std::nextafter(cuts[i], kInf));
-    }
-    for (double s : specials) check(s);
-  }
-  ASSERT_GT(cut_total, 0u) << "forest grew no splits; test is vacuous";
-}
-
-// A model outside the u16 representation limits (here: more features than
-// kMaxQuantFeatures) must simply not build a quantized pool — and requests
-// for kQuantized must fall back to the exact walk, bit-for-bit.
-TEST(ExecEngineQuantizedTest, UnrepresentableModelFallsBackExactly) {
-  Rng rng(55);
-  const size_t features = 520;  // > kMaxQuantFeatures (512)
-  Dataset data = RandomDataset(120, features, 2, rng);
-  RandomForestConfig config;
-  config.num_trees = 2;
-  config.tree.max_depth = 3;
-  RandomForest forest = RandomForest::Fit(data, config);
-  const ExecEngine& engine = *forest.engine();
-  EXPECT_FALSE(engine.has_quantized());
-  EXPECT_EQ(engine.quantized_bytes(), 0u);
-  EXPECT_EQ(engine.bin_table_bytes(), 0u);
-  EXPECT_TRUE(engine.QuantizedCuts(0).empty());
-
-  const size_t n = 40, k = 2;
-  std::vector<double> X = AdversarialBatch(n, features, features, rng);
-  std::vector<double> exact(n * k), fallback(n * k, -1.0);
-  engine.PredictBatch(X.data(), n, features, exact.data());
-  engine.PredictBatch(X.data(), n, features, fallback.data(),
-                      ExecEngine::Mode::kQuantized);
-  for (size_t i = 0; i < n * k; ++i) EXPECT_EQ(exact[i], fallback[i]);
-}
-
 TEST(ExecEngineModesTest, BytesAccountsForEveryPoolArray) {
   Rng rng(66);
   Dataset data = RandomDataset(500, 10, 3, rng);
@@ -289,14 +160,6 @@ TEST(ExecEngineModesTest, BytesAccountsForEveryPoolArray) {
       engine.leaf_payload_count() * static_cast<size_t>(engine.num_classes()) *
           sizeof(float);
   EXPECT_EQ(engine.bytes(), expected);
-  if (engine.has_quantized()) {
-    // u16 per node for feature/threshold/left/right, u16 per leaf slot.
-    const size_t q_expected =
-        engine.internal_node_count() * 4 * sizeof(uint16_t) +
-        engine.leaf_payload_count() * static_cast<size_t>(engine.num_classes()) *
-            sizeof(uint16_t);
-    EXPECT_EQ(engine.quantized_bytes(), q_expected);
-  }
 }
 
 }  // namespace

@@ -1,9 +1,9 @@
 // End-to-end trace propagation: a sampled PredictSingle through the pooled
-// TCP client against a live server (combiner on, fast path off so the lone
-// caller parks) must produce ONE connected span tree on /tracez — client
-// send, server frame read, combiner park/dispatch, engine execute, response
-// write — with the coalesced marker carrying a follows-from link to the
-// dispatch span. Also pins v1 wire compatibility: a hand-built v1 frame
+// TCP client against a live server (client combiner on, fast path off so the
+// lone caller parks) must produce ONE connected span tree on /tracez —
+// client send, server frame read, client predict, combiner park/dispatch,
+// engine execute, response write — with the coalesced marker carrying a
+// follows-from link to the dispatch span. Also pins v1 wire compatibility: a hand-built v1 frame
 // round-trips against the v2 server and the reply parses as v1.
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -45,10 +45,11 @@ struct SpanInfo {
   uint64_t link_span_id = 0;
 };
 
-// Pulls every span object out of a TracezJson rendering, keyed by name.
-// Duplicate names keep the first occurrence (one trace, one request here).
-std::map<std::string, SpanInfo> ParseSpans(const std::string& json) {
-  std::map<std::string, SpanInfo> spans;
+// Pulls every span object out of a TracezJson rendering, keyed by name, in
+// rendering (start-time) order. A name can repeat: the combiner's dispatch
+// runs PredictMany, which opens a second client/predict.
+std::map<std::string, std::vector<SpanInfo>> ParseSpans(const std::string& json) {
+  std::map<std::string, std::vector<SpanInfo>> spans;
   auto hex_after = [&json](size_t from, const char* key) -> uint64_t {
     size_t k = json.find(key, from);
     if (k == std::string::npos) return 0;
@@ -60,7 +61,6 @@ std::map<std::string, SpanInfo> ParseSpans(const std::string& json) {
     size_t name_end = json.find('"', name_start);
     std::string name = json.substr(name_start, name_end - name_start);
     size_t obj_end = json.find('}', name_end);
-    if (spans.contains(name)) continue;
     SpanInfo info;
     size_t link = json.find("\"link_span_id\":\"0x", name_end);
     info.span_id = hex_after(name_end, "\"span_id\":\"0x");
@@ -68,7 +68,7 @@ std::map<std::string, SpanInfo> ParseSpans(const std::string& json) {
     if (link != std::string::npos && link < obj_end) {
       info.link_span_id = hex_after(name_end, "\"link_span_id\":\"0x");
     }
-    spans[name] = info;
+    spans[name].push_back(info);
   }
   return spans;
 }
@@ -93,12 +93,13 @@ class TracePropagationTest : public ::testing::Test {
     rc::obs::TraceStore::Global().Clear();
     store_ = std::make_unique<KvStore>();
     OfflinePipeline::Publish(*trained_, *store_);
-    core_client_ = std::make_unique<rc::core::Client>(store_.get(), rc::core::ClientConfig{});
+    rc::core::ClientConfig client_config;
+    client_config.combiner.enabled = true;
+    client_config.combiner.fast_path_when_idle = false;  // lone callers park
+    core_client_ = std::make_unique<rc::core::Client>(store_.get(), client_config);
     ASSERT_TRUE(core_client_->Initialize());
     ServerConfig server_config;
     server_config.num_workers = 2;
-    server_config.combiner_mode = CombinerMode::kShared;
-    server_config.combiner_fast_path_when_idle = false;  // lone callers park
     server_ = std::make_unique<Server>(core_client_.get(), server_config);
     ASSERT_TRUE(server_->Start());
   }
@@ -169,23 +170,31 @@ TEST_F(TracePropagationTest, SampledRequestFormsOneConnectedTree) {
   for (const auto& name : expected) {
     ASSERT_TRUE(spans.contains(name)) << "missing " << name << " in\n" << json;
   }
+  // client/predict opens twice: for the server's PredictSingle, then (later
+  // start) for the dispatch's PredictMany.
+  ASSERT_EQ(spans["client/predict"].size(), 2u) << json;
+  const SpanInfo outer_predict = spans["client/predict"][0];
+  const SpanInfo inner_predict = spans["client/predict"][1];
+  auto span = [&spans](const std::string& name) { return spans[name].front(); };
 
   // One retained trace: every span in one tree, rooted at the client call.
-  EXPECT_EQ(spans["netclient/call"].parent_span_id, 0u);
-  const uint64_t root = spans["netclient/call"].span_id;
-  EXPECT_EQ(spans["net/read_frame"].parent_span_id, root);
-  EXPECT_EQ(spans["net/predict"].parent_span_id, root);
-  EXPECT_EQ(spans["net/write_frame"].parent_span_id, root);
-  EXPECT_EQ(spans["combiner/predict"].parent_span_id, spans["net/predict"].span_id);
-  EXPECT_EQ(spans["combiner/park"].parent_span_id, spans["combiner/predict"].span_id);
+  EXPECT_EQ(span("netclient/call").parent_span_id, 0u);
+  const uint64_t root = span("netclient/call").span_id;
+  EXPECT_EQ(span("net/read_frame").parent_span_id, root);
+  EXPECT_EQ(span("net/predict").parent_span_id, root);
+  EXPECT_EQ(span("net/write_frame").parent_span_id, root);
+  // The server calls the client, whose cache miss parks in its combiner.
+  EXPECT_EQ(outer_predict.parent_span_id, span("net/predict").span_id);
+  EXPECT_EQ(span("combiner/predict").parent_span_id, outer_predict.span_id);
+  EXPECT_EQ(span("combiner/park").parent_span_id, span("combiner/predict").span_id);
   // The lone caller self-dispatches: the dispatch runs under its park span,
   // and the coalesced marker links back to the dispatch that did the work.
-  EXPECT_EQ(spans["combiner/dispatch"].parent_span_id, spans["combiner/park"].span_id);
-  EXPECT_EQ(spans["combiner/coalesced"].parent_span_id, spans["combiner/park"].span_id);
-  EXPECT_EQ(spans["combiner/coalesced"].link_span_id, spans["combiner/dispatch"].span_id);
+  EXPECT_EQ(span("combiner/dispatch").parent_span_id, span("combiner/park").span_id);
+  EXPECT_EQ(span("combiner/coalesced").parent_span_id, span("combiner/park").span_id);
+  EXPECT_EQ(span("combiner/coalesced").link_span_id, span("combiner/dispatch").span_id);
   // Execution happened inside the dispatch, not on some orphan context.
-  EXPECT_EQ(spans["client/predict"].parent_span_id, spans["combiner/dispatch"].span_id);
-  EXPECT_EQ(spans["client/exec_batch"].parent_span_id, spans["client/predict"].span_id);
+  EXPECT_EQ(inner_predict.parent_span_id, span("combiner/dispatch").span_id);
+  EXPECT_EQ(span("client/exec_batch").parent_span_id, inner_predict.span_id);
 
   EXPECT_GE(rc::obs::TraceStore::Global().finished_count(), 1u);
 }

@@ -11,8 +11,6 @@
 
 #include <gtest/gtest.h>
 
-#include "src/obs/trace_events.h"
-
 namespace rc::obs {
 namespace {
 
@@ -200,6 +198,29 @@ TEST_F(TraceContextTest, SpanIdsUniqueAcrossThreads) {
   for (const auto& v : ids) all.insert(all.end(), v.begin(), v.end());
   std::sort(all.begin(), all.end());
   EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end());
+}
+
+// Every sampled root span finished concurrently is offered to the store.
+// The active map holds every trace, so none can be evicted between its span
+// record and its finish however the threads interleave.
+TEST_F(TraceContextTest, ConcurrentRootSpansAllFinish) {
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 500;
+  TraceStore::Options options;
+  options.max_active_traces = kThreads * kPerThread;
+  TraceStore::Global().Configure(options);
+  Tracer::Global().SetSampleEvery(1);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      for (int i = 0; i < kPerThread; ++i) {
+        TraceSpan span("test/concurrent", Tracer::Global().StartTrace());
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(TraceStore::Global().finished_count(),
+            static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
 }  // namespace

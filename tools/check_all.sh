@@ -17,7 +17,7 @@ cmake --build "${BUILD_DIR}" -j"$(nproc)"
 echo "== ctest =="
 ctest --test-dir "${BUILD_DIR}" -j"$(nproc)" --output-on-failure
 
-echo "== exec-engine parity (scalar / avx2 / quantized walks) =="
+echo "== exec-engine parity (scalar / avx2 walks) =="
 "${BUILD_DIR}/bench/perf_exec_engine" --dispatch
 "${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*'
 # Rerun with the AVX2 kill-switch set so CI exercises the portable scalar
@@ -108,6 +108,18 @@ for family in "${NET_FAMILIES[@]}"; do
   fi
 done
 echo "all ${#NET_FAMILIES[@]} required rc_net_*/rc_combiner_*/rc_client_* metric families present."
+
+echo "== rc_server flag validation =="
+# A port outside 0-65535 must be refused (exit 2), not truncated to 16 bits.
+set +e
+"${BUILD_DIR}/tools/rc_server" --port 70000 --smoke >/dev/null 2>&1
+PORT_STATUS=$?
+set -e
+if [[ "${PORT_STATUS}" -ne 2 ]]; then
+  echo "FAIL: rc_server --port 70000 --smoke exited ${PORT_STATUS}, want 2" >&2
+  exit 1
+fi
+echo "rc_server rejects an out-of-range --port."
 
 echo "== admin introspection endpoint check =="
 # Boot a real server with the admin endpoint, 1-in-1 trace sampling, and

@@ -35,7 +35,7 @@ echo "== rc_net_tests (TSan) =="
 # they are the TSan targets the batching combiner was written against.
 echo "== rc_core_tests (TSan, combiner park/flush races) =="
 "${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='BatchCombiner*'
-# The exec-engine walks (scalar, AVX2 kernel, quantized) likewise always run:
+# The exec-engine walks (scalar and the AVX2 kernel) likewise always run:
 # the engine is shared read-only across prediction threads, so any mutation
 # the sanitizer can see is a real bug.
 echo "== rc_ml_tests (TSan, exec-engine parity) =="

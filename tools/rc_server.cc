@@ -12,9 +12,12 @@
 // instruments share one registry; the full Prometheus exposition is dumped
 // on exit (and in --smoke mode this is the primary output, which
 // tools/check_all.sh greps for the required metric families).
+#include <cerrno>
 #include <csignal>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 
@@ -40,11 +43,9 @@ void Usage() {
       "usage: rc_server [options]\n"
       "  --port P        listen port (default 7071; 0 = ephemeral)\n"
       "  --workers N     epoll worker threads (default 4)\n"
-      "  --combiner M    cross-request batching: off | shared | worker\n"
-      "                  (default shared; see DESIGN.md \"Cross-request batching\")\n"
+      "  --combiner M    client cross-request batching: off | on\n"
+      "                  (default on; see DESIGN.md \"Cross-request batching\")\n"
       "  --combiner-wait-us W  coalescing window in microseconds (default 40)\n"
-      "  --engine-mode M ExecEngine walk: auto | scalar | avx2 | quantized\n"
-      "                  (default auto; see DESIGN.md \"Execution engine\")\n"
       "  --vms N         synthetic workload size when no trace given (default 20000)\n"
       "  --trace PATH    train from a trace CSV instead of the synthetic workload\n"
       "  --days D        trace observation window in days (default 90)\n"
@@ -56,6 +57,20 @@ void Usage() {
       "  --probe N       self-issue N PredictSingle requests through a pooled\n"
       "                  TCP client after startup (populates /tracez)\n"
       "  --smoke         serve, self-issue a few requests, dump metrics, exit\n";
+}
+
+// Whole-string base-10 integer in [lo, hi]; anything else ("abc", "7x",
+// out of range) exits 2 rather than being truncated or read as 0.
+long long ParseIntFlag(const char* flag, const char* text, long long lo, long long hi) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text, &end, 10);
+  if (errno != 0 || end == text || *end != '\0' || value < lo || value > hi) {
+    std::cerr << flag << " must be an integer in [" << lo << ", " << hi << "], got '"
+              << text << "'\n";
+    std::exit(2);
+  }
+  return value;
 }
 
 }  // namespace
@@ -70,9 +85,10 @@ int main(int argc, char** argv) {
   int days = 90, train_days = -1;
   std::string trace_path;
   bool smoke = false;
-  rc::net::CombinerMode combiner_mode = rc::net::CombinerMode::kShared;
+  bool combiner = true;
   int64_t combiner_wait_us = 40;
-  rc::ml::ExecEngine::Mode engine_mode = rc::ml::ExecEngine::Mode::kAuto;
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  constexpr long long kPortMax = 65535;
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -81,45 +97,37 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto int_flag = [&](const char* flag, long long lo, long long hi) {
+      return ParseIntFlag(flag, need(flag), lo, hi);
+    };
     if (std::strcmp(argv[i], "--port") == 0) {
-      port = std::atoi(need("--port"));
+      port = static_cast<int>(int_flag("--port", 0, kPortMax));
     } else if (std::strcmp(argv[i], "--admin-port") == 0) {
-      admin_port = std::atoi(need("--admin-port"));
+      admin_port = static_cast<int>(int_flag("--admin-port", 0, kPortMax));
     } else if (std::strcmp(argv[i], "--trace-sample") == 0) {
-      trace_sample = std::atoll(need("--trace-sample"));
+      trace_sample = int_flag("--trace-sample", 0, std::numeric_limits<long long>::max());
     } else if (std::strcmp(argv[i], "--probe") == 0) {
-      probe = std::atoi(need("--probe"));
+      probe = static_cast<int>(int_flag("--probe", 0, kIntMax));
     } else if (std::strcmp(argv[i], "--workers") == 0) {
-      workers = std::atoi(need("--workers"));
+      workers = static_cast<int>(int_flag("--workers", 1, 1024));
     } else if (std::strcmp(argv[i], "--vms") == 0) {
-      vms = std::atoll(need("--vms"));
+      vms = int_flag("--vms", 1, std::numeric_limits<int64_t>::max());
     } else if (std::strcmp(argv[i], "--trace") == 0) {
       trace_path = need("--trace");
     } else if (std::strcmp(argv[i], "--days") == 0) {
-      days = std::atoi(need("--days"));
+      days = static_cast<int>(int_flag("--days", 1, kIntMax));
     } else if (std::strcmp(argv[i], "--train-days") == 0) {
-      train_days = std::atoi(need("--train-days"));
+      train_days = static_cast<int>(int_flag("--train-days", 0, kIntMax));
     } else if (std::strcmp(argv[i], "--combiner") == 0) {
-      std::string mode = need("--combiner");
-      if (mode == "off") {
-        combiner_mode = rc::net::CombinerMode::kOff;
-      } else if (mode == "shared") {
-        combiner_mode = rc::net::CombinerMode::kShared;
-      } else if (mode == "worker") {
-        combiner_mode = rc::net::CombinerMode::kPerWorker;
-      } else {
-        std::cerr << "--combiner must be off, shared, or worker\n";
+      const std::string mode = need("--combiner");
+      if (mode != "off" && mode != "on") {
+        std::cerr << "--combiner must be off or on\n";
         return 2;
       }
+      combiner = mode == "on";
     } else if (std::strcmp(argv[i], "--combiner-wait-us") == 0) {
-      combiner_wait_us = std::atoll(need("--combiner-wait-us"));
-    } else if (std::strcmp(argv[i], "--engine-mode") == 0) {
-      auto parsed = rc::ml::ExecEngine::ParseMode(need("--engine-mode"));
-      if (!parsed) {
-        std::cerr << "--engine-mode must be auto, scalar, avx2, or quantized\n";
-        return 2;
-      }
-      engine_mode = *parsed;
+      combiner_wait_us =
+          int_flag("--combiner-wait-us", 0, std::numeric_limits<int64_t>::max());
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else {
@@ -159,7 +167,8 @@ int main(int argc, char** argv) {
   rc::obs::MetricsRegistry registry;
   rc::core::ClientConfig client_config;
   client_config.metrics = &registry;
-  client_config.engine_mode = engine_mode;
+  client_config.combiner.enabled = combiner;
+  client_config.combiner.max_wait_us = combiner_wait_us;
   rc::core::Client client(&store, client_config);
   if (!client.Initialize()) {
     std::cerr << "client initialization failed\n";
@@ -170,8 +179,6 @@ int main(int argc, char** argv) {
   server_config.port = static_cast<uint16_t>(smoke ? 0 : port);
   server_config.num_workers = workers;
   server_config.metrics = &registry;
-  server_config.combiner_mode = combiner_mode;
-  server_config.combiner_max_wait_us = combiner_wait_us;
   rc::net::Server server(&client, server_config);
   if (!server.Start()) {
     std::cerr << "failed to bind 127.0.0.1:" << port << "\n";
