@@ -75,22 +75,47 @@ double CoefficientOfVariation(const std::vector<double>& xs) {
   return StdDev(xs) / std::abs(m);
 }
 
-double PercentileSorted(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) {
-    throw std::invalid_argument("Percentile of empty data");
-  }
-  if (p <= 0.0) return sorted.front();
-  if (p >= 100.0) return sorted.back();
-  double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
+namespace {
+
+// Where percentile p falls among n ascending values x: the answer is
+// x[lo] + frac * (x[lo + 1] - x[lo]) when `interpolate`, else x[lo].
+struct PercentileRank {
+  size_t lo;
+  double frac;
+  bool interpolate;
+};
+
+PercentileRank RankOf(size_t n, double p) {
+  if (n == 0) throw std::invalid_argument("Percentile of empty data");
+  if (p <= 0.0) return {0, 0.0, false};
+  if (p >= 100.0) return {n - 1, 0.0, false};
+  double rank = p / 100.0 * static_cast<double>(n - 1);
   size_t lo = static_cast<size_t>(rank);
-  double frac = rank - static_cast<double>(lo);
-  if (lo + 1 >= sorted.size()) return sorted.back();
-  return sorted[lo] + frac * (sorted[lo + 1] - sorted[lo]);
+  if (lo + 1 >= n) return {n - 1, 0.0, false};
+  return {lo, rank - static_cast<double>(lo), true};
+}
+
+double Lerp(double a, double b, double frac) { return a + frac * (b - a); }
+
+}  // namespace
+
+double PercentileSorted(const std::vector<double>& sorted, double p) {
+  const PercentileRank r = RankOf(sorted.size(), p);
+  return r.interpolate ? Lerp(sorted[r.lo], sorted[r.lo + 1], r.frac) : sorted[r.lo];
 }
 
 double Percentile(std::vector<double> xs, double p) {
   std::sort(xs.begin(), xs.end());
   return PercentileSorted(xs, p);
+}
+
+double PercentileSelect(std::span<double> xs, double p) {
+  const PercentileRank r = RankOf(xs.size(), p);
+  const auto lo = xs.begin() + static_cast<std::ptrdiff_t>(r.lo);
+  std::nth_element(xs.begin(), lo, xs.end());
+  if (!r.interpolate) return *lo;
+  // After the partition, rank lo + 1 is the least value above position lo.
+  return Lerp(*lo, *std::min_element(lo + 1, xs.end()), r.frac);
 }
 
 double Median(std::vector<double> xs) { return Percentile(std::move(xs), 50.0); }

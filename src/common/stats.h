@@ -4,6 +4,7 @@
 #define RC_SRC_COMMON_STATS_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace rc {
@@ -47,6 +48,11 @@ double CoefficientOfVariation(const std::vector<double>& xs);
 double Percentile(std::vector<double> xs, double p);
 // Percentile over data the caller has already sorted ascending.
 double PercentileSorted(const std::vector<double>& sorted, double p);
+// Same value as Percentile(xs, p), bit for bit, in O(n): selects the one or
+// two ranks the interpolation reads instead of sorting. Reorders xs. (Equal
+// values are interchangeable, so only data mixing -0.0 and 0.0 could see a
+// zero answer's sign differ.)
+double PercentileSelect(std::span<double> xs, double p);
 
 double Median(std::vector<double> xs);
 

@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
+#include "src/common/parallel.h"
 #include "src/ml/exec_engine.h"
 
 namespace rc::ml {
@@ -49,24 +49,9 @@ RandomForest RandomForest::Fit(const Dataset& data, const RandomForestConfig& co
     }
   };
 
-  unsigned hw = std::thread::hardware_concurrency();
-  size_t threads = config.num_threads > 0
-                       ? static_cast<size_t>(config.num_threads)
-                       : std::min<size_t>(hw == 0 ? 1 : hw, 8);
-  threads = std::min(threads, forest.trees_.size());
-  if (threads <= 1) {
-    train_range(0, forest.trees_.size());
-  } else {
-    std::vector<std::thread> workers;
-    size_t per = (forest.trees_.size() + threads - 1) / threads;
-    for (size_t w = 0; w < threads; ++w) {
-      size_t begin = w * per;
-      size_t end = std::min(forest.trees_.size(), begin + per);
-      if (begin >= end) break;
-      workers.emplace_back(train_range, begin, end);
-    }
-    for (auto& worker : workers) worker.join();
-  }
+  const size_t threads = config.num_threads > 0 ? static_cast<size_t>(config.num_threads)
+                                                : std::min<size_t>(HardwareThreads(), 8);
+  ParallelFor(forest.trees_.size(), threads, train_range);
   forest.CompileEngine();
   return forest;
 }

@@ -24,10 +24,7 @@ std::vector<VmRequest> RequestsFromTrace(const rc::trace::Trace& trace, SimTime 
     req.source = &vm;
     out.push_back(req);
   }
-  std::sort(out.begin(), out.end(), [](const VmRequest& a, const VmRequest& b) {
-    if (a.arrival != b.arrival) return a.arrival < b.arrival;
-    return a.vm_id < b.vm_id;
-  });
+  // trace.vms() is sorted by (created, vm_id), which is (arrival, vm_id).
   return out;
 }
 
@@ -62,8 +59,11 @@ SimResult ClusterSimulator::Run(std::vector<VmRequest> requests,
   };
   std::priority_queue<Departure, std::vector<Departure>, std::greater<Departure>> departures;
 
+  // What the per-slot loop reads of a hosted VM, copied in at placement so
+  // the loop never follows `source` into the trace's VmRecords.
   struct ActiveVm {
-    const rc::trace::VmRecord* source;
+    const rc::trace::VmRecord* source;  // identity, for removal on departure
+    rc::trace::UtilizationParams util;
     int cores;
   };
   std::vector<std::vector<ActiveVm>> hosted(static_cast<size_t>(config_.cluster.num_servers));
@@ -115,7 +115,8 @@ SimResult ClusterSimulator::Run(std::vector<VmRequest> requests,
           if (policy.cluster().server(*server).alloc_cores > physical + 1e-9) {
             ++result.oversub_placements;
           }
-          hosted[static_cast<size_t>(*server)].push_back(ActiveVm{vm.source, vm.cores});
+          hosted[static_cast<size_t>(*server)].push_back(
+              ActiveVm{vm.source, vm.source->util, vm.cores});
           if (vm.departure > vm.arrival) {
             departures.push(Departure{vm.departure, next_arrival, *server});
           }
@@ -144,9 +145,7 @@ SimResult ClusterSimulator::Run(std::vector<VmRequest> requests,
       if (list.empty()) continue;
       double used_cores = 0.0;
       for (const ActiveVm& vm : list) {
-        double frac =
-            UtilizationModel::ReadingAt(vm.source->util, slot).max_cpu +
-            config_.util_inflation;
+        double frac = UtilizationModel::MaxCpuAt(vm.util, slot) + config_.util_inflation;
         used_cores += frac * vm.cores;
       }
       double fraction = used_cores / physical;

@@ -20,8 +20,9 @@ class Trace {
         SimDuration observation_window);
 
   const std::vector<SubscriptionProfile>& subscriptions() const { return subscriptions_; }
+  // Sorted by (created, vm_id); the trace never reorders or mutates them
+  // after construction.
   const std::vector<VmRecord>& vms() const { return vms_; }
-  std::vector<VmRecord>& mutable_vms() { return vms_; }
   SimDuration observation_window() const { return observation_window_; }
 
   size_t vm_count() const { return vms_.size(); }
@@ -39,13 +40,11 @@ class Trace {
   // VMs created at or after `from` (e.g. the test month for Table 4).
   std::vector<const VmRecord*> VmsCreatedIn(SimTime from, SimTime to) const;
 
-  // Rebuilds the subscription index; called by the constructor and after
-  // external mutation of vms().
+ private:
   void RebuildIndex();
 
- private:
   std::vector<SubscriptionProfile> subscriptions_;
-  std::vector<VmRecord> vms_;  // sorted by created
+  std::vector<VmRecord> vms_;  // sorted by (created, vm_id)
   SimDuration observation_window_ = 0;
   std::unordered_map<uint64_t, std::vector<size_t>> by_subscription_;
   std::unordered_map<uint64_t, size_t> subscription_index_;

@@ -1,7 +1,7 @@
 #include "src/trace/trace_io.h"
 
+#include <charconv>
 #include <fstream>
-#include <sstream>
 #include <stdexcept>
 
 #include "src/common/csv.h"
@@ -20,11 +20,11 @@ const std::vector<std::string> kHeader = {
     "util_seed", "util_base", "util_diurnal_amp", "util_phase_h", "util_noise_amp",
     "util_burst_amp"};
 
+// Shortest form that parses back to the same double, so a restored trace
+// carries bit-identical summaries and latent parameters.
 std::string Fmt(double v) {
-  std::ostringstream os;
-  os.precision(10);
-  os << v;
-  return os.str();
+  char buf[32];
+  return std::string(buf, std::to_chars(buf, buf + sizeof(buf), v).ptr);
 }
 
 Party ParseParty(const std::string& s) {

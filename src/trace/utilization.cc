@@ -30,7 +30,8 @@ double UtilizationModel::ValueNoise(uint64_t seed, int64_t slot) {
   return v0 + (v1 - v0) * frac;
 }
 
-CpuReading UtilizationModel::ReadingAt(const UtilizationParams& p, int64_t slot) {
+UtilizationModel::AvgMax UtilizationModel::AvgAndMaxAt(const UtilizationParams& p,
+                                                       int64_t slot) {
   double t_hours = static_cast<double>(slot) * static_cast<double>(kSlot) / kHour;
   // Diurnal component peaks at diurnal_phase_h and spans [0, diurnal_amp].
   double diurnal = 0.0;
@@ -51,14 +52,21 @@ CpuReading UtilizationModel::ReadingAt(const UtilizationParams& p, int64_t slot)
   // 95th percentile ~0.999 * burst_amp even over few slots.
   double u = HashNoise(p.seed ^ 0x9e3779b9, slot);
   double burst = p.burst_amp * (1.0 - 0.35 * u * u);
-  double max = Clamp01(avg + burst);
+  return AvgMax{avg, Clamp01(avg + burst)};
+}
 
+CpuReading UtilizationModel::ReadingAt(const UtilizationParams& p, int64_t slot) {
+  const AvgMax am = AvgAndMaxAt(p, slot);
   double d = HashNoise(p.seed ^ 0x7f4a7c15, slot);
   double dip = 0.5 * (p.burst_amp * 0.3 + p.noise_amp) * d;
-  double min = Clamp01(avg - dip);
-  if (min > avg) min = avg;
+  double min = Clamp01(am.avg - dip);
+  if (min > am.avg) min = am.avg;
 
-  return CpuReading{min, avg, max};
+  return CpuReading{min, am.avg, am.max};
+}
+
+double UtilizationModel::MaxCpuAt(const UtilizationParams& p, int64_t slot) {
+  return AvgAndMaxAt(p, slot).max;
 }
 
 std::vector<double> UtilizationModel::AvgSeries(const UtilizationParams& p,
@@ -79,15 +87,14 @@ UtilizationModel::Summary UtilizationModel::Summarize(const VmRecord& vm,
   int64_t stride = std::max<int64_t>(1, slots / max_samples);
 
   OnlineStats avg_stats;
-  std::vector<double> maxes;
-  maxes.reserve(static_cast<size_t>(slots / stride + 1));
+  thread_local std::vector<double> maxes;
+  maxes.clear();
   for (int64_t s = first; s < first + slots; s += stride) {
-    CpuReading r = ReadingAt(vm.util, s);
-    avg_stats.Add(r.avg_cpu);
-    maxes.push_back(r.max_cpu);
+    const AvgMax r = AvgAndMaxAt(vm.util, s);
+    avg_stats.Add(r.avg);
+    maxes.push_back(r.max);
   }
-  double p95 = Percentile(std::move(maxes), 95.0);
-  return Summary{avg_stats.mean(), p95};
+  return Summary{avg_stats.mean(), PercentileSelect(maxes, 95.0)};
 }
 
 }  // namespace rc::trace

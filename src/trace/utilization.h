@@ -28,6 +28,9 @@ class UtilizationModel {
   static CpuReading ReadingAt(const VmRecord& vm, int64_t slot) {
     return ReadingAt(vm.util, slot);
   }
+  // ReadingAt(p, slot).max_cpu, bit for bit, without the min reading's dip
+  // hash: the per-slot load a placement simulator adds up.
+  static double MaxCpuAt(const UtilizationParams& p, int64_t slot);
 
   // Average-CPU series for `n` consecutive slots starting at `from_slot`.
   static std::vector<double> AvgSeries(const UtilizationParams& p, int64_t from_slot,
@@ -36,7 +39,8 @@ class UtilizationModel {
   // Ground-truth summary over the VM's lifetime: mean of avg readings and
   // 95th percentile of max readings. For very long VMs the series is sampled
   // at up to `max_samples` evenly spaced slots; the paper's aggregation
-  // pipeline similarly works from periodic telemetry.
+  // pipeline similarly works from periodic telemetry. Thread-safe: the
+  // sample buffer is per thread.
   struct Summary {
     double avg_cpu;
     double p95_max_cpu;
@@ -49,6 +53,12 @@ class UtilizationModel {
  private:
   // Smooth noise in [-1, 1]: linear interpolation between hourly knot values.
   static double ValueNoise(uint64_t seed, int64_t slot);
+  // The avg reading and the max reading (avg plus burst term) at `slot`.
+  struct AvgMax {
+    double avg;
+    double max;
+  };
+  static AvgMax AvgAndMaxAt(const UtilizationParams& p, int64_t slot);
 };
 
 }  // namespace rc::trace

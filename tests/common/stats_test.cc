@@ -1,6 +1,8 @@
 #include "src/common/stats.h"
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -110,6 +112,27 @@ TEST(PercentileTest, SortedVariantAgrees) {
   for (double p : {1.0, 5.0, 50.0, 95.0, 99.0}) {
     EXPECT_DOUBLE_EQ(Percentile(xs, p), PercentileSorted(sorted, p));
   }
+}
+
+TEST(PercentileTest, SelectVariantIsBitExact) {
+  // Sizes 1 and 2, sizes where the P95 rank is exact (n - 1 a multiple of
+  // 20) and interpolated, duplicates, and the endpoints.
+  Rng rng(17);
+  for (size_t n : {1, 2, 3, 20, 21, 41, 64, 512, 513}) {
+    for (int trial = 0; trial < 20; ++trial) {
+      std::vector<double> xs(n);
+      for (auto& x : xs) x = trial % 4 == 0 ? std::floor(rng.Uniform(0.0, 4.0)) : rng.NextDouble();
+      for (double p : {0.0, 1.0, 50.0, 95.0, 99.0, 100.0}) {
+        std::vector<double> copy = xs;
+        const double want = Percentile(xs, p);
+        const double got = PercentileSelect(copy, p);
+        ASSERT_EQ(std::memcmp(&want, &got, sizeof want), 0)
+            << "n=" << n << " p=" << p << ": " << got << " vs " << want;
+      }
+    }
+  }
+  std::vector<double> empty;
+  EXPECT_THROW(PercentileSelect(empty, 50.0), std::invalid_argument);
 }
 
 class PercentileMonotone : public ::testing::TestWithParam<int> {};

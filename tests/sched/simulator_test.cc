@@ -1,5 +1,7 @@
 #include "src/sched/simulator.h"
 
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "src/trace/workload_model.h"
@@ -72,6 +74,26 @@ TEST(SimulatorTest, RequestsSortedAndTagged) {
   // ~29% non-production (paper: 71% production tags).
   double frac = static_cast<double>(nonprod) / static_cast<double>(requests.size());
   EXPECT_NEAR(frac, 0.29, 0.08);
+}
+
+TEST(SimulatorTest, RequestsComeInTraceOrderWhichIsArrivalThenVmId) {
+  // RequestsFromTrace does not sort: trace order is already (arrival, vm_id).
+  const auto requests = RequestsFromTrace(SimTrace(), 7 * kDay);
+  auto key_less = [](const VmRequest& a, const VmRequest& b) {
+    if (a.arrival != b.arrival) return a.arrival < b.arrival;
+    return a.vm_id < b.vm_id;
+  };
+  ASSERT_TRUE(std::is_sorted(requests.begin(), requests.end(), key_less));
+  auto resorted = requests;
+  std::sort(resorted.begin(), resorted.end(), key_less);
+  ASSERT_EQ(resorted.size(), requests.size());
+  for (size_t i = 0; i < requests.size(); ++i) {
+    ASSERT_EQ(resorted[i].vm_id, requests[i].vm_id);
+    ASSERT_EQ(resorted[i].source, requests[i].source);
+  }
+  size_t in_horizon = 0;
+  for (const auto& vm : SimTrace().vms()) in_horizon += vm.created < 7 * kDay;
+  EXPECT_EQ(requests.size(), in_horizon);
 }
 
 TEST(SimulatorTest, BaselineNeverExceedsPhysical) {

@@ -41,9 +41,17 @@ TEST(TraceIoTest, RoundTripPreservesRecords) {
     ASSERT_EQ(a.created, b.created);
     ASSERT_EQ(a.deleted, b.deleted);
     ASSERT_EQ(a.true_class, b.true_class);
+    ASSERT_EQ(a.region, b.region);
+    ASSERT_EQ(a.memory_gb, b.memory_gb);
+    // Doubles are written in their shortest round-trip form: exact.
+    ASSERT_EQ(a.avg_cpu, b.avg_cpu);
+    ASSERT_EQ(a.p95_max_cpu, b.p95_max_cpu);
     ASSERT_EQ(a.util.seed, b.util.seed);
-    ASSERT_NEAR(a.avg_cpu, b.avg_cpu, 1e-8);
-    ASSERT_NEAR(a.p95_max_cpu, b.p95_max_cpu, 1e-8);
+    ASSERT_EQ(a.util.base, b.util.base);
+    ASSERT_EQ(a.util.diurnal_amp, b.util.diurnal_amp);
+    ASSERT_EQ(a.util.diurnal_phase_h, b.util.diurnal_phase_h);
+    ASSERT_EQ(a.util.noise_amp, b.util.noise_amp);
+    ASSERT_EQ(a.util.burst_amp, b.util.burst_amp);
   }
 }
 
@@ -54,13 +62,17 @@ TEST(TraceIoTest, TelemetryReplaysIdenticallyAfterRoundTrip) {
   std::stringstream ss;
   WriteVmTable(original, ss);
   Trace restored = ReadVmTable(ss, original.observation_window());
-  const VmRecord& a = original.vms()[17];
-  const VmRecord& b = restored.vms()[17];
-  for (int64_t slot = SlotIndex(a.created); slot < SlotIndex(a.created) + 20; ++slot) {
-    CpuReading ra = UtilizationModel::ReadingAt(a, slot);
-    CpuReading rb = UtilizationModel::ReadingAt(b, slot);
-    ASSERT_NEAR(ra.avg_cpu, rb.avg_cpu, 1e-9);
-    ASSERT_NEAR(ra.max_cpu, rb.max_cpu, 1e-9);
+  ASSERT_EQ(restored.vm_count(), original.vm_count());
+  for (size_t i = 0; i < original.vm_count(); ++i) {
+    const VmRecord& a = original.vms()[i];
+    const VmRecord& b = restored.vms()[i];
+    for (int64_t slot = SlotIndex(a.created); slot < SlotIndex(a.created) + 20; ++slot) {
+      CpuReading ra = UtilizationModel::ReadingAt(a, slot);
+      CpuReading rb = UtilizationModel::ReadingAt(b, slot);
+      ASSERT_EQ(ra.min_cpu, rb.min_cpu);
+      ASSERT_EQ(ra.avg_cpu, rb.avg_cpu);
+      ASSERT_EQ(ra.max_cpu, rb.max_cpu);
+    }
   }
 }
 

@@ -1,9 +1,11 @@
 #include "src/trace/utilization.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
+#include "src/common/rng.h"
 #include "src/common/stats.h"
 
 namespace rc::trace {
@@ -160,6 +162,34 @@ TEST(UtilizationModelTest, DistinctSeedsDecorrelated) {
            (UtilizationModel::ReadingAt(b, s).avg_cpu - 0.5);
   }
   EXPECT_NEAR(dot / static_cast<double>(n), 0.0, 0.002);
+}
+
+TEST(UtilizationModelTest, MaxCpuAtMatchesReadingAtBitForBit) {
+  // Random params across the shapes the generator produces, plus the edge
+  // cases: diurnal off, noise at its 0.005 floor, and params whose avg
+  // clamps at 0 or whose max clamps at 1.
+  Rng rng(2024);
+  int64_t clamped_low = 0, clamped_high = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    UtilizationParams p;
+    p.seed = rng.NextU64();
+    p.base = rng.Uniform(-0.05, 1.0);
+    p.diurnal_amp = trial % 2 == 0 ? 0.0 : rng.Uniform(0.12, 0.5);
+    p.diurnal_phase_h = rng.Uniform(10.0, 18.0);
+    p.noise_amp = trial % 3 == 0 ? 0.005 : rng.Uniform(0.005, 0.3);
+    p.burst_amp = trial % 5 == 0 ? 1.0 : rng.Uniform(0.01, 1.0);
+    for (int k = 0; k < 200; ++k) {
+      const int64_t slot = rng.UniformInt(-kSlotsPerDay, 120 * kSlotsPerDay);
+      const CpuReading r = UtilizationModel::ReadingAt(p, slot);
+      const double max = UtilizationModel::MaxCpuAt(p, slot);
+      ASSERT_EQ(std::memcmp(&max, &r.max_cpu, sizeof max), 0)
+          << "trial " << trial << " slot " << slot << ": " << max << " vs " << r.max_cpu;
+      clamped_low += r.avg_cpu == 0.0;
+      clamped_high += r.max_cpu == 1.0;
+    }
+  }
+  EXPECT_GT(clamped_low, 0);
+  EXPECT_GT(clamped_high, 0);
 }
 
 }  // namespace

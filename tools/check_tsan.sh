@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Builds the core + store test binaries under ThreadSanitizer and runs them.
+# Builds the test binaries of the threaded modules under ThreadSanitizer and
+# runs them.
 # Any reported race fails the script (TSAN_OPTIONS halt_on_error below).
 #
 # Usage: tools/check_tsan.sh [extra gtest args...]
@@ -13,7 +14,8 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRC_SANITIZE=thread
 cmake --build "${BUILD_DIR}" -j"$(nproc)" \
-  --target rc_common_tests rc_obs_tests rc_ml_tests rc_cache_tests rc_store_tests rc_core_tests rc_net_tests
+  --target rc_common_tests rc_obs_tests rc_ml_tests rc_cache_tests rc_store_tests rc_core_tests rc_net_tests \
+  rc_trace_tests
 
 export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1 second_deadlock_stack=1}"
 
@@ -31,6 +33,8 @@ echo "== rc_core_tests (TSan) =="
 "${BUILD_DIR}/tests/rc_core_tests" "$@"
 echo "== rc_net_tests (TSan) =="
 "${BUILD_DIR}/tests/rc_net_tests" "$@"
+echo "== rc_trace_tests (TSan) =="
+"${BUILD_DIR}/tests/rc_trace_tests" "$@"
 # The combiner park/flush/shutdown races run regardless of any caller filter:
 # they are the TSan targets the batching combiner was written against.
 echo "== rc_core_tests (TSan, combiner park/flush races) =="
@@ -63,4 +67,11 @@ echo "== rc_core_tests (TSan, client cache parity storm) =="
 # served, and their publish-then-bump ordering is what TSan vets here.
 echo "== rc_core_tests (TSan, no-prediction vs feature push storm) =="
 "${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='ClientNoPredictionStress*'
+# Trace generation fills the ground-truth summaries from several threads,
+# each writing its own chunk of VmRecords; the fingerprint suite generates a
+# trace and checks every summary, so it runs regardless of any caller filter.
+echo "== rc_trace_tests (TSan, parallel summary pass + fingerprint) =="
+"${BUILD_DIR}/tests/rc_trace_tests" --gtest_filter='TraceFingerprint*'
+echo "== rc_common_tests (TSan, ParallelFor) =="
+"${BUILD_DIR}/tests/rc_common_tests" --gtest_filter='ParallelFor*'
 echo "TSan check passed: no data races reported."
