@@ -1,12 +1,15 @@
 #include "src/core/offline_pipeline.h"
 
 #include <algorithm>
-#include <map>
+#include <limits>
+#include <optional>
+#include <stdexcept>
 #include <tuple>
 #include <unordered_map>
 
 #include "src/analysis/periodicity.h"
 #include "src/common/faults.h"
+#include "src/common/hashing.h"
 #include "src/common/sim_time.h"
 #include "src/obs/trace_context.h"
 
@@ -36,104 +39,146 @@ namespace {
 // subscription history. Three days matches the classifier's minimum span.
 constexpr SimDuration kRepresentativeAfter = 3 * kDay;
 
-enum class ObsKind { kUtilization, kClass, kLifetime, kDeployment };
+enum class ObsKind : uint32_t { kUtilization, kClass, kLifetime, kDeployment };
 
+// One scheduled observation. `index` is the VM's position in trace.vms(),
+// or for kDeployment the group's position in ObservationStream::groups.
 struct Observation {
   SimTime time = 0;
+  uint32_t index = 0;
   ObsKind kind = ObsKind::kUtilization;
-  const VmRecord* vm = nullptr;     // utilization / class / lifetime
-  uint64_t subscription_id = 0;     // deployment
-  int64_t deploy_vms = 0;
-  int64_t deploy_cores = 0;
 };
+static_assert(sizeof(Observation) == 16);
 
+// A deployment group under the paper's redefinition (subscription x region x
+// day), emitted chronologically by its first VM.
 struct DeployGroup {
-  const VmRecord* first_vm = nullptr;
+  uint64_t subscription_id = 0;
+  int64_t day = 0;
+  int32_t region = 0;
+  uint32_t first_vm = 0;  // index into trace.vms() of its earliest VM
   int64_t vms = 0;
   int64_t cores = 0;
 };
 
-// Deployment groups under the paper's redefinition (subscription x region x
-// day), keyed for chronological emission by their first VM.
-std::map<std::tuple<uint64_t, int32_t, int64_t>, DeployGroup> BuildDeployGroups(
-    const Trace& trace) {
-  std::map<std::tuple<uint64_t, int32_t, int64_t>, DeployGroup> groups;
-  for (const auto& vm : trace.vms()) {
-    auto key = std::make_tuple(vm.subscription_id, vm.region, vm.created / kDay);
-    DeployGroup& g = groups[key];
-    if (g.first_vm == nullptr || vm.created < g.first_vm->created) g.first_vm = &vm;
+// Groups of the VMs whose day starts at or before `last` (every VM of such a
+// day, even one created after `last`, so no group is cut short), in
+// (subscription, region, day) order.
+std::vector<DeployGroup> BuildDeployGroups(const Trace& trace, SimTime last) {
+  using Key = std::tuple<uint64_t, int32_t, int64_t>;  // (subscription, region, day)
+  struct KeyHash {
+    size_t operator()(const Key& key) const {
+      const auto [sub, region, day] = key;
+      return HashCombine(HashCombine(HashU64(sub), static_cast<uint64_t>(region)),
+                         static_cast<uint64_t>(day));
+    }
+  };
+  std::unordered_map<Key, uint32_t, KeyHash> index;
+  std::vector<DeployGroup> groups;
+  const std::vector<VmRecord>& vms = trace.vms();
+  for (size_t i = 0; i < vms.size(); ++i) {
+    const VmRecord& vm = vms[i];
+    const int64_t day = vm.created / kDay;
+    if (day * kDay > last) break;  // trace order is creation order
+    auto [it, inserted] = index.try_emplace(Key{vm.subscription_id, vm.region, day},
+                                            static_cast<uint32_t>(groups.size()));
+    if (inserted) {
+      groups.push_back(DeployGroup{vm.subscription_id, day, vm.region, static_cast<uint32_t>(i)});
+    }
+    DeployGroup& g = groups[it->second];
     g.vms += 1;
     g.cores += vm.cores;
   }
+  std::sort(groups.begin(), groups.end(), [](const DeployGroup& a, const DeployGroup& b) {
+    return std::tie(a.subscription_id, a.region, a.day) <
+           std::tie(b.subscription_id, b.region, b.day);
+  });
   return groups;
 }
 
-class ClassLabeler {
- public:
-  ClassLabeler(bool use_fft) : use_fft_(use_fft) {}
-
-  WorkloadClass Label(const VmRecord& vm) {
-    if (!use_fft_) return vm.true_class;
-    auto [it, inserted] = cache_.try_emplace(vm.vm_id, WorkloadClass::kUnknown);
-    if (inserted) it->second = rc::analysis::ClassifyVm(vm);
-    return it->second;
-  }
-
- private:
-  bool use_fft_;
-  std::unordered_map<uint64_t, WorkloadClass> cache_;
+// Every observation made at or before `last`, in time order; at equal times
+// the VM observations in trace order (utilization, class, lifetime per VM),
+// then the deployment groups in (subscription, region, day) order.
+struct ObservationStream {
+  std::vector<Observation> obs;
+  std::vector<DeployGroup> groups;
 };
 
-std::vector<Observation> BuildObservations(const Trace& trace) {
-  std::vector<Observation> obs;
-  obs.reserve(trace.vms().size() * 3);
-  for (const auto& vm : trace.vms()) {
-    Observation util;
-    util.time = std::min(vm.deleted, vm.created + kRepresentativeAfter);
-    util.kind = ObsKind::kUtilization;
-    util.vm = &vm;
-    obs.push_back(util);
-    if (vm.lifetime() >= kRepresentativeAfter) {
-      Observation cls = util;
-      cls.time = vm.created + kRepresentativeAfter;
-      cls.kind = ObsKind::kClass;
-      obs.push_back(cls);
-    }
-    Observation life;
-    life.time = vm.deleted;
-    life.kind = ObsKind::kLifetime;
-    life.vm = &vm;
-    obs.push_back(life);
+ObservationStream BuildObservations(const Trace& trace, SimTime last) {
+  const std::vector<VmRecord>& vms = trace.vms();
+  if (vms.size() > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("OfflinePipeline: trace too large for 32-bit VM indices");
   }
-  for (const auto& [key, group] : BuildDeployGroups(trace)) {
-    Observation dep;
-    dep.time = (std::get<2>(key) + 1) * kDay;  // end of the deployment day
-    dep.kind = ObsKind::kDeployment;
-    dep.subscription_id = std::get<0>(key);
-    dep.deploy_vms = group.vms;
-    dep.deploy_cores = group.cores;
-    obs.push_back(dep);
+  ObservationStream stream;
+  stream.groups = BuildDeployGroups(trace, last);
+  // Every observation of a VM lands at or after its creation.
+  const size_t end = static_cast<size_t>(
+      std::partition_point(vms.begin(), vms.end(),
+                           [last](const VmRecord& vm) { return vm.created <= last; }) -
+      vms.begin());
+  std::vector<Observation>& obs = stream.obs;
+  obs.reserve(end * 3 + stream.groups.size());
+  for (size_t i = 0; i < end; ++i) {
+    const VmRecord& vm = vms[i];
+    const auto index = static_cast<uint32_t>(i);
+    const SimTime learned = vm.created + kRepresentativeAfter;
+    const SimTime util = std::min(vm.deleted, learned);
+    if (util <= last) obs.push_back({util, index, ObsKind::kUtilization});
+    if (vm.lifetime() >= kRepresentativeAfter && learned <= last) {
+      obs.push_back({learned, index, ObsKind::kClass});
+    }
+    if (vm.deleted <= last) obs.push_back({vm.deleted, index, ObsKind::kLifetime});
+  }
+  for (size_t g = 0; g < stream.groups.size(); ++g) {
+    const SimTime day_end = (stream.groups[g].day + 1) * kDay;
+    if (day_end <= last) obs.push_back({day_end, static_cast<uint32_t>(g), ObsKind::kDeployment});
   }
   std::stable_sort(obs.begin(), obs.end(),
                    [](const Observation& a, const Observation& b) { return a.time < b.time; });
-  return obs;
+  return stream;
 }
 
-void Apply(const Observation& o, FeatureDataBuilder& builder, ClassLabeler& labeler) {
+// Class labels by VM index, each computed at most once per labeler.
+class ClassLabeler {
+ public:
+  ClassLabeler(const Trace& trace, bool use_fft) : vms_(trace.vms()), use_fft_(use_fft) {
+    if (use_fft_) cache_.resize(vms_.size());
+  }
+
+  WorkloadClass Label(uint32_t index) {
+    const VmRecord& vm = vms_[index];
+    if (!use_fft_) return vm.true_class;
+    std::optional<WorkloadClass>& cached = cache_[index];
+    if (!cached) cached = rc::analysis::ClassifyVm(vm);
+    return *cached;
+  }
+
+ private:
+  const std::vector<VmRecord>& vms_;
+  bool use_fft_;
+  std::vector<std::optional<WorkloadClass>> cache_;
+};
+
+void Apply(const Observation& o, const Trace& trace, const std::vector<DeployGroup>& groups,
+           FeatureDataBuilder& builder, ClassLabeler& labeler) {
+  const std::vector<VmRecord>& vms = trace.vms();
   switch (o.kind) {
-    case ObsKind::kUtilization:
-      builder.ObserveUtilization(o.vm->subscription_id, o.vm->avg_cpu, o.vm->p95_max_cpu,
-                                 o.vm->cores);
+    case ObsKind::kUtilization: {
+      const VmRecord& vm = vms[o.index];
+      builder.ObserveUtilization(vm.subscription_id, vm.avg_cpu, vm.p95_max_cpu, vm.cores);
       break;
+    }
     case ObsKind::kClass:
-      builder.ObserveClass(o.vm->subscription_id, labeler.Label(*o.vm));
+      builder.ObserveClass(vms[o.index].subscription_id, labeler.Label(o.index));
       break;
     case ObsKind::kLifetime:
-      builder.ObserveLifetime(o.vm->subscription_id, o.vm->lifetime());
+      builder.ObserveLifetime(vms[o.index].subscription_id, vms[o.index].lifetime());
       break;
-    case ObsKind::kDeployment:
-      builder.ObserveDeployment(o.subscription_id, o.deploy_vms, o.deploy_cores);
+    case ObsKind::kDeployment: {
+      const DeployGroup& g = groups[o.index];
+      builder.ObserveDeployment(g.subscription_id, g.vms, g.cores);
       break;
+    }
   }
 }
 
@@ -143,58 +188,72 @@ bool LifetimeLabelKnown(const VmRecord& vm, SimTime window_end) {
   return vm.deleted <= window_end || (window_end - vm.created) > 24 * kHour;
 }
 
-}  // namespace
-
-bool OfflinePipeline::UsesRandomForest(Metric metric) {
-  return metric == Metric::kAvgCpu || metric == Metric::kP95Cpu;
+bool IsDeploymentMetric(Metric metric) {
+  return metric == Metric::kDeployVms || metric == Metric::kDeployCores;
 }
 
-FeatureEncoding OfflinePipeline::EncodingFor(Metric metric) {
-  return UsesRandomForest(metric) ? FeatureEncoding::kExpanded : FeatureEncoding::kCompact;
-}
+// A deployment-metric example point: a group, at its first VM's creation.
+struct Emission {
+  SimTime time;
+  uint32_t vm;
+  int64_t deploy_vms;
+  int64_t deploy_cores;
+};
 
-std::vector<LabeledExample> OfflinePipeline::BuildExamples(const Trace& trace,
-                                                           Metric metric, SimTime from,
-                                                           SimTime to, bool use_fft_labels) {
-  static const rc::trace::VmSizeCatalog catalog;
-  std::vector<Observation> obs = BuildObservations(trace);
-  FeatureDataBuilder builder;
-  ClassLabeler labeler(use_fft_labels);
-  std::vector<LabeledExample> out;
-
-  const bool deployment_metric =
-      metric == Metric::kDeployVms || metric == Metric::kDeployCores;
-
-  // Emission points, chronological.
-  struct Emission {
-    SimTime time;
-    const VmRecord* vm;
-    int64_t deploy_vms = 0;
-    int64_t deploy_cores = 0;
-  };
+// Every deployment group of the trace, chronological. The list is built from
+// all groups, not a window of them: std::sort is not stable, and a shorter
+// input could reorder groups that share a creation time.
+std::vector<Emission> DeploymentEmissions(const Trace& trace) {
   std::vector<Emission> emissions;
-  if (deployment_metric) {
-    for (const auto& [key, group] : BuildDeployGroups(trace)) {
-      emissions.push_back(Emission{group.first_vm->created, group.first_vm, group.vms,
-                                   group.cores});
-    }
-    std::sort(emissions.begin(), emissions.end(),
-              [](const Emission& a, const Emission& b) { return a.time < b.time; });
-  } else {
-    for (const auto& vm : trace.vms()) emissions.push_back(Emission{vm.created, &vm});
+  for (const DeployGroup& g : BuildDeployGroups(trace, std::numeric_limits<SimTime>::max())) {
+    emissions.push_back(Emission{trace.vms()[g.first_vm].created, g.first_vm, g.vms, g.cores});
   }
+  std::sort(emissions.begin(), emissions.end(),
+            [](const Emission& a, const Emission& b) { return a.time < b.time; });
+  return emissions;
+}
 
+// Examples for `metric` over [from, to), replaying `stream` (which must
+// cover every observation before `to`). Deployment metrics read their
+// points from `deploy_emissions`; the others emit one per VM.
+std::vector<LabeledExample> ExamplesFrom(const Trace& trace, const ObservationStream& stream,
+                                         const std::vector<Emission>& deploy_emissions,
+                                         ClassLabeler& labeler, Metric metric, SimTime from,
+                                         SimTime to) {
+  static const rc::trace::VmSizeCatalog catalog;
+  const std::vector<VmRecord>& vms = trace.vms();
+  const bool deployment_metric = IsDeploymentMetric(metric);
+  auto created_before = [&](SimTime t) {
+    return static_cast<size_t>(
+        std::partition_point(vms.begin(), vms.end(),
+                             [t](const VmRecord& vm) { return vm.created < t; }) -
+        vms.begin());
+  };
+  auto emitted_before = [&](SimTime t) {
+    return static_cast<size_t>(
+        std::partition_point(deploy_emissions.begin(), deploy_emissions.end(),
+                             [t](const Emission& e) { return e.time < t; }) -
+        deploy_emissions.begin());
+  };
+  const size_t first = deployment_metric ? emitted_before(from) : created_before(from);
+  const size_t end = deployment_metric ? emitted_before(to) : created_before(to);
+
+  FeatureDataBuilder builder;
+  std::vector<LabeledExample> out;
+  out.reserve(end > first ? end - first : 0);
   size_t next_obs = 0;
-  SimTime window_end = trace.observation_window();
-  for (const Emission& e : emissions) {
-    if (e.time >= to) break;
-    while (next_obs < obs.size() && obs[next_obs].time <= e.time) {
-      Apply(obs[next_obs], builder, labeler);
+  const SimTime window_end = trace.observation_window();
+  for (size_t i = 0; i < end; ++i) {
+    const Emission e = deployment_metric
+                           ? deploy_emissions[i]
+                           : Emission{vms[i].created, static_cast<uint32_t>(i), 0, 0};
+    while (next_obs < stream.obs.size() && stream.obs[next_obs].time <= e.time) {
+      Apply(stream.obs[next_obs], trace, stream.groups, builder, labeler);
       ++next_obs;
     }
-    if (e.time < from) continue;
+    if (i < first) continue;
 
-    const VmRecord& vm = *e.vm;
+    const VmRecord& vm = vms[e.vm];
     int label = 0;
     switch (metric) {
       case Metric::kAvgCpu:
@@ -212,7 +271,7 @@ std::vector<LabeledExample> OfflinePipeline::BuildExamples(const Trace& trace,
             vm.created + kRepresentativeAfter > window_end) {
           continue;  // class unobservable within the window
         }
-        WorkloadClass cls = labeler.Label(vm);
+        WorkloadClass cls = labeler.Label(e.vm);
         if (cls == WorkloadClass::kUnknown) continue;
         label = cls == WorkloadClass::kInteractive ? kClassInteractive
                                                    : kClassDelayInsensitive;
@@ -225,25 +284,50 @@ std::vector<LabeledExample> OfflinePipeline::BuildExamples(const Trace& trace,
         label = DeploymentSizeBucket(e.deploy_cores);
         break;
     }
-    LabeledExample example;
+    LabeledExample& example = out.emplace_back();
     example.inputs = InputsFromVm(vm, catalog);
     example.history = builder.Snapshot(vm.subscription_id);
     example.label = label;
-    out.push_back(std::move(example));
   }
   return out;
 }
 
-std::unordered_map<uint64_t, SubscriptionFeatures> OfflinePipeline::BuildFeatureSnapshot(
-    const Trace& trace, SimTime until, bool use_fft_labels) {
-  std::vector<Observation> obs = BuildObservations(trace);
+std::unordered_map<uint64_t, SubscriptionFeatures> SnapshotFrom(const Trace& trace,
+                                                                const ObservationStream& stream,
+                                                                ClassLabeler& labeler,
+                                                                SimTime until) {
   FeatureDataBuilder builder;
-  ClassLabeler labeler(use_fft_labels);
-  for (const Observation& o : obs) {
+  for (const Observation& o : stream.obs) {
     if (o.time > until) break;
-    Apply(o, builder, labeler);
+    Apply(o, trace, stream.groups, builder, labeler);
   }
   return builder.TakeData();
+}
+
+}  // namespace
+
+bool OfflinePipeline::UsesRandomForest(Metric metric) {
+  return metric == Metric::kAvgCpu || metric == Metric::kP95Cpu;
+}
+
+FeatureEncoding OfflinePipeline::EncodingFor(Metric metric) {
+  return UsesRandomForest(metric) ? FeatureEncoding::kExpanded : FeatureEncoding::kCompact;
+}
+
+std::vector<LabeledExample> OfflinePipeline::BuildExamples(const Trace& trace,
+                                                           Metric metric, SimTime from,
+                                                           SimTime to, bool use_fft_labels) {
+  const ObservationStream stream = BuildObservations(trace, to - 1);
+  ClassLabeler labeler(trace, use_fft_labels);
+  const std::vector<Emission> deploy_emissions =
+      IsDeploymentMetric(metric) ? DeploymentEmissions(trace) : std::vector<Emission>{};
+  return ExamplesFrom(trace, stream, deploy_emissions, labeler, metric, from, to);
+}
+
+std::unordered_map<uint64_t, SubscriptionFeatures> OfflinePipeline::BuildFeatureSnapshot(
+    const Trace& trace, SimTime until, bool use_fft_labels) {
+  ClassLabeler labeler(trace, use_fft_labels);
+  return SnapshotFrom(trace, BuildObservations(trace, until), labeler, until);
 }
 
 rc::ml::Dataset OfflinePipeline::ToDataset(const std::vector<LabeledExample>& examples,
@@ -261,18 +345,30 @@ rc::ml::Dataset OfflinePipeline::ToDataset(const std::vector<LabeledExample>& ex
 TrainedModels OfflinePipeline::Run(const Trace& trace) const {
   rc::obs::Histogram& build_hist = StageHistogram(config_.metrics, "build_examples");
   rc::obs::Histogram& train_hist = StageHistogram(config_.metrics, "train");
+  // One stream and one labeler serve all six metrics and the snapshot.
+  ObservationStream stream;
+  {
+    rc::obs::ScopedTimer timer(&StageHistogram(config_.metrics, "observations"));
+    stream = BuildObservations(trace, config_.train_end);
+  }
+  ClassLabeler labeler(trace, config_.use_fft_labels);
+  std::vector<Emission> deploy_emissions;  // built for the first deployment metric
   TrainedModels trained;
   for (Metric metric : kAllMetrics) {
     std::vector<LabeledExample> examples;
     {
       rc::obs::ScopedTimer timer(&build_hist);
-      examples = BuildExamples(trace, metric, config_.train_begin, config_.train_end,
-                               config_.use_fft_labels);
+      if (IsDeploymentMetric(metric) && deploy_emissions.empty()) {
+        deploy_emissions = DeploymentEmissions(trace);
+      }
+      examples = ExamplesFrom(trace, stream, deploy_emissions, labeler, metric,
+                              config_.train_begin, config_.train_end);
     }
     if (examples.empty()) continue;
     rc::obs::ScopedTimer train_timer(&train_hist);
     Featurizer featurizer(metric, EncodingFor(metric));
     rc::ml::Dataset data = ToDataset(examples, featurizer);
+    examples = {};  // the dataset holds everything training needs
     // Guarantee full label arity even if a rare bucket is absent from the
     // window: pad with a single neutral-feature row per missing class.
     int expected = NumBuckets(metric);
@@ -311,8 +407,7 @@ TrainedModels OfflinePipeline::Run(const Trace& trace) const {
   }
   {
     rc::obs::ScopedTimer timer(&StageHistogram(config_.metrics, "feature_snapshot"));
-    trained.feature_data =
-        BuildFeatureSnapshot(trace, config_.train_end, config_.use_fft_labels);
+    trained.feature_data = SnapshotFrom(trace, stream, labeler, config_.train_end);
   }
   return trained;
 }

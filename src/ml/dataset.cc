@@ -4,6 +4,8 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "src/common/parallel.h"
+
 namespace rc::ml {
 
 Dataset::Dataset(std::vector<std::string> feature_names)
@@ -39,24 +41,28 @@ FeatureBinner FeatureBinner::Fit(const Dataset& data, int max_bins) {
   }
   FeatureBinner binner;
   binner.boundaries_.resize(data.num_features());
-  std::vector<double> col(data.num_rows());
-  for (size_t f = 0; f < data.num_features(); ++f) {
-    for (size_t i = 0; i < data.num_rows(); ++i) col[i] = data.Value(i, f);
-    std::sort(col.begin(), col.end());
-    auto& bounds = binner.boundaries_[f];
-    if (col.empty()) continue;
-    // Candidate boundaries at equal-frequency quantiles; deduplicate so
-    // low-cardinality (categorical) features get one bin per value. A
-    // boundary equal to the minimum would leave bin 0 empty (bin b holds
-    // values in [bounds[b-1], bounds[b])), so such candidates are skipped;
-    // a boundary equal to the maximum is fine (the max gets its own bin).
-    for (int b = 1; b < max_bins; ++b) {
-      size_t idx = col.size() * static_cast<size_t>(b) / static_cast<size_t>(max_bins);
-      if (idx >= col.size()) break;
-      double v = col[idx];
-      if (v > col.front() && (bounds.empty() || v > bounds.back())) bounds.push_back(v);
+  if (data.num_rows() == 0) return binner;
+  // Each feature's boundaries depend only on its own column, so features fan
+  // out over threads with identical results for any thread count.
+  ParallelFor(data.num_features(), HardwareThreads(), [&](size_t begin, size_t end) {
+    std::vector<double> col(data.num_rows());
+    for (size_t f = begin; f < end; ++f) {
+      for (size_t i = 0; i < data.num_rows(); ++i) col[i] = data.Value(i, f);
+      std::sort(col.begin(), col.end());
+      auto& bounds = binner.boundaries_[f];
+      // Candidate boundaries at equal-frequency quantiles; deduplicate so
+      // low-cardinality (categorical) features get one bin per value. A
+      // boundary equal to the minimum would leave bin 0 empty (bin b holds
+      // values in [bounds[b-1], bounds[b])), so such candidates are skipped;
+      // a boundary equal to the maximum is fine (the max gets its own bin).
+      for (int b = 1; b < max_bins; ++b) {
+        size_t idx = col.size() * static_cast<size_t>(b) / static_cast<size_t>(max_bins);
+        if (idx >= col.size()) break;
+        double v = col[idx];
+        if (v > col.front() && (bounds.empty() || v > bounds.back())) bounds.push_back(v);
+      }
     }
-  }
+  });
   return binner;
 }
 
@@ -66,13 +72,14 @@ int FeatureBinner::Bin(size_t f, double v) const {
 }
 
 std::vector<uint8_t> FeatureBinner::Transform(const Dataset& data) const {
-  std::vector<uint8_t> out(data.num_rows() * data.num_features());
-  for (size_t f = 0; f < data.num_features(); ++f) {
-    uint8_t* col = out.data() + f * data.num_rows();
-    for (size_t i = 0; i < data.num_rows(); ++i) {
-      col[i] = static_cast<uint8_t>(Bin(f, data.Value(i, f)));
+  const size_t rows = data.num_rows();
+  std::vector<uint8_t> out(rows * data.num_features());
+  ParallelFor(data.num_features(), HardwareThreads(), [&](size_t begin, size_t end) {
+    for (size_t f = begin; f < end; ++f) {
+      uint8_t* col = out.data() + f * rows;
+      for (size_t i = 0; i < rows; ++i) col[i] = static_cast<uint8_t>(Bin(f, data.Value(i, f)));
     }
-  }
+  });
   return out;
 }
 

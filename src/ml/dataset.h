@@ -50,7 +50,8 @@ class Dataset {
 // splits) but store raw-value thresholds so inference works on raw features.
 class FeatureBinner {
  public:
-  // Learns bin boundaries from the data.
+  // Learns bin boundaries from the data, one feature per task across
+  // threads; the result does not depend on the thread count.
   static FeatureBinner Fit(const Dataset& data, int max_bins = 64);
 
   // Bin index of value v for feature f, in [0, NumBins(f)).
@@ -65,11 +66,12 @@ class FeatureBinner {
     return boundaries_[f][static_cast<size_t>(b)];
   }
 
-  // Column-major binned matrix: entry (row, f) at [f * rows + row].
+  // Column-major binned matrix: entry (row, f) at [f * rows + row]. Columns
+  // are filled in parallel.
   std::vector<uint8_t> Transform(const Dataset& data) const;
 
  private:
-  // boundaries_[f] is sorted; bin(v) = #(boundaries <= ... ) via upper_bound.
+  // boundaries_[f] is sorted; bin(v) = number of boundaries <= v (upper_bound).
   std::vector<std::vector<double>> boundaries_;
 };
 

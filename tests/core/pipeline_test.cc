@@ -36,9 +36,17 @@ PipelineConfig FastConfig() {
   return config;
 }
 
+// Receives the stage-duration instruments of SharedModels()'s one Run.
+rc::obs::MetricsRegistry& SharedRunMetrics() {
+  static auto* registry = new rc::obs::MetricsRegistry();
+  return *registry;
+}
+
 const TrainedModels& SharedModels() {
   static const TrainedModels* models = [] {
-    OfflinePipeline pipeline(FastConfig());
+    PipelineConfig config = FastConfig();
+    config.metrics = &SharedRunMetrics();
+    OfflinePipeline pipeline(config);
     return new TrainedModels(pipeline.Run(SharedTrace()));
   }();
   return *models;
@@ -94,6 +102,22 @@ TEST(PipelineTest, TrainsAllSixModels) {
     }
   }
   EXPECT_FALSE(trained.feature_data.empty());
+}
+
+TEST(PipelineTest, RunAttributesEveryStage) {
+  SharedModels();
+  auto count = [](const char* stage) {
+    return SharedRunMetrics()
+        .GetHistogram("rc_pipeline_stage_duration_us", {}, {{"stage", stage}})
+        .TakeSnapshot()
+        .count;
+  };
+  // The observation stream is built once and shared by the six metrics'
+  // example builds and the snapshot.
+  EXPECT_EQ(count("observations"), 1u);
+  EXPECT_EQ(count("build_examples"), 6u);
+  EXPECT_EQ(count("train"), 6u);
+  EXPECT_EQ(count("feature_snapshot"), 1u);
 }
 
 TEST(PipelineTest, ExamplesChronologicalAndWindowed) {

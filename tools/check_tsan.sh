@@ -74,4 +74,9 @@ echo "== rc_trace_tests (TSan, parallel summary pass + fingerprint) =="
 "${BUILD_DIR}/tests/rc_trace_tests" --gtest_filter='TraceFingerprint*'
 echo "== rc_common_tests (TSan, ParallelFor) =="
 "${BUILD_DIR}/tests/rc_common_tests" --gtest_filter='ParallelFor*'
+# Feature binning fans out over features, each thread writing its own
+# columns of the boundaries and the binned matrix; the parity suite checks
+# both against a sequential oracle, so it runs regardless of any caller filter.
+echo "== rc_ml_tests (TSan, parallel feature binning) =="
+"${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='FeatureBinner*'
 echo "TSan check passed: no data races reported."
