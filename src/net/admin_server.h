@@ -1,8 +1,8 @@
 // Minimal HTTP/1.0 introspection endpoint (DESIGN.md "Tracing &
-// introspection"). One thread runs a non-blocking epoll loop (the same
-// EINTR-safe IO helpers as the RCNP server) serving GET-only routes —
-// rc_server mounts /metrics, /healthz, /varz and /tracez on it. It is an
-// operator surface, deliberately not a web server:
+// introspection"): a one-worker instance of the epoll connection loop the
+// RCNP server runs on (conn_loop.h), serving GET-only routes — rc_server
+// mounts /metrics, /healthz, /varz and /tracez on it. It is an operator
+// surface, deliberately not a web server:
 //
 //  * HTTP/1.0 semantics: one request per connection, response carries
 //    Content-Length and Connection: close, the socket closes after the
@@ -10,25 +10,25 @@
 //  * requests are read until the blank line ending the header block;
 //    dribbled requests (byte-at-a-time) just keep buffering. A request
 //    exceeding max_request_bytes without completing is answered 414 and the
-//    connection closed; a request line that is not `GET <path> HTTP/x.y` is
-//    answered 400. The listener survives all of this — one bad client never
-//    takes the endpoint down (pinned by tests/net/admin_server_test.cc).
+//    connection closed. Reading stops as soon as the buffer passes that
+//    bound (by at most one 4 KiB read), so a peer streaming an endless
+//    header block cannot grow it further. A request line that is not
+//    `GET <path> HTTP/x.y` is answered 400. The listener survives all of
+//    this — one bad client never takes the endpoint down (pinned by
+//    tests/net/admin_server_test.cc).
 //  * handlers run on the admin thread and must be thread-safe; they return
 //    a complete body (status, content type, bytes). The query string is
 //    stripped before route lookup; unknown paths are 404.
 #ifndef RC_SRC_NET_ADMIN_SERVER_H_
 #define RC_SRC_NET_ADMIN_SERVER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
-#include <vector>
 
-#include "src/net/server.h"
+#include "src/net/conn_loop.h"
 #include "src/obs/metrics.h"
 
 namespace rc::net {
@@ -44,7 +44,7 @@ struct AdminServerConfig {
   rc::obs::MetricsRegistry* metrics = nullptr;
 };
 
-class AdminServer {
+class AdminServer : private ConnHandler {
  public:
   struct Response {
     int status = 200;
@@ -54,7 +54,7 @@ class AdminServer {
   using Handler = std::function<Response()>;
 
   explicit AdminServer(AdminServerConfig config);
-  ~AdminServer();
+  ~AdminServer() override;
 
   AdminServer(const AdminServer&) = delete;
   AdminServer& operator=(const AdminServer&) = delete;
@@ -68,43 +68,20 @@ class AdminServer {
   // Closes every connection and joins the thread. Idempotent.
   void Stop();
 
-  uint16_t port() const { return port_; }
+  uint16_t port() const { return loop_.port(); }
 
  private:
-  struct Conn {
-    int fd = -1;
-    std::vector<uint8_t> in;
-    std::string out;
-    size_t out_off = 0;
-    bool responded = false;  // response queued; close once it drains
-    bool epollout_armed = false;
-  };
-
-  void Loop();
-  void AcceptReady();
-  // False when the connection was closed and erased.
-  bool ReadReady(Conn& conn);
-  bool WriteReady(Conn& conn);
+  void OnRead(Conn& conn) override { MaybeRespond(conn); }
   // Inspects conn.in; once the header block (or an error condition) is
-  // complete, queues the response and marks the connection responded.
+  // complete, queues the response and closes after it is flushed.
   void MaybeRespond(Conn& conn);
   void QueueResponse(Conn& conn, const Response& response);
-  void CloseConn(int fd);
-  bool UpdateEpollOut(Conn& conn, bool want);
 
   AdminServerConfig config_;
   std::unordered_map<std::string, Handler> routes_;
-  int listen_fd_ = -1;
-  int epoll_fd_ = -1;
-  int wake_fd_ = -1;
-  uint16_t port_ = 0;
-  std::thread thread_;
-  std::unordered_map<int, std::unique_ptr<Conn>> conns_;
-  std::atomic<bool> running_{false};
-  std::atomic<bool> stopping_{false};
-  FdReserve fd_reserve_;
   std::unique_ptr<rc::obs::MetricsRegistry> owned_metrics_;
   rc::obs::Counter* rejected_fd_limit_ = nullptr;
+  ConnLoop loop_;  // last: its worker uses everything above
 };
 
 }  // namespace rc::net

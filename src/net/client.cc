@@ -12,7 +12,7 @@
 
 #include "src/common/clock.h"
 #include "src/common/faults.h"
-#include "src/net/server.h"  // EINTR-safe read/write wrappers
+#include "src/net/conn_loop.h"  // EINTR-safe read/write wrappers
 #include "src/obs/trace_context.h"
 
 namespace rc::net {
