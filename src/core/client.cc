@@ -107,7 +107,6 @@ Client::Client(rc::store::KvStore* store, ClientConfig config)
   {
     rc::cache::CacheOptions cache_options;
     cache_options.capacity = config_.result_cache_capacity;
-    cache_options.admission = config_.result_cache_admission;
     cache_options.metrics = metrics_;
     cache_options.metric_labels = config_.metric_labels;
     result_cache_ =
@@ -444,7 +443,7 @@ Client::IngestResult Client::IngestLocked(ClientState& state, const std::string&
       entry->engine = entry->model->engine();
       entry->blob_version = blob.version;
       entry->loaded_at_ns = rc::obs::NowNs();
-      if (entry->engine != nullptr) ExportModelBytes(name, *entry->engine);
+      ExportModelBytes(name, *entry->engine);
       // The spec may arrive before or after the model; featurizer is built
       // when both are present.
       if (!entry->spec.name.empty() && entry->featurizer == nullptr) {
@@ -593,11 +592,7 @@ Prediction Client::Execute(const ClientState& state, const LoadedModel& entry,
   }
   m_.model_executions->Increment();
   rc::obs::TraceSpan execute_span("client/execute");
-  // Compiled models run the engine directly; the virtual path serves
-  // classifier types without an engine.
-  const auto scored = entry.engine != nullptr
-                          ? entry.engine->PredictScored(row, proba)
-                          : entry.model->PredictScored(row, proba);
+  const auto scored = entry.engine->PredictScored(row, proba);
   return Prediction::Of(scored.label, scored.score);
 }
 
@@ -821,12 +816,7 @@ std::vector<Prediction> Client::PredictMany(const std::string& model_name,
     }
     {
       rc::obs::TraceSpan exec_span("client/exec_batch");
-      if (model->engine != nullptr) {
-        model->engine->PredictBatch(X.data(), unique_rows.size(), nf,
-                                    proba.data());
-      } else {
-        model->model->PredictBatch(X.data(), unique_rows.size(), nf, proba.data());
-      }
+      model->engine->PredictBatch(X.data(), unique_rows.size(), nf, proba.data());
     }
     m_.model_executions->Increment(unique_rows.size());
     std::vector<Prediction> scored(unique_rows.size());

@@ -93,10 +93,6 @@ struct ClientConfig {
   // never a flush. 0 disables the result cache entirely (every
   // PredictSingle executes).
   size_t result_cache_capacity = 1 << 20;
-  // W-TinyLFU admission for the result cache (src/cache/sharded_cache.h):
-  // one-shot scan keys cannot displace the frequently-requested working set.
-  // false degrades the policy to a plain LRU (same per-insert eviction).
-  bool result_cache_admission = true;
   // Serve predictions with an empty history for subscriptions absent from
   // the feature data (off by default: the paper returns no-prediction).
   bool allow_missing_feature_data = false;
@@ -256,7 +252,9 @@ class Client {
     std::shared_ptr<const Featurizer> featurizer;
     // The model's compiled execution engine, resolved once at ingest so the
     // batched hot path needs no virtual dispatch. Owned by `model` (which
-    // this entry holds); null for classifier types without a compiled form.
+    // this entry holds). Never null while `model` is set: DeserializeTagged
+    // only yields RandomForest and GradientBoostedTrees, which always compile
+    // one.
     const rc::ml::ExecEngine* engine = nullptr;
     // Snapshot identity for /healthz: the store version of the last blob
     // applied to this entry and when it was published.

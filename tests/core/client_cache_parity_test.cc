@@ -126,26 +126,6 @@ TEST_F(ClientCacheParityTest, CachedResultsBitIdenticalToCacheOff) {
   EXPECT_EQ(uncached.stats().result_hits, 0u);
 }
 
-TEST_F(ClientCacheParityTest, AdmissionOffParityHolds) {
-  ClientConfig config;
-  config.result_cache_admission = false;  // plain-LRU arm, same oracle
-  Client cached(store_.get(), config);
-  ASSERT_TRUE(cached.Initialize());
-
-  ClientConfig uncached_config;
-  uncached_config.result_cache_capacity = 0;
-  Client uncached(store_.get(), uncached_config);
-  ASSERT_TRUE(uncached.Initialize());
-
-  const std::vector<ClientInputs> inputs = KnownInputSet(100);
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const auto& in : inputs) {
-      ASSERT_TRUE(BitIdentical(cached.PredictSingle("VM_P95UTIL", in),
-                               uncached.PredictSingle("VM_P95UTIL", in)));
-    }
-  }
-}
-
 TEST_F(ClientCacheParityTest, RepublishStormPreservesEpochSemantics) {
   // Readers hammer predictions while feature data republishes churn the
   // snapshot and invalidate the result cache. Afterwards, every cached
