@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/hashing.h"
 #include "src/obs/metrics.h"
 
 namespace rc::cache {
@@ -214,6 +215,33 @@ TEST(Word2CacheTest, ConcurrentReadersNeverSeeTornValues) {
   writer.join();
   for (auto& th : readers) th.join();
   EXPECT_EQ(torn.load(), 0u) << "a reader observed a torn or stale-keyed value";
+}
+
+TEST(Word2CacheTest, EvictedSlotsNeverAnswerForAnotherKey) {
+  // Key 0 is never inserted; every other key shares its 7-bit tag, so a
+  // reader probing for 0 matches the tag of each slot the writer evicts or
+  // invalidates. An evicted slot must not turn into an entry for key 0.
+  const uint64_t tag0 = rc::HashU64(0) >> 57;
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 1; keys.size() < 64; ++k) {
+    if ((rc::HashU64(k) >> 57) == tag0) keys.push_back(k);
+  }
+  Word2Cache cache(SmallOptions(8));
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> false_hits{0};
+  std::thread reader([&] {
+    uint64_t out[2];
+    while (!stop.load(std::memory_order_relaxed)) {
+      if (cache.Lookup(0, out)) false_hits.fetch_add(1, std::memory_order_relaxed);
+    }
+  });
+  for (int round = 0; round < 5000; ++round) {
+    for (uint64_t k : keys) InsertKey(cache, k);
+    if (round % 64 == 63) cache.Invalidate();
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reader.join();
+  EXPECT_EQ(false_hits.load(), 0u) << "a never-inserted key was served";
 }
 
 TEST(Word2CacheTest, ReaderRecencyReachesTheNextInsert) {
