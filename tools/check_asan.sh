@@ -36,9 +36,11 @@ echo "== rc_ml_tests (ASan+UBSan, exec-engine parity) =="
 "${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*'
 # The admin endpoint parses hostile HTTP (dribbled, oversized, malformed)
 # and the v2 header decoder reads optional trace blocks from untrusted
-# frames — exactly the bounds-handling shapes ASan exists to vet.
-echo "== rc_net_tests (ASan+UBSan, admin endpoint + wire tracing) =="
-"${BUILD_DIR}/tests/rc_net_tests" --gtest_filter='AdminServer*:TracePropagation*:NetProtocol*'
+# frames — exactly the bounds-handling shapes ASan exists to vet. The frame
+# fuzzer drives the connection loop both servers share through truncated,
+# corrupt and oversized frames.
+echo "== rc_net_tests (ASan+UBSan, admin endpoint + wire tracing + frame fuzz) =="
+"${BUILD_DIR}/tests/rc_net_tests" --gtest_filter='AdminServer*:TracePropagation*:NetProtocol*:FrameFuzz*'
 # At the descriptor limit both listeners shed queued connections through a
 # spare descriptor (close, accept, close, reopen) — fd juggling that ASan
 # and UBSan vet for double closes and use of a closed descriptor's state.

@@ -47,9 +47,11 @@ echo "== rc_ml_tests (TSan, exec-engine parity) =="
 # Tracing + admin endpoint always run under TSan: the span tree is assembled
 # across client threads, epoll workers, and the combiner's dispatcher, and
 # the admin thread scrapes registries the workers are writing — both are
-# cross-thread by construction.
-echo "== rc_net_tests (TSan, tracing + admin endpoint) =="
-"${BUILD_DIR}/tests/rc_net_tests" --gtest_filter='TracePropagation*:AdminServer*'
+# cross-thread by construction. The frame fuzzer and the loopback suite run
+# too: both servers share one connection loop (worker handoff, read, flush,
+# close), and these drive it from many client threads.
+echo "== rc_net_tests (TSan, tracing + admin endpoint + connection loop) =="
+"${BUILD_DIR}/tests/rc_net_tests" --gtest_filter='TracePropagation*:AdminServer*:FrameFuzz*:NetLoopback*'
 echo "== rc_obs_tests (TSan, trace store + window rotation) =="
 "${BUILD_DIR}/tests/rc_obs_tests" --gtest_filter='TraceContext*:HistogramWindow*'
 # The seqlock probe is the load-bearing lock-free structure in the serving
