@@ -27,13 +27,10 @@ rc::obs::Labels WithReason(const rc::obs::Labels& base, const char* reason) {
 
 }  // namespace
 
-BatchCombiner::BatchCombiner(Client* client, BatchCombinerConfig config)
-    : client_(client), config_(std::move(config)) {
-  clock_ = config_.clock != nullptr ? config_.clock
-                                    : rc::common::MonotonicClock::Instance();
-  rc::obs::MetricsRegistry* metrics =
-      config_.metrics != nullptr ? config_.metrics : &client_->metrics();
-  const rc::obs::Labels& labels = config_.metric_labels;
+BatchCombiner::BatchCombiner(Client* client, CombinerOptions options)
+    : client_(client), options_(options), clock_(client->clock_) {
+  rc::obs::MetricsRegistry* metrics = &client_->metrics();
+  const rc::obs::Labels& labels = client_->config_.metric_labels;
   m_.requests = &metrics->GetCounter("rc_combiner_requests", labels,
                                      "requests entering the combiner");
   m_.fast_path = &metrics->GetCounter("rc_combiner_fast_path", labels,
@@ -68,6 +65,8 @@ CombineResult BatchCombiner::Predict(const std::string& model,
   m_.requests->Increment();
   Slot slot;
   slot.inputs = &inputs;
+  slot.key = inputs.CacheKey(model);
+  slot.stamp = client_->Stamp(inputs.subscription_id);
 
   std::unique_lock<std::mutex> lock(mu_);
   if (shutdown_) {
@@ -77,15 +76,15 @@ CombineResult BatchCombiner::Predict(const std::string& model,
     return aborted;
   }
   ModelQueue& queue = queues_[model];
-  if (config_.fast_path_when_idle && queue.open == nullptr && queue.in_flight == 0) {
-    return FastPath(lock, queue, model, inputs);
+  if (options_.fast_path_when_idle && queue.open == nullptr && queue.in_flight == 0) {
+    return FastPath(lock, queue, model, slot);
   }
 
   const int64_t parked_at_us = clock_->NowUs();
   bool leader = false;
   if (queue.open == nullptr) {
     queue.open = std::make_shared<Batch>();
-    queue.open->deadline_us = parked_at_us + config_.max_wait_us;
+    queue.open->deadline_us = parked_at_us + options_.max_wait_us;
     leader = true;
   }
   std::shared_ptr<Batch> batch = queue.open;
@@ -98,7 +97,7 @@ CombineResult BatchCombiner::Predict(const std::string& model,
   pending_ += 1;
   m_.pending->Set(static_cast<double>(pending_));
 
-  if (batch->slots.size() >= config_.max_batch) {
+  if (batch->slots.size() >= options_.max_batch) {
     // The filler dispatches; the leader (and every other joiner) is woken
     // with its result already routed.
     DispatchLocked(lock, queue, model, batch, CombineFlush::kFull);
@@ -147,11 +146,12 @@ CombineResult BatchCombiner::Predict(const std::string& model,
 
 CombineResult BatchCombiner::FastPath(std::unique_lock<std::mutex>& lock,
                                       ModelQueue& queue, const std::string& model,
-                                      const ClientInputs& inputs) {
+                                      Slot& slot) {
   queue.in_flight += 1;
   const uint64_t id = next_batch_id_++;
   lock.unlock();
-  Prediction prediction = client_->PredictUncoalesced(model, inputs);
+  const Client::MissRow row{slot.inputs, slot.key, slot.stamp, &slot.result};
+  client_->ScoreMisses(model, {&row, 1});
   DegradedReason degraded = client_->degraded_reason();
   lock.lock();
   queue.in_flight -= 1;
@@ -163,7 +163,7 @@ CombineResult BatchCombiner::FastPath(std::unique_lock<std::mutex>& lock,
     cv_.notify_all();
   }
   CombineResult out;
-  out.prediction = prediction;
+  out.prediction = slot.result;
   out.degraded = degraded;
   out.flush = CombineFlush::kFastPath;
   out.batch_size = 1;
@@ -179,20 +179,21 @@ void BatchCombiner::DispatchLocked(std::unique_lock<std::mutex>& lock,
   if (queue.open == batch) queue.open.reset();
   queue.in_flight += 1;
   const uint64_t id = next_batch_id_++;
-  std::vector<ClientInputs> rows;
+  // Each row writes its answer straight into its slot; the slot's owner
+  // reads it only after `done` is set under mu_ below.
+  std::vector<Client::MissRow> rows;
   rows.reserve(batch->slots.size());
-  for (const Slot* s : batch->slots) rows.push_back(*s->inputs);
+  for (Slot* s : batch->slots) rows.push_back({s->inputs, s->key, s->stamp, &s->result});
 
   lock.unlock();
-  // One snapshot load, one batched ExecEngine walk, identical results to the
-  // per-request path input-for-input (PredictMany's pinned guarantee).
+  // One snapshot load, one batched ExecEngine walk: the miss path a lone
+  // PredictSingle takes, so results are identical input-for-input.
   rc::obs::TraceContext dispatch_ctx;
-  std::vector<Prediction> results;
   {
     // Parents under the dispatching caller's own park span; the other
     // coalesced callers reach it through follows-from links.
     rc::obs::TraceSpan dispatch_span("combiner/dispatch");
-    results = client_->PredictMany(model, rows);
+    client_->ScoreMisses(model, rows);
     dispatch_ctx = dispatch_span.context();
   }
   DegradedReason degraded = client_->degraded_reason();
@@ -202,7 +203,6 @@ void BatchCombiner::DispatchLocked(std::unique_lock<std::mutex>& lock,
   const size_t n = batch->slots.size();
   for (size_t i = 0; i < n; ++i) {
     Slot* s = batch->slots[i];
-    s->result = results[i];
     s->degraded = degraded;
     s->flush = reason;
     s->batch_size = n;
@@ -252,7 +252,7 @@ void BatchCombiner::Shutdown() {
     queue.open.reset();
   }
   // Slots in batches already detached for dispatch are not aborted: their
-  // PredictMany completes and delivers real results.
+  // dispatch completes and delivers real results.
   pending_ -= drained;
   m_.pending->Set(static_cast<double>(pending_));
   if (drained > 0) m_.flush_shutdown->Increment(drained);

@@ -1,13 +1,14 @@
 // Cross-request batching combiner (DESIGN.md "Cross-request batching").
 //
-// PR 4's ExecEngine scores a batch of 64 rows 2.4-2.8x faster per row than
+// The ExecEngine scores a batch of 64 rows 2.4-2.8x faster per row than
 // single rows, but concurrent PredictSingle callers each walk the ensemble
 // alone. The combiner closes that gap: post-cache-miss PredictSingle calls
 // for the same model are parked for a bounded window and dispatched as ONE
-// Client::PredictMany (one snapshot load, one batched ExecEngine walk), with
-// each caller handed back exactly the prediction it would have computed
-// alone — PredictMany is pinned input-for-input identical to PredictSingle,
-// so enabling the combiner never changes results, only scheduling.
+// call of the client's miss path (one snapshot load, one batched ExecEngine
+// walk; the parked rows are not probed again). A lone caller's fast path and
+// a combiner-off miss run that same path with one row, so each caller gets
+// exactly the prediction it would have computed alone: enabling the
+// combiner never changes results, only scheduling.
 //
 // Dispatch policy (per model; every rule below is pinned by the
 // VirtualClock suite in tests/core/batch_combiner_test.cc):
@@ -28,10 +29,12 @@
 //    into overlapping partial executions, and the extra wait is bounded by
 //    the in-flight execution, not by wall-clock).
 //  * shutdown — parked callers are drained with ok=false (never a hang);
-//    Client::PredictSingle falls back to direct execution in that case.
+//    Client::PredictSingle falls back to scoring the row itself then.
 //
-// Time is injected (rc::common::Clock): production uses MonotonicClock,
-// tests drive a VirtualClock so window expiry and wait accounting are exact.
+// Time comes from the client's clock (ClientConfig::clock): production uses
+// MonotonicClock, tests drive a VirtualClock so window expiry and wait
+// accounting are exact. The rc_combiner_* instruments land in the client's
+// registry under its labels.
 #ifndef RC_SRC_CORE_BATCH_COMBINER_H_
 #define RC_SRC_CORE_BATCH_COMBINER_H_
 
@@ -62,22 +65,6 @@ enum class CombineFlush : uint8_t {
 };
 const char* ToString(CombineFlush flush);
 
-struct BatchCombinerConfig {
-  // Coalescing window, armed by the first parked arrival for a model.
-  int64_t max_wait_us = 40;
-  // Flush as soon as a batch holds this many requests.
-  size_t max_batch = 64;
-  // Execute immediately when the model has no open batch and no dispatch in
-  // flight. Disable to force every caller through the parked path (the
-  // deterministic tests do, so a lone caller exercises the window).
-  bool fast_path_when_idle = true;
-  // Injected time source; null uses MonotonicClock::Instance().
-  rc::common::Clock* clock = nullptr;
-  // Registry for the rc_combiner_* instruments; null = the client's registry.
-  rc::obs::MetricsRegistry* metrics = nullptr;
-  rc::obs::Labels metric_labels;
-};
-
 // One coalesced prediction. `ok` is false only when the combiner was shut
 // down while the request was parked (the prediction is None then).
 struct CombineResult {
@@ -89,25 +76,28 @@ struct CombineResult {
   // Dispatch diagnostics (pinned by tests; stable across a batch).
   CombineFlush flush = CombineFlush::kFastPath;
   size_t batch_size = 1;
-  // Identifies the PredictMany dispatch that produced this result. All
-  // requests sharing a batch_id were scored against one state snapshot.
+  // Identifies the dispatch that produced this result. All requests sharing
+  // a batch_id were scored against one state snapshot.
   uint64_t batch_id = 0;
 };
 
 class BatchCombiner {
  public:
   // The client must outlive the combiner. The combiner never re-enters
-  // Client::PredictSingle (which may route back into it): the fast path uses
-  // the client's direct post-cache-miss entry and batches use PredictMany.
-  BatchCombiner(Client* client, BatchCombinerConfig config);
+  // Client::PredictSingle (which may route back into it): the fast path and
+  // every dispatch call the client's miss path directly. `options.enabled`
+  // is not read here.
+  BatchCombiner(Client* client, CombinerOptions options);
   ~BatchCombiner();  // implies Shutdown()
 
   BatchCombiner(const BatchCombiner&) = delete;
   BatchCombiner& operator=(const BatchCombiner&) = delete;
 
-  // Coalescing equivalent of client->PredictSingle(model, inputs): blocks
-  // until this request's batch is dispatched (bounded by max_wait_us plus
-  // the dispatch itself). Thread-safe.
+  // Coalescing equivalent of a PredictSingle that missed the result cache:
+  // blocks until this request's batch is dispatched (bounded by max_wait_us
+  // plus the dispatch itself). Reads the request's cache key and generation
+  // stamp on entry, before the dispatch loads the snapshot, and never probes
+  // the result cache itself. Thread-safe.
   CombineResult Predict(const std::string& model, const ClientInputs& inputs);
 
   // Drains every parked request with ok=false and makes all future Predict
@@ -123,7 +113,9 @@ class BatchCombiner {
   // are only held while the caller is blocked inside Predict.
   struct Slot {
     const ClientInputs* inputs;
-    Prediction result;
+    uint64_t key;    // result-cache key and generation stamp, read on entry
+    uint32_t stamp;
+    Prediction result;  // written by the dispatching thread before `done`
     DegradedReason degraded = DegradedReason::kNone;
     CombineFlush flush = CombineFlush::kFastPath;
     size_t batch_size = 1;
@@ -151,19 +143,19 @@ class BatchCombiner {
     int in_flight = 0;            // dispatches currently executing
   };
 
-  // Detaches `batch`, runs PredictMany outside the lock, routes results back
+  // Detaches `batch`, scores its rows outside the lock, routes results back
   // to every slot, and flushes any batch that opened meanwhile (handoff).
   // Requires `lock` held on entry; holds it again on return.
   void DispatchLocked(std::unique_lock<std::mutex>& lock, ModelQueue& queue,
                       const std::string& model, const std::shared_ptr<Batch>& batch,
                       CombineFlush reason);
-  // Fast path: direct single execution with handoff on completion.
+  // Fast path: the slot's row scored at once, with handoff on completion.
   CombineResult FastPath(std::unique_lock<std::mutex>& lock, ModelQueue& queue,
-                         const std::string& model, const ClientInputs& inputs);
+                         const std::string& model, Slot& slot);
 
   Client* client_;
-  BatchCombinerConfig config_;
-  rc::common::Clock* clock_;
+  CombinerOptions options_;
+  rc::common::Clock* clock_;  // the client's
 
   mutable std::mutex mu_;
   // One condition variable for every parked caller (leaders wait on it via

@@ -301,15 +301,4 @@ void ExecEngine::PredictInto(std::span<const double> x,
   PredictBatch(x.data(), 1, x.size(), proba_out.data(), mode);
 }
 
-Classifier::Scored ExecEngine::PredictScored(std::span<const double> x,
-                                             std::span<double> scratch,
-                                             Mode mode) const {
-  PredictInto(x, scratch, mode);
-  int best = 0;
-  for (int c = 1; c < num_classes_; ++c) {
-    if (scratch[static_cast<size_t>(c)] > scratch[static_cast<size_t>(best)]) best = c;
-  }
-  return Classifier::Scored{best, scratch[static_cast<size_t>(best)]};
-}
-
 }  // namespace rc::ml

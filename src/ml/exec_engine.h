@@ -64,7 +64,7 @@ class ExecEngine {
     kBoosted,         // regression trees; logit accumulation + sigmoid/softmax
   };
 
-  // Which walk executes a PredictBatch/PredictInto/PredictScored call. See
+  // Which walk executes a PredictBatch/PredictInto call. See
   // the header comment; Resolve() maps a requested mode to the one that
   // actually runs on this host/model.
   enum class Mode : uint8_t {
@@ -118,13 +118,6 @@ class ExecEngine {
   // be num_classes(). Exactly PredictBatch with n == 1.
   void PredictInto(std::span<const double> x, std::span<double> proba_out,
                    Mode mode = Mode::kAuto) const;
-
-  // Argmax + confidence without allocation; `scratch.size()` must be
-  // num_classes(). Ties break toward the lower class index, matching
-  // Classifier::PredictScored.
-  Classifier::Scored PredictScored(std::span<const double> x,
-                                   std::span<double> scratch,
-                                   Mode mode = Mode::kAuto) const;
 
  private:
   ExecEngine() = default;

@@ -105,7 +105,7 @@ TEST_F(BatchCombinerStressTest, StormDuringRepublishServesEachBatchFromOneSnapsh
   Client client(&store, config);
   ASSERT_TRUE(client.Initialize());
 
-  BatchCombinerConfig cc;
+  CombinerOptions cc;
   cc.max_wait_us = 50;
   cc.max_batch = 8;
   // A lone 2µs prediction rarely overlaps another; force every caller to
@@ -193,7 +193,7 @@ TEST_F(BatchCombinerStressTest, ParkFlushShutdownRace) {
   constexpr int kCycles = 25;
   constexpr int kThreads = 8;
   for (int cycle = 0; cycle < kCycles; ++cycle) {
-    BatchCombinerConfig cc;
+    CombinerOptions cc;
     cc.max_wait_us = 5'000;  // long enough that shutdown usually finds parked callers
     cc.max_batch = kThreads + 1;  // never flushes full: window/handoff/shutdown only
     cc.fast_path_when_idle = (cycle % 2 == 0);
@@ -244,10 +244,9 @@ TEST_F(BatchCombinerStressTest, RandomInterleavingsMatchUncoalescedBitExactly) {
   Client client(&store, config);
   ASSERT_TRUE(client.Initialize());
 
-  BatchCombinerConfig cc;
+  CombinerOptions cc;
   cc.max_wait_us = 40;
   cc.max_batch = 4;
-  cc.clock = &clock;
   BatchCombiner combiner(&client, cc);
 
   Rng rng(20260807);

@@ -82,11 +82,10 @@ TEST_F(BatchCombinerTest, WindowExpiryFlushesAccumulatedBatch) {
   Client client(&store, config);
   ASSERT_TRUE(client.Initialize());
 
-  BatchCombinerConfig cc;
+  CombinerOptions cc;
   cc.max_wait_us = 40;
   cc.max_batch = 64;
   cc.fast_path_when_idle = false;  // force even the first caller to park
-  cc.clock = &clock;
   BatchCombiner combiner(&client, cc);
 
   auto inputs = ServableInputs(3);
@@ -129,11 +128,10 @@ TEST_F(BatchCombinerTest, FlushOnFullDispatchesWithoutAnyTimePassing) {
   Client client(&store, config);
   ASSERT_TRUE(client.Initialize());
 
-  BatchCombinerConfig cc;
+  CombinerOptions cc;
   cc.max_wait_us = 1'000'000;  // the window must never be the flush reason
   cc.max_batch = 4;
   cc.fast_path_when_idle = false;
-  cc.clock = &clock;
   BatchCombiner combiner(&client, cc);
 
   auto inputs = ServableInputs(4);
@@ -166,10 +164,9 @@ TEST_F(BatchCombinerTest, LoneCallerTakesFastPathWithoutParking) {
   Client client(&store, config);
   ASSERT_TRUE(client.Initialize());
 
-  BatchCombinerConfig cc;
+  CombinerOptions cc;
   cc.max_wait_us = 40;
   cc.fast_path_when_idle = true;
-  cc.clock = &clock;
   BatchCombiner combiner(&client, cc);
 
   auto inputs = ServableInputs(1);
@@ -197,11 +194,10 @@ TEST_F(BatchCombinerTest, DuplicateKeysRouteToEveryCaller) {
   Client client(&store, config);
   ASSERT_TRUE(client.Initialize());
 
-  BatchCombinerConfig cc;
+  CombinerOptions cc;
   cc.max_wait_us = 1'000'000;
   cc.max_batch = 3;
   cc.fast_path_when_idle = false;
-  cc.clock = &clock;
   BatchCombiner combiner(&client, cc);
 
   // Two callers share one input (and thus one cache key); PredictMany
@@ -256,11 +252,10 @@ TEST_F(BatchCombinerTest, HandoffFlushesBatchFormedDuringDispatch) {
   // feature-less rows (model already ready).
   ASSERT_TRUE(client.PredictSingle(kModel, inputs[0]).valid);
 
-  BatchCombinerConfig cc;
+  CombinerOptions cc;
   cc.max_wait_us = 1'000'000;  // flushes below must come from full + handoff
   cc.max_batch = 2;
   cc.fast_path_when_idle = false;
-  cc.clock = &clock;
   BatchCombiner combiner(&client, cc);
 
   rc::faults::FaultSpec err;
@@ -313,9 +308,8 @@ TEST_F(BatchCombinerTest, DegradedStateRidesAlongWithResults) {
   Client client(&store, config);
   ASSERT_TRUE(client.Initialize());
 
-  BatchCombinerConfig cc;
+  CombinerOptions cc;
   cc.fast_path_when_idle = true;
-  cc.clock = &clock;
   BatchCombiner combiner(&client, cc);
 
   auto inputs = ServableInputs(1);
@@ -341,10 +335,9 @@ TEST_F(BatchCombinerTest, ShutdownDrainsParkedCallersWithError) {
   Client client(&store, config);
   ASSERT_TRUE(client.Initialize());
 
-  BatchCombinerConfig cc;
+  CombinerOptions cc;
   cc.max_wait_us = 1'000'000;
   cc.fast_path_when_idle = false;
-  cc.clock = &clock;
   BatchCombiner combiner(&client, cc);
 
   auto inputs = ServableInputs(2);
@@ -391,9 +384,9 @@ TEST_F(BatchCombinerTest, ClientOwnedCombinerCoalescesPredictSingle) {
   }
   for (auto& t : threads) t.join();  // third caller flushed the full batch
   for (const auto& p : first) EXPECT_TRUE(p.valid);
-  // Each call probes once in PredictSingle and once more inside the batched
-  // PredictMany dispatch: 6 misses for 3 requests, 0 hits.
-  EXPECT_EQ(client.stats().result_misses, 6u);
+  // Each call probes once, in PredictSingle; the dispatch scores the parked
+  // rows without probing again: 3 misses for 3 requests, 0 hits.
+  EXPECT_EQ(client.stats().result_misses, 3u);
   EXPECT_EQ(client.stats().result_hits, 0u);
 
   // Round two: all hits, combiner untouched (pending stays empty, and the

@@ -7,6 +7,8 @@
 // (rc::cache::ShardLockAcquisitions hook).
 #include <atomic>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <span>
 #include <thread>
 #include <unordered_set>
@@ -361,6 +363,73 @@ TEST_F(ClientCacheParityTest, UnknownSubscriptionStormPublishesNothing) {
   }
   EXPECT_EQ(Publishes(client), publishes) << "a no-prediction published client state";
   EXPECT_EQ(client.stats().no_predictions, nones + 10'000 * (1 + batch.size()));
+}
+
+// PredictMany and per-row PredictSingle share one miss path, so on fresh
+// clients over the same store they must agree row for row in every cache
+// mode: push, push with a disk mirror, pull, and never-blocking pull. The
+// batch mixes known rows, unknown subscriptions and repeated keys of both;
+// an unknown model runs through the same batch. Each model is asked twice
+// (cold, then warm), and both clients must count the same no-predictions.
+TEST_F(ClientCacheParityTest, PredictManyMatchesSinglesInEveryCacheMode) {
+  struct CacheModeCase {
+    const char* name;
+    CacheMode mode;
+    bool disk_mirror;
+    bool pull_never_blocks;
+  };
+  const CacheModeCase cases[] = {
+      {"push", CacheMode::kPush, false, false},
+      {"push+disk", CacheMode::kPush, true, false},
+      {"pull", CacheMode::kPull, false, false},
+      {"pull-never-blocks", CacheMode::kPull, false, true},
+  };
+  std::vector<ClientInputs> batch = KnownInputSet(24);
+  const std::vector<ClientInputs> unknown = UnknownInputSet(2);
+  batch.insert(batch.begin() + 5, unknown[0]);
+  batch.push_back(unknown[1]);
+  batch.push_back(batch[0]);    // repeated known key
+  batch.push_back(batch[3]);    // repeated known key
+  batch.push_back(unknown[0]);  // repeated unknown-subscription key
+  const std::string disk_root =
+      ::testing::TempDir() + "/rc_parity_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name();
+
+  for (const CacheModeCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    std::filesystem::remove_all(disk_root);
+    auto config_for = [&](const char* side) {
+      ClientConfig config;
+      config.mode = c.mode;
+      config.pull_never_blocks = c.pull_never_blocks;
+      if (c.disk_mirror) config.disk_cache_dir = disk_root + "/" + side;
+      return config;
+    };
+    Client many(store_.get(), config_for("many"));
+    Client singles(store_.get(), config_for("singles"));
+    ASSERT_TRUE(many.Initialize());
+    ASSERT_TRUE(singles.Initialize());
+    size_t valid = 0, none = 0;
+    for (const std::string model : {"VM_P95UTIL", "NOT_A_MODEL", "VM_AVGUTIL"}) {
+      for (int pass = 0; pass < 2; ++pass) {
+        const std::vector<Prediction> batched = many.PredictMany(model, batch);
+        ASSERT_EQ(batched.size(), batch.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          const Prediction single = singles.PredictSingle(model, batch[i]);
+          ASSERT_TRUE(BitIdentical(batched[i], single))
+              << model << " pass " << pass << " row " << i << " valid "
+              << batched[i].valid << "/" << single.valid;
+          (single.valid ? valid : none) += 1;
+        }
+        EXPECT_EQ(many.stats().no_predictions, singles.stats().no_predictions)
+            << model << " pass " << pass;
+      }
+    }
+    // The comparison covered both kinds of answer.
+    EXPECT_GT(valid, 0u);
+    EXPECT_GT(none, 0u);
+  }
+  std::filesystem::remove_all(disk_root);
 }
 
 }  // namespace

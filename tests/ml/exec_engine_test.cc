@@ -188,21 +188,6 @@ TEST(ExecEngineParityTest, SurvivesSerializationRoundTrip) {
   }
 }
 
-TEST(ExecEngineTest, ScoredMatchesClassifierScored) {
-  Rng rng(505);
-  Dataset data = RandomDataset(400, 6, 3, rng);
-  GbtConfig config;
-  config.num_rounds = 5;
-  GradientBoostedTrees model = GradientBoostedTrees::Fit(data, config);
-  std::vector<double> scratch(3);
-  for (const auto& row : TestRows(6, rng)) {
-    auto via_classifier = model.PredictScored(row);
-    auto via_engine = model.engine()->PredictScored(row, scratch);
-    EXPECT_EQ(via_classifier.label, via_engine.label);
-    EXPECT_EQ(via_classifier.score, via_engine.score);
-  }
-}
-
 TEST(ExecEngineTest, PoolAccountingMatchesTreeStructure) {
   Rng rng(606);
   Dataset data = RandomDataset(500, 8, 3, rng);

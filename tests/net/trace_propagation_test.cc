@@ -46,8 +46,7 @@ struct SpanInfo {
 };
 
 // Pulls every span object out of a TracezJson rendering, keyed by name, in
-// rendering (start-time) order. A name can repeat: the combiner's dispatch
-// runs PredictMany, which opens a second client/predict.
+// rendering (start-time) order. A name can repeat, so each maps to a list.
 std::map<std::string, std::vector<SpanInfo>> ParseSpans(const std::string& json) {
   std::map<std::string, std::vector<SpanInfo>> spans;
   auto hex_after = [&json](size_t from, const char* key) -> uint64_t {
@@ -170,11 +169,10 @@ TEST_F(TracePropagationTest, SampledRequestFormsOneConnectedTree) {
   for (const auto& name : expected) {
     ASSERT_TRUE(spans.contains(name)) << "missing " << name << " in\n" << json;
   }
-  // client/predict opens twice: for the server's PredictSingle, then (later
-  // start) for the dispatch's PredictMany.
-  ASSERT_EQ(spans["client/predict"].size(), 2u) << json;
+  // client/predict opens once, for the server's PredictSingle: the dispatch
+  // scores the parked row through the client's miss path directly.
+  ASSERT_EQ(spans["client/predict"].size(), 1u) << json;
   const SpanInfo outer_predict = spans["client/predict"][0];
-  const SpanInfo inner_predict = spans["client/predict"][1];
   auto span = [&spans](const std::string& name) { return spans[name].front(); };
 
   // One retained trace: every span in one tree, rooted at the client call.
@@ -193,8 +191,7 @@ TEST_F(TracePropagationTest, SampledRequestFormsOneConnectedTree) {
   EXPECT_EQ(span("combiner/coalesced").parent_span_id, span("combiner/park").span_id);
   EXPECT_EQ(span("combiner/coalesced").link_span_id, span("combiner/dispatch").span_id);
   // Execution happened inside the dispatch, not on some orphan context.
-  EXPECT_EQ(inner_predict.parent_span_id, span("combiner/dispatch").span_id);
-  EXPECT_EQ(span("client/exec_batch").parent_span_id, inner_predict.span_id);
+  EXPECT_EQ(span("client/exec_batch").parent_span_id, span("combiner/dispatch").span_id);
 
   EXPECT_GE(rc::obs::TraceStore::Global().finished_count(), 1u);
 }

@@ -57,13 +57,15 @@ echo "== rc_obs_tests (TSan, trace store + window rotation) =="
 # The seqlock probe is the load-bearing lock-free structure in the serving
 # path: readers revalidate atomics the shard writer is stamping, so these
 # suites run under TSan regardless of any caller filter. The sharded-store
-# stress and the client parity storm exercise the same protocol end to end.
+# stress and the client parity storm exercise the same protocol end to end;
+# the client concurrency suite's readers, pusher and reloader race the
+# shared miss path against state publishes.
 echo "== rc_cache_tests (TSan, seqlock readers vs writer + admission) =="
 "${BUILD_DIR}/tests/rc_cache_tests" --gtest_filter='Word2Cache*:ShardedCache*:AdmissionQuality*'
 echo "== rc_store_tests (TSan, sharded KvStore stress) =="
 "${BUILD_DIR}/tests/rc_store_tests" --gtest_filter='KvStoreShardStress*'
-echo "== rc_core_tests (TSan, client cache parity storm) =="
-"${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='ClientCacheParity*'
+echo "== rc_core_tests (TSan, client cache parity storm + client concurrency) =="
+"${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='ClientCacheParity*:ClientConcurrency*'
 # Cached no-predictions race the pushes that introduce their feature data:
 # the generation stamps are the only thing keeping a stale none from being
 # served, and their publish-then-bump ordering is what TSan vets here.
