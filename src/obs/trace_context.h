@@ -17,7 +17,7 @@
 //
 // Instrumented paths (grep for the names):
 //   prediction:  client/predict  client/result_cache  client/featurize
-//                client/execute  client/exec_batch
+//                client/exec_batch
 //   combiner:    combiner/predict  combiner/park  combiner/dispatch
 //                combiner/coalesced
 //   network:     netclient/call  net/read_frame  net/predict
