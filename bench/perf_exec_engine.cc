@@ -206,7 +206,7 @@ double RunCompare(const std::string& name, const Model& model, size_t features,
   const size_t k = static_cast<size_t>(model.num_classes());
   const ExecEngine& engine = *model.engine();
   // Pool sized to stay L2-resident (512 rows x 127 features x 8B ~ 0.5 MiB):
-  // in the serving path BatchCombiner writes the coalesced rows immediately
+  // in the serving path the client featurizes a call's rows immediately
   // before PredictBatch, so inputs are cache-hot. A DRAM-sized pool would
   // make every arm memory-latency-bound and compress the ratios toward 1.0,
   // measuring the wrong regime. Distinct offsets still cycle so no single

@@ -11,18 +11,13 @@
 // way distinct fabric controllers would. Results are aggregated over pipes
 // and written to BENCH_net.json.
 //
-// --combiner off|on switches the server's embedded client's cross-request
-// batching (ClientConfig::combiner; DESIGN.md "Cross-request batching");
-// --compare runs the same load twice — combiner off, then on — against one
-// trained model set and reports the throughput speedup. The combiner acceptance runs with
-// --cache off --keys 1 --many-ratio 0: a single hot key, no result cache,
-// all singles, so every request reaches the execution engine and coalescing
-// is the only thing being measured.
+// The miss-path row runs with --cache off --keys 1 --many-ratio 0 and
+// Table-1 forests (--trees 768 --gbt-rounds 450): a single hot key, no
+// result cache, all singles, so every request is scored by the execution
+// engine on the server worker that read it.
 //
-// Acceptance (ISSUE): >= 50k predictions/s sustained on loopback with
-// PredictSingle P99 within the Fig. 10 in-process budget (258 us) + 1 ms;
-// in --compare mode additionally combiner-on >= 1.5x combiner-off
-// predictions/s with the combiner-on P99 still inside that budget.
+// Acceptance: >= 50k predictions/s sustained on loopback with PredictSingle
+// P99 within the Fig. 10 in-process budget (258 us) + 1 ms.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -35,7 +30,6 @@
 #include <iostream>
 #include <memory>
 #include <random>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -62,7 +56,6 @@ constexpr const char* kBenchJson = "BENCH_net.json";
 // Fig. 10 paper anchor: in-process P99s top out at 258 us; the network hop
 // is allowed one extra millisecond.
 constexpr double kP99BudgetUs = 258.0 + 1000.0;
-constexpr double kCombinerSpeedupFloor = 1.5;
 
 struct Options {
   int64_t vms = 30'000;
@@ -75,20 +68,9 @@ struct Options {
   double many_ratio = 0.25;  // fraction of requests that are PredictMany
   size_t batch = 16;      // PredictMany batch size
   int models = 2;         // distinct models driven by the load (1 or 2)
-  bool combiner = false;  // the client's cross-request batching
-  int64_t combiner_wait_us = 40;
-  // Fast-path-when-idle serves a lone request immediately (best P50 when
-  // arrivals rarely overlap). Off forces every request to park for the
-  // window: on a single-CPU host the scheduler serializes workers, so this
-  // is the only way coalescing opportunities accumulate (the acceptance
-  // scenario runs with it off).
-  bool combiner_fast_path = true;
-  size_t combiner_max_batch = 64;  // flush-on-full threshold
   bool cache = true;      // server-side result cache (off isolates execution)
-  bool compare = false;   // run combiner off then on, same load
-  // Ensemble size overrides (0 = bench defaults). The combiner acceptance
-  // uses large forests so execution dominates the request path — that is the
-  // regime where coalescing duplicate work is supposed to pay.
+  // Ensemble size overrides (0 = bench defaults). Table-1 forests make
+  // execution dominate the request path.
   int trees = 0;
   int gbt_rounds = 0;
   // Arms the full observability surface under load: the server mounts the
@@ -189,16 +171,12 @@ bool RecvResult(int fd, LoadResult* r) {
 // epoll server. Reports the ephemeral port over `port_fd`, then idles until
 // SIGTERM.
 [[noreturn]] void RunServer(const rc::core::TrainedModels& trained, const Options& opt,
-                            bool combiner, int port_fd) {
+                            int port_fd) {
   rc::store::KvStore store;
   rc::core::OfflinePipeline::Publish(trained, store);
   rc::obs::MetricsRegistry registry;
   rc::core::ClientConfig client_config;
   client_config.metrics = &registry;
-  client_config.combiner.enabled = combiner;
-  client_config.combiner.max_wait_us = opt.combiner_wait_us;
-  client_config.combiner.fast_path_when_idle = opt.combiner_fast_path;
-  client_config.combiner.max_batch = opt.combiner_max_batch;
   if (!opt.cache) client_config.result_cache_capacity = 0;
   rc::core::Client client(&store, client_config);
   if (!client.Initialize()) _exit(4);
@@ -233,16 +211,6 @@ bool RecvResult(int fd, LoadResult* r) {
   std::signal(SIGTERM, [](int) { stop = 1; });
   while (stop == 0) std::this_thread::sleep_for(std::chrono::milliseconds(50));
   server.Stop();
-  if (combiner) {
-    // Surface the coalescing instruments so a run's batch-size distribution
-    // and flush reasons are inspectable without re-plumbing the registry.
-    std::string text = rc::obs::PrometheusText(registry);
-    std::istringstream lines(text);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.find("rc_combiner_") != std::string::npos) std::cerr << line << "\n";
-    }
-  }
   _exit(0);
 }
 
@@ -272,9 +240,8 @@ bool RecvResult(int fd, LoadResult* r) {
       const char* models[2] = {"VM_AVGUTIL", "VM_P95UTIL"};
       const auto start = std::chrono::steady_clock::now();
       while (std::chrono::steady_clock::now() < deadline) {
-        // --models 1 drives every request at one model (the combiner queues
-        // per model, so this is the maximally-coalescible single-key load);
-        // --models 2 splits the stream across two models.
+        // --models 1 drives every request at one model; --models 2 splits
+        // the stream across two models.
         const std::string model = models[opt.models == 1 ? 1 : rng() % 2];
         const auto t0 = std::chrono::steady_clock::now();
         rc::net::Status status;
@@ -366,18 +333,17 @@ struct RunSummary {
   uint64_t errors = 0;
 };
 
-// Forks the server (client combiner on or off) and the load fleet, drives the configured
-// duration, and aggregates every process's results.
+// Forks the server and the load fleet, drives the configured duration, and
+// aggregates every process's results.
 RunSummary RunOnce(const rc::core::TrainedModels& trained,
-                   const std::vector<rc::core::ClientInputs>& keys, const Options& opt,
-                   bool combiner) {
+                   const std::vector<rc::core::ClientInputs>& keys, const Options& opt) {
   RunSummary summary;
   int port_pipe[2];
   if (pipe(port_pipe) != 0) return summary;
   pid_t server_pid = fork();
   if (server_pid == 0) {
     close(port_pipe[0]);
-    RunServer(trained, opt, combiner, port_pipe[1]);
+    RunServer(trained, opt, port_pipe[1]);
   }
   close(port_pipe[1]);
   uint16_t ports[2] = {0, 0};
@@ -390,7 +356,7 @@ RunSummary RunOnce(const rc::core::TrainedModels& trained,
   const uint16_t port = ports[0];
   const uint16_t admin_port = ports[1];
   std::cout << "server up on 127.0.0.1:" << port << " (" << opt.workers
-            << " workers, combiner " << (combiner ? "on" : "off") << ", cache "
+            << " workers, cache "
             << (opt.cache ? "on" : "off") << "); driving " << opt.procs << " procs x "
             << opt.threads << " threads, zipf(" << opt.zipf_s << ") over " << keys.size()
             << " keys, " << opt.duration_s << "s...\n";
@@ -509,27 +475,7 @@ int main(int argc, char** argv) {
     else if (std::strcmp(argv[i], "--many-ratio") == 0) opt.many_ratio = std::atof(next());
     else if (std::strcmp(argv[i], "--batch") == 0) opt.batch = static_cast<size_t>(std::atoll(next()));
     else if (std::strcmp(argv[i], "--models") == 0) opt.models = std::atoi(next());
-    else if (std::strcmp(argv[i], "--combiner") == 0) {
-      std::string v = next();
-      if (v == "on") opt.combiner = true;
-      else if (v == "off") opt.combiner = false;
-      else {
-        std::cerr << "--combiner must be on or off\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--combiner-wait-us") == 0) {
-      opt.combiner_wait_us = std::atoll(next());
-    } else if (std::strcmp(argv[i], "--combiner-max-batch") == 0) {
-      opt.combiner_max_batch = static_cast<size_t>(std::atoll(next()));
-    } else if (std::strcmp(argv[i], "--combiner-fast-path") == 0) {
-      std::string v = next();
-      if (v == "on") opt.combiner_fast_path = true;
-      else if (v == "off") opt.combiner_fast_path = false;
-      else {
-        std::cerr << "--combiner-fast-path must be on or off\n";
-        return 2;
-      }
-    } else if (std::strcmp(argv[i], "--cache") == 0) {
+    else if (std::strcmp(argv[i], "--cache") == 0) {
       std::string v = next();
       if (v == "on") opt.cache = true;
       else if (v == "off") opt.cache = false;
@@ -537,8 +483,6 @@ int main(int argc, char** argv) {
         std::cerr << "--cache must be on or off\n";
         return 2;
       }
-    } else if (std::strcmp(argv[i], "--compare") == 0) {
-      opt.compare = true;
     } else if (std::strcmp(argv[i], "--admin-scrape") == 0) {
       opt.admin_scrape = true;
     } else if (std::strcmp(argv[i], "--trees") == 0) {
@@ -548,10 +492,8 @@ int main(int argc, char** argv) {
     } else {
       std::cerr << "usage: perf_net [--vms N] [--procs L] [--threads T] [--workers W]\n"
                    "                [--duration-s S] [--keys K] [--zipf S] [--many-ratio R]\n"
-                   "                [--batch B] [--models 1|2] [--combiner off|on]\n"
-                   "                [--combiner-wait-us U] [--combiner-max-batch N]\n"
-                   "                [--combiner-fast-path on|off] [--cache on|off]\n"
-                   "                [--compare] [--trees N] [--gbt-rounds N] [--admin-scrape]\n";
+                   "                [--batch B] [--models 1|2] [--cache on|off]\n"
+                   "                [--trees N] [--gbt-rounds N] [--admin-scrape]\n";
       return std::strcmp(argv[i], "--help") == 0 ? 0 : 2;
     }
   }
@@ -586,48 +528,7 @@ int main(int argc, char** argv) {
     registry.GetGauge(name, {}, help).Set(v);
   };
 
-  if (opt.compare) {
-    RunSummary off = RunOnce(trained, keys, opt, /*combiner=*/false);
-    if (!off.ok) return 1;
-    RunSummary on = RunOnce(trained, keys, opt, /*combiner=*/true);
-    if (!on.ok) return 1;
-    const double speedup =
-        off.predictions_per_s > 0.0 ? on.predictions_per_s / off.predictions_per_s : 0.0;
-
-    rc::TablePrinter table({"metric", "combiner off", "combiner on"});
-    table.AddRow({"predictions/s", rc::TablePrinter::Fmt(off.predictions_per_s, 0),
-                  rc::TablePrinter::Fmt(on.predictions_per_s, 0)});
-    table.AddRow({"single p50", rc::TablePrinter::Fmt(off.p50_single, 1) + " us",
-                  rc::TablePrinter::Fmt(on.p50_single, 1) + " us"});
-    table.AddRow({"single p99", rc::TablePrinter::Fmt(off.p99_single, 1) + " us",
-                  rc::TablePrinter::Fmt(on.p99_single, 1) + " us"});
-    table.AddRow({"errors", std::to_string(off.errors), std::to_string(on.errors)});
-    table.Print(std::cout);
-
-    const bool speedup_ok = speedup >= kCombinerSpeedupFloor;
-    const bool latency_ok = on.p99_single <= kP99BudgetUs;
-    std::cout << "\nspeedup: " << rc::TablePrinter::Fmt(speedup, 2) << "x\n"
-              << "acceptance: combiner >= " << rc::TablePrinter::Fmt(kCombinerSpeedupFloor, 1)
-              << "x predictions/s -> " << (speedup_ok ? "PASS" : "FAIL")
-              << "; combiner-on single P99 <= " << rc::TablePrinter::Fmt(kP99BudgetUs, 0)
-              << " us -> " << (latency_ok ? "PASS" : "FAIL") << "\n";
-
-    gauge("rc_bench_net_combiner_off_predictions_per_s",
-          "combiner-off loopback predictions per second", off.predictions_per_s);
-    gauge("rc_bench_net_combiner_on_predictions_per_s",
-          "combiner-on loopback predictions per second", on.predictions_per_s);
-    gauge("rc_bench_net_combiner_off_single_p99_us", "combiner-off PredictSingle p99",
-          off.p99_single);
-    gauge("rc_bench_net_combiner_on_single_p99_us",
-          "combiner-on PredictSingle p99", on.p99_single);
-    gauge("rc_bench_net_combiner_speedup", "combiner-on / combiner-off predictions per second",
-          speedup);
-    rc::obs::MergeJsonMetricsFile(kBenchJson, registry);
-    std::cout << "wrote " << kBenchJson << "\n";
-    return (speedup_ok && latency_ok) ? 0 : 1;
-  }
-
-  RunSummary r = RunOnce(trained, keys, opt, opt.combiner);
+  RunSummary r = RunOnce(trained, keys, opt);
   if (!r.ok) return 1;
 
   rc::TablePrinter table({"metric", "value"});

@@ -1,9 +1,9 @@
 // rc::common::Clock — injectable time for every timing-sensitive component
-// (combiner windows, client deadlines, retry/backoff naps, the circuit
-// breaker). Production code uses MonotonicClock (a thin veneer over
+// (client deadlines, the net client's pool wait, retry/backoff naps, the
+// circuit breaker). Production code uses MonotonicClock (a thin veneer over
 // std::chrono::steady_clock); tests substitute VirtualClock, a
 // step-controlled clock whose time only moves when the test advances it, so
-// window expiries, backoff schedules, and deadline math are asserted exactly
+// pool-wait expiries, backoff schedules, and deadline math are asserted exactly
 // — no real sleeps, no flaky tolerances.
 //
 // The waiting model: components that park a thread until "time T or

@@ -10,7 +10,6 @@
 #include "src/common/crc32.h"
 #include "src/common/faults.h"
 #include "src/common/hashing.h"
-#include "src/core/batch_combiner.h"
 #include "src/ml/exec_engine.h"
 #include "src/obs/trace_context.h"
 
@@ -92,9 +91,6 @@ Client::Client(rc::store::KvStore* store, ClientConfig config)
         std::make_unique<rc::cache::ShardedCache<CachedResult>>(cache_options);
   }
   state_ = std::make_shared<const ClientState>();
-  if (config_.combiner.enabled) {
-    combiner_ = std::make_unique<BatchCombiner>(this, config_.combiner);
-  }
 }
 
 void Client::RegisterInstruments() {
@@ -138,9 +134,6 @@ bool Client::ShouldSampleLatency() const {
 }
 
 Client::~Client() {
-  // Drain parked combiner callers first: anything still blocked in Predict
-  // gets ok=false instead of touching a half-destroyed client.
-  if (combiner_ != nullptr) combiner_->Shutdown();
   // Unsubscribe drains in-flight listener invocations, so after this returns
   // no store thread can call back into this (soon-destroyed) client.
   if (store_ != nullptr && store_subscription_ >= 0) {
@@ -581,13 +574,6 @@ Prediction Client::PredictSingleImpl(const std::string& model_name,
     if (auto cached = CountedLookup(key, stamp)) return *cached;
   }
 
-  // Cache miss: coalesce with concurrent misses when a combiner is
-  // configured. ok=false only when the combiner is shut down (client
-  // teardown); scoring the row directly is the correct fallback then.
-  if (combiner_ != nullptr) {
-    CombineResult coalesced = combiner_->Predict(model_name, inputs);
-    if (coalesced.ok) return coalesced.prediction;
-  }
   Prediction prediction;
   const MissRow row{&inputs, key, stamp, &prediction};
   ScoreMisses(model_name, {&row, 1});

@@ -29,13 +29,14 @@
 // what it changed (one subscription slot, or the whole client), and an entry
 // whose stamp no longer matches is a miss.
 //
-// PredictSingle, PredictMany and the combiner share one miss path
-// (ScoreMisses): one snapshot load per call, then every row the snapshot can
-// answer is featurized and scored in one ExecEngine::PredictBatch walk. In
-// push mode without a disk mirror, a subscription or model absent from the
-// snapshot is answered with a cached no-prediction straight from that
-// snapshot — no lock, no copy; otherwise the row takes the serialized fill
-// path (PredictMiss) and is then scored the same way.
+// PredictSingle and PredictMany share one miss path (ScoreMisses), run on
+// the caller's thread: one snapshot load per call, then every row the
+// snapshot can answer is featurized and scored in one
+// ExecEngine::PredictBatch walk. In push mode without a disk mirror, a
+// subscription or model absent from the snapshot is answered with a cached
+// no-prediction straight from that snapshot — no lock, no copy; otherwise
+// the row takes the serialized fill path (PredictMiss) and is then scored
+// the same way.
 #ifndef RC_SRC_CORE_CLIENT_H_
 #define RC_SRC_CORE_CLIENT_H_
 
@@ -69,24 +70,7 @@ class Clock;
 
 namespace rc::core {
 
-class BatchCombiner;
-
 enum class CacheMode { kPush, kPull };
-
-// Cross-request batching (DESIGN.md "Cross-request batching"): when enabled,
-// concurrent PredictSingle calls that miss the result cache are coalesced by
-// a BatchCombiner into one batched ExecEngine walk. Results are identical to
-// the combiner-off path input-for-input; only scheduling changes. A combiner
-// takes its clock, metrics registry and labels from its client.
-struct CombinerOptions {
-  bool enabled = false;      // read by the client only: build its combiner
-  int64_t max_wait_us = 40;  // coalescing window after the first parked caller
-  size_t max_batch = 64;     // flush as soon as this many requests accumulate
-  // Lone callers (no open batch, no dispatch in flight) execute immediately
-  // instead of waiting out the window. The deterministic tests disable it so
-  // a lone caller exercises the window.
-  bool fast_path_when_idle = true;
-};
 
 struct ClientConfig {
   CacheMode mode = CacheMode::kPush;
@@ -119,14 +103,10 @@ struct ClientConfig {
   int breaker_failure_threshold = 5;
   int64_t breaker_open_us = 100'000;
 
-  // Injected time source for retry backoff, the circuit breaker, reload
-  // deadlines, and the combiner window. Null uses MonotonicClock::Instance();
-  // tests substitute a VirtualClock. Must outlive the client.
+  // Injected time source for retry backoff, the circuit breaker and reload
+  // deadlines. Null uses MonotonicClock::Instance(); tests substitute a
+  // VirtualClock. Must outlive the client.
   rc::common::Clock* clock = nullptr;
-
-  // Cross-request batching of PredictSingle cache misses (the tentpole knob;
-  // see BatchCombiner).
-  CombinerOptions combiner;
 
   // --- observability (DESIGN.md "Observability") ---
   // Registry receiving this client's `rc_client_*` instruments. Null (the
@@ -241,10 +221,6 @@ class Client {
         degraded_reason_.load(std::memory_order_relaxed));
   }
 
-  // The client's combiner, or null when config.combiner.enabled is false.
-  // Exposed for tests and for the server's shutdown sequencing.
-  BatchCombiner* combiner() const { return combiner_.get(); }
-
   // The registry holding this client's instruments — the config-supplied one
   // or the private default. Export with obs::PrometheusText / obs::JsonText.
   rc::obs::MetricsRegistry& metrics() const { return *metrics_; }
@@ -352,12 +328,12 @@ class Client {
     uint32_t stamp;
     Prediction* out;
   };
-  // The one post-probe path, shared by PredictSingle, PredictMany and the
-  // combiner. Loads the snapshot (or scores against `state`, the filled state
-  // PredictMiss hands back), answers the rows it cannot serve with FinalNone
-  // or PredictMiss, featurizes the rest once per distinct key into one
-  // PredictBatch walk, and inserts the results into the result cache. A
-  // warm call allocates nothing.
+  // The one post-probe path, shared by PredictSingle and PredictMany and run
+  // on the caller's thread. Loads the snapshot (or scores against `state`,
+  // the filled state PredictMiss hands back), answers the rows it cannot
+  // serve with FinalNone or PredictMiss, featurizes the rest once per
+  // distinct key into one PredictBatch walk, and inserts the results into
+  // the result cache. A warm call allocates nothing.
   void ScoreMisses(const std::string& model_name, std::span<const MissRow> rows,
                    StatePtr state = nullptr);
 
@@ -407,16 +383,13 @@ class Client {
   void LoadAllFromDiskLocked(ClientState& state);
   void PersistIndexLocked();
   // PredictSingle body, separated so the public entry can wrap it with the
-  // sampled latency measurement. Routes result-cache misses through the
-  // combiner when one is configured.
+  // sampled latency measurement.
   Prediction PredictSingleImpl(const std::string& model_name, const ClientInputs& inputs);
   // Slow path: a model or feature record was missing from the snapshot and
   // the store or disk mirror may supply it (pull mode, or a disk mirror).
   // Returns the state that can now answer the row, or null after answering
   // it with an uncached no-prediction.
   StatePtr PredictMiss(const std::string& model_name, const MissRow& row);
-
-  friend class BatchCombiner;  // reads stamps and calls ScoreMisses
 
   rc::store::KvStore* store_;
   ClientConfig config_;
@@ -467,11 +440,6 @@ class Client {
   std::unique_ptr<rc::obs::MetricsRegistry> owned_metrics_;  // when config has none
   rc::obs::MetricsRegistry* metrics_ = nullptr;
   Instruments m_{};
-
-  // Cross-request batching; null unless config_.combiner.enabled. Declared
-  // last so it is destroyed (draining parked callers) before the state it
-  // predicts against.
-  std::unique_ptr<BatchCombiner> combiner_;
 };
 
 }  // namespace rc::core

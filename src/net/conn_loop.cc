@@ -197,9 +197,8 @@ void ConnLoop::AcceptReady(Worker& worker) {
   // EPOLLEXCLUSIVE wakes one worker per readiness edge, but this loop drains
   // the whole backlog — a burst of simultaneous connects would otherwise all
   // land on the worker that happened to wake first. Since a worker handles
-  // its connections' requests serially (and an RCNP handler may park in the
-  // client's combiner), piling every connection onto one worker both
-  // serializes the load and starves the combiner of concurrent arrivals.
+  // its connections' requests serially, piling every connection onto one
+  // worker serializes the load.
   // Round-robin each accepted socket across workers instead: remote ones go
   // through the target's pending queue and are registered by the target
   // itself (epoll sets and conns maps stay worker-local).

@@ -104,9 +104,9 @@ void Server::HandleFrame(Conn& conn, const uint8_t* payload, size_t size) {
   }
 
   // Adopt the propagated trace for this frame: spans below (net/predict, the
-  // combiner, the client) parent into the caller's tree. The socket read that
-  // delivered the frame is recorded retroactively as a sibling span, and the
-  // response write + server-side finish happen when the reply drains.
+  // client) parent into the caller's tree. The socket read that delivered the
+  // frame is recorded retroactively as a sibling span, and the response
+  // write + server-side finish happen when the reply drains.
   rc::obs::ScopedTraceContext trace_scope(header.trace);
   if (header.trace.valid()) {
     rc::obs::RecordSpanUnder("net/read_frame", header.trace, conn.read_start_ns,

@@ -3,11 +3,10 @@
 // into the shared epoll connection loop (conn_loop.h): N worker threads,
 // accepted sockets spread round-robin, each connection owned by one worker
 // for its lifetime (no cross-thread locking on the request path). Request
-// handling calls straight into core::Client::PredictSingle/PredictMany, so
-// the batched ExecEngine path, result caches, degradation behavior, and
-// cross-request batching of the in-process library all carry over
-// unchanged: coalescing concurrent kPredictSingle frames is the client's job
-// (ClientConfig::combiner), not the server's.
+// handling calls straight into core::Client::PredictSingle/PredictMany on
+// the worker that read the frame, so the batched ExecEngine path, result
+// caches and degradation behavior of the in-process library all carry over
+// unchanged.
 //
 // Robustness contract (pinned by tests/net/frame_fuzz_test.cc):
 //  * every read/write/accept retries EINTR and handles short counts;

@@ -54,8 +54,7 @@ uint64_t Tracer::NextSpanId() {
 }
 
 uint64_t RecordSpanUnder(const char* name, const TraceContext& parent,
-                         uint64_t start_ns, uint64_t duration_ns,
-                         uint64_t link_trace_id, uint64_t link_span_id) {
+                         uint64_t start_ns, uint64_t duration_ns) {
   if (!parent.valid()) return 0;
   SpanRecord rec;
   rec.name = name;
@@ -65,8 +64,6 @@ uint64_t RecordSpanUnder(const char* name, const TraceContext& parent,
   rec.start_ns = start_ns;
   rec.duration_ns = duration_ns;
   rec.tid = internal::ThreadTraceTid();
-  rec.link_trace_id = link_trace_id;
-  rec.link_span_id = link_span_id;
   TraceStore::Global().Record(rec);
   return rec.span_id;
 }
@@ -92,8 +89,6 @@ void TraceSpan::Finish() {
   rec.start_ns = start_ns_;
   rec.duration_ns = duration_ns;
   rec.tid = internal::ThreadTraceTid();
-  rec.link_trace_id = link_trace_id_;
-  rec.link_span_id = link_span_id_;
   TraceStore::Global().Record(rec);
   // A parentless span is the trace root: its end is the trace's end.
   if (parent_span_id_ == 0) {
@@ -280,10 +275,6 @@ std::string TraceStore::TracezJson() const {
         out += ",\"start_us\":" + FmtUs(rec.start_ns);
         out += ",\"dur_us\":" + FmtUs(rec.duration_ns);
         out += ",\"tid\":" + std::to_string(rec.tid);
-        if (rec.link_span_id != 0) {
-          out += ",\"link_trace_id\":\"" + HexId(rec.link_trace_id) + "\"";
-          out += ",\"link_span_id\":\"" + HexId(rec.link_span_id) + "\"";
-        }
         out += "}";
       }
       out += "]}";

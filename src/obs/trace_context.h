@@ -18,8 +18,6 @@
 // Instrumented paths (grep for the names):
 //   prediction:  client/predict  client/result_cache  client/featurize
 //                client/exec_batch
-//   combiner:    combiner/predict  combiner/park  combiner/dispatch
-//                combiner/coalesced
 //   network:     netclient/call  net/read_frame  net/predict
 //                net/write_frame
 //   store path:  client/store_read  client/crc_verify  client/decode
@@ -107,9 +105,7 @@ class Tracer {
 };
 
 // One finished span. `name` must be a string literal (same contract as
-// TraceSpan). link_* is an optional follows-from edge to a span
-// in another (or the same) trace — the combiner uses it to tie coalesced
-// callers to the batch dispatch that actually did their work.
+// TraceSpan).
 struct SpanRecord {
   const char* name = nullptr;
   uint64_t trace_id = 0;
@@ -118,8 +114,6 @@ struct SpanRecord {
   uint64_t start_ns = 0;
   uint64_t duration_ns = 0;
   uint32_t tid = 0;
-  uint64_t link_trace_id = 0;
-  uint64_t link_span_id = 0;
 };
 
 // Records a synthetic span under `parent` without the RAII dance — used
@@ -128,8 +122,7 @@ struct SpanRecord {
 // response write after the handler returned). Returns the new span id, or 0
 // when the parent is not a sampled context.
 uint64_t RecordSpanUnder(const char* name, const TraceContext& parent,
-                         uint64_t start_ns, uint64_t duration_ns,
-                         uint64_t link_trace_id = 0, uint64_t link_span_id = 0);
+                         uint64_t start_ns, uint64_t duration_ns);
 
 // RAII span. When the governing TraceContext is sampled, the span allocates
 // its own span id, becomes the thread's current context for its lifetime
@@ -156,13 +149,6 @@ class TraceSpan {
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
-  // Attaches a follows-from edge (rendered on /tracez); the combiner links
-  // a parked caller's span to the batch dispatch that served it.
-  void SetLink(uint64_t link_trace_id, uint64_t link_span_id) {
-    link_trace_id_ = link_trace_id;
-    link_span_id_ = link_span_id;
-  }
-
   // This span's context, for handing to another thread or the wire.
   TraceContext context() const {
     if (!traced_) return {};
@@ -179,8 +165,6 @@ class TraceSpan {
   uint64_t trace_id_ = 0;
   uint64_t span_id_ = 0;
   uint64_t parent_span_id_ = 0;
-  uint64_t link_trace_id_ = 0;
-  uint64_t link_span_id_ = 0;
   TraceContext prev_;
 };
 

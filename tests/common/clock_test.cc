@@ -1,5 +1,5 @@
 // VirtualClock is the foundation of every deterministic timing test in the
-// repo (combiner windows, client backoff, net deadlines), so its own
+// repo (client backoff, the circuit breaker, net deadlines), so its own
 // semantics are pinned exactly here: registration/wake ordering, predicate
 // re-checks, sleep accounting, and the no-lost-wakeup guarantee.
 #include "src/common/clock.h"

@@ -2,8 +2,8 @@
 // subscriptions the client has never seen (each answered with a cached
 // no-prediction) while a pusher introduces their feature records one by
 // one. Any call that starts after a Put returned must get the valid answer,
-// never a stale cached no-prediction. Runs with and without the combiner,
-// and under ThreadSanitizer in tools/check_tsan.sh.
+// never a stale cached no-prediction. Also runs under ThreadSanitizer in
+// tools/check_tsan.sh.
 //
 // Coordination is structural (atomics and call counts), with no sleeps: the
 // pusher waits for a number of caller predictions before each Put, so every
@@ -42,10 +42,6 @@ class ClientNoPredictionStressTest : public ::testing::Test {
     trained_ = new TrainedModels(OfflinePipeline(pipeline_config).Run(*trace_));
   }
 
-  // The storm itself; `combiner` routes PredictSingle misses through the
-  // client's BatchCombiner.
-  static void RunStorm(bool combiner);
-
   static const rc::trace::Trace* trace_;
   static const TrainedModels* trained_;
 };
@@ -53,7 +49,7 @@ class ClientNoPredictionStressTest : public ::testing::Test {
 const rc::trace::Trace* ClientNoPredictionStressTest::trace_ = nullptr;
 const TrainedModels* ClientNoPredictionStressTest::trained_ = nullptr;
 
-void ClientNoPredictionStressTest::RunStorm(bool combiner) {
+TEST_F(ClientNoPredictionStressTest, CallsAfterPutNeverSeeStaleNone) {
   static const rc::trace::VmSizeCatalog catalog;
   // Unknown subscriptions: known inputs with fresh subscription ids, each
   // with the feature record the pusher will introduce.
@@ -92,9 +88,7 @@ void ClientNoPredictionStressTest::RunStorm(bool combiner) {
 
   rc::store::KvStore store;
   OfflinePipeline::Publish(*trained_, store);
-  ClientConfig config;
-  config.combiner.enabled = combiner;
-  Client client(&store, config);
+  Client client(&store, ClientConfig{});
   ASSERT_TRUE(client.Initialize());
 
   std::array<std::atomic<bool>, kSubscriptions> published{};
@@ -162,14 +156,6 @@ void ClientNoPredictionStressTest::RunStorm(bool combiner) {
     EXPECT_TRUE(p.valid && p.bucket == expected[i].bucket && p.score == expected[i].score);
   }
   EXPECT_GT(client.stats().no_predictions, 0u);
-}
-
-TEST_F(ClientNoPredictionStressTest, CallsAfterPutNeverSeeStaleNone) {
-  RunStorm(/*combiner=*/false);
-}
-
-TEST_F(ClientNoPredictionStressTest, CallsAfterPutNeverSeeStaleNoneWithCombiner) {
-  RunStorm(/*combiner=*/true);
 }
 
 }  // namespace

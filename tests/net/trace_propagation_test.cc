@@ -1,10 +1,9 @@
 // End-to-end trace propagation: a sampled PredictSingle through the pooled
-// TCP client against a live server (client combiner on, fast path off so the
-// lone caller parks) must produce ONE connected span tree on /tracez —
-// client send, server frame read, client predict, combiner park/dispatch,
-// engine execute, response write — with the coalesced marker carrying a
-// follows-from link to the dispatch span. Also pins v1 wire compatibility: a hand-built v1 frame
-// round-trips against the v2 server and the reply parses as v1.
+// TCP client against a live server must produce ONE connected span tree on
+// /tracez — client send, server frame read, client predict, result-cache
+// probe, engine execute, response write. Also pins v1 wire compatibility: a
+// hand-built v1 frame round-trips against the v2 server and the reply parses
+// as v1.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -42,7 +41,6 @@ using rc::trace::WorkloadModel;
 struct SpanInfo {
   uint64_t span_id = 0;
   uint64_t parent_span_id = 0;
-  uint64_t link_span_id = 0;
 };
 
 // Pulls every span object out of a TracezJson rendering, keyed by name, in
@@ -59,14 +57,9 @@ std::map<std::string, std::vector<SpanInfo>> ParseSpans(const std::string& json)
     size_t name_start = pos + std::strlen("{\"name\":\"");
     size_t name_end = json.find('"', name_start);
     std::string name = json.substr(name_start, name_end - name_start);
-    size_t obj_end = json.find('}', name_end);
     SpanInfo info;
-    size_t link = json.find("\"link_span_id\":\"0x", name_end);
     info.span_id = hex_after(name_end, "\"span_id\":\"0x");
     info.parent_span_id = hex_after(name_end, "\"parent_span_id\":\"0x");
-    if (link != std::string::npos && link < obj_end) {
-      info.link_span_id = hex_after(name_end, "\"link_span_id\":\"0x");
-    }
     spans[name].push_back(info);
   }
   return spans;
@@ -92,10 +85,8 @@ class TracePropagationTest : public ::testing::Test {
     rc::obs::TraceStore::Global().Clear();
     store_ = std::make_unique<KvStore>();
     OfflinePipeline::Publish(*trained_, *store_);
-    rc::core::ClientConfig client_config;
-    client_config.combiner.enabled = true;
-    client_config.combiner.fast_path_when_idle = false;  // lone callers park
-    core_client_ = std::make_unique<rc::core::Client>(store_.get(), client_config);
+    core_client_ =
+        std::make_unique<rc::core::Client>(store_.get(), rc::core::ClientConfig{});
     ASSERT_TRUE(core_client_->Initialize());
     ServerConfig server_config;
     server_config.num_workers = 2;
@@ -160,19 +151,14 @@ TEST_F(TracePropagationTest, SampledRequestFormsOneConnectedTree) {
   ASSERT_EQ(client.PredictSingle("VM_AVGUTIL", KnownInputs(), &p), Status::kOk);
 
   const std::vector<std::string> expected = {
-      "netclient/call",     "net/read_frame",    "net/predict",
-      "combiner/predict",   "combiner/park",     "combiner/dispatch",
-      "combiner/coalesced", "client/predict",    "client/exec_batch",
-      "net/write_frame"};
+      "netclient/call",      "net/read_frame",    "net/predict",    "client/predict",
+      "client/result_cache", "client/exec_batch", "net/write_frame"};
   std::string json = WaitForSpans(expected);
   auto spans = ParseSpans(json);
   for (const auto& name : expected) {
     ASSERT_TRUE(spans.contains(name)) << "missing " << name << " in\n" << json;
   }
-  // client/predict opens once, for the server's PredictSingle: the dispatch
-  // scores the parked row through the client's miss path directly.
   ASSERT_EQ(spans["client/predict"].size(), 1u) << json;
-  const SpanInfo outer_predict = spans["client/predict"][0];
   auto span = [&spans](const std::string& name) { return spans[name].front(); };
 
   // One retained trace: every span in one tree, rooted at the client call.
@@ -181,17 +167,12 @@ TEST_F(TracePropagationTest, SampledRequestFormsOneConnectedTree) {
   EXPECT_EQ(span("net/read_frame").parent_span_id, root);
   EXPECT_EQ(span("net/predict").parent_span_id, root);
   EXPECT_EQ(span("net/write_frame").parent_span_id, root);
-  // The server calls the client, whose cache miss parks in its combiner.
-  EXPECT_EQ(outer_predict.parent_span_id, span("net/predict").span_id);
-  EXPECT_EQ(span("combiner/predict").parent_span_id, outer_predict.span_id);
-  EXPECT_EQ(span("combiner/park").parent_span_id, span("combiner/predict").span_id);
-  // The lone caller self-dispatches: the dispatch runs under its park span,
-  // and the coalesced marker links back to the dispatch that did the work.
-  EXPECT_EQ(span("combiner/dispatch").parent_span_id, span("combiner/park").span_id);
-  EXPECT_EQ(span("combiner/coalesced").parent_span_id, span("combiner/park").span_id);
-  EXPECT_EQ(span("combiner/coalesced").link_span_id, span("combiner/dispatch").span_id);
-  // Execution happened inside the dispatch, not on some orphan context.
-  EXPECT_EQ(span("client/exec_batch").parent_span_id, span("combiner/dispatch").span_id);
+  // The server calls the client, which probes its result cache and, on the
+  // miss, scores the row on the same thread.
+  const uint64_t predict = span("client/predict").span_id;
+  EXPECT_EQ(span("client/predict").parent_span_id, span("net/predict").span_id);
+  EXPECT_EQ(span("client/result_cache").parent_span_id, predict);
+  EXPECT_EQ(span("client/exec_batch").parent_span_id, predict);
 
   EXPECT_GE(rc::obs::TraceStore::Global().finished_count(), 1u);
 }

@@ -87,16 +87,14 @@ TEST_F(TraceContextTest, ScopedContextInstallsAndRestores) {
   EXPECT_FALSE(CurrentTraceContext().valid());
 }
 
-TEST_F(TraceContextTest, RecordSpanUnderAndLinksRenderInJson) {
+TEST_F(TraceContextTest, RecordSpanUnderRendersInJson) {
   TraceContext parent{0xABC, 0xDEF, true};
-  uint64_t id = RecordSpanUnder("test/synthetic", parent, 1000, 500,
-                                /*link_trace_id=*/0x77, /*link_span_id=*/0x99);
+  uint64_t id = RecordSpanUnder("test/synthetic", parent, 1000, 500);
   EXPECT_NE(id, 0u);
   TraceStore::Global().FinishTrace(parent.trace_id, 123'000);
   std::string json = TraceStore::Global().TracezJson();
   EXPECT_NE(json.find("test/synthetic"), std::string::npos);
-  EXPECT_NE(json.find("\"link_trace_id\":\"0x77\""), std::string::npos);
-  EXPECT_NE(json.find("\"link_span_id\":\"0x99\""), std::string::npos);
+  EXPECT_NE(json.find("\"parent_span_id\":\"0xdef\""), std::string::npos);
 
   // Unsampled parents record nothing.
   EXPECT_EQ(RecordSpanUnder("test/nope", TraceContext{}, 0, 0), 0u);

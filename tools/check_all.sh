@@ -93,12 +93,6 @@ NET_FAMILIES=(
   rc_net_request_latency_us
   rc_net_client_requests
   rc_net_client_request_latency_us
-  rc_combiner_requests
-  rc_combiner_fast_path
-  rc_combiner_flushes
-  rc_combiner_batch_size
-  rc_combiner_wait_us
-  rc_combiner_pending
   rc_client_state_publishes
 )
 for family in "${NET_FAMILIES[@]}"; do
@@ -107,7 +101,7 @@ for family in "${NET_FAMILIES[@]}"; do
     exit 1
   fi
 done
-echo "all ${#NET_FAMILIES[@]} required rc_net_*/rc_combiner_*/rc_client_* metric families present."
+echo "all ${#NET_FAMILIES[@]} required rc_net_*/rc_client_* metric families present."
 
 echo "== rc_server flag validation =="
 # A port outside 0-65535 must be refused (exit 2), not truncated to 16 bits.
@@ -120,6 +114,17 @@ if [[ "${PORT_STATUS}" -ne 2 ]]; then
   exit 1
 fi
 echo "rc_server rejects an out-of-range --port."
+# A removed flag must take the unknown-flag path (exit 2), not be silently
+# accepted.
+set +e
+"${BUILD_DIR}/tools/rc_server" --combiner on --smoke >/dev/null 2>&1
+REMOVED_FLAG_STATUS=$?
+set -e
+if [[ "${REMOVED_FLAG_STATUS}" -ne 2 ]]; then
+  echo "FAIL: rc_server accepted a removed flag (exit ${REMOVED_FLAG_STATUS}, want 2)" >&2
+  exit 1
+fi
+echo "rc_server rejects removed flags."
 
 echo "== admin introspection endpoint check =="
 # Boot a real server with the admin endpoint, 1-in-1 trace sampling, and
@@ -184,22 +189,15 @@ if grep -vE '^\s*#' "${REPO_ROOT}/src/cache/CMakeLists.txt" | grep -n 'rc_core';
 fi
 echo "src/cache has no dependency on src/core."
 
-echo "== combiner determinism lint =="
-# The combiner unit suites must stay on VirtualClock: a real sleep in them
-# reintroduces exactly the timing flake the clock injection removed. (The
-# stress file coordinates with atomics/latches and is checked too.)
-COMBINER_TESTS=(
-  "${REPO_ROOT}/tests/core/batch_combiner_test.cc"
-  "${REPO_ROOT}/tests/core/batch_combiner_stress_test.cc"
-  "${REPO_ROOT}/tests/common/clock_test.cc"
-)
-for f in "${COMBINER_TESTS[@]}"; do
-  if grep -n 'sleep_for\|sleep_until\|usleep\|nanosleep' "$f"; then
-    echo "FAIL: real sleep in deterministic combiner test ${f#${REPO_ROOT}/}" >&2
-    exit 1
-  fi
-done
-echo "combiner test suites are sleep-free (VirtualClock only)."
+echo "== clock test determinism lint =="
+# The clock suite must stay on VirtualClock: a real sleep in it reintroduces
+# exactly the timing flake the clock injection removed.
+CLOCK_TEST="${REPO_ROOT}/tests/common/clock_test.cc"
+if grep -n 'sleep_for\|sleep_until\|usleep\|nanosleep' "${CLOCK_TEST}"; then
+  echo "FAIL: real sleep in deterministic clock test ${CLOCK_TEST#${REPO_ROOT}/}" >&2
+  exit 1
+fi
+echo "clock test suite is sleep-free (VirtualClock only)."
 
 if [[ "${RC_SKIP_SANITIZERS:-0}" != "1" ]]; then
   echo "== TSan =="

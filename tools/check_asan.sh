@@ -25,13 +25,9 @@ for t in rc_common_tests rc_obs_tests rc_ml_tests rc_cache_tests rc_store_tests 
   echo "== ${t} (ASan+UBSan) =="
   "${BUILD_DIR}/tests/${t}" "$@"
 done
-# Combiner stress runs regardless of any caller filter: the slot lifetime
-# (stack-allocated, shared across parked threads) is exactly what ASan vets.
-echo "== rc_core_tests (ASan+UBSan, combiner park/flush races) =="
-"${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='BatchCombiner*'
-# The exec-engine suites always run too: the walks index gathered/selected
-# node links into pool arrays, and the batched kernels read whole SIMD blocks
-# — exactly the out-of-bounds shapes ASan exists to vet.
+# The exec-engine suites run regardless of any caller filter: the walks index
+# gathered/selected node links into pool arrays, and the batched kernels read
+# whole SIMD blocks — exactly the out-of-bounds shapes ASan exists to vet.
 echo "== rc_ml_tests (ASan+UBSan, exec-engine parity) =="
 "${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*'
 # The admin endpoint parses hostile HTTP (dribbled, oversized, malformed)

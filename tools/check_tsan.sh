@@ -35,21 +35,17 @@ echo "== rc_net_tests (TSan) =="
 "${BUILD_DIR}/tests/rc_net_tests" "$@"
 echo "== rc_trace_tests (TSan) =="
 "${BUILD_DIR}/tests/rc_trace_tests" "$@"
-# The combiner park/flush/shutdown races run regardless of any caller filter:
-# they are the TSan targets the batching combiner was written against.
-echo "== rc_core_tests (TSan, combiner park/flush races) =="
-"${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='BatchCombiner*'
-# The exec-engine walks (scalar and the AVX2 kernel) likewise always run:
-# the engine is shared read-only across prediction threads, so any mutation
-# the sanitizer can see is a real bug.
+# The exec-engine walks (scalar and the AVX2 kernel) run regardless of any
+# caller filter: the engine is shared read-only across prediction threads,
+# so any mutation the sanitizer can see is a real bug.
 echo "== rc_ml_tests (TSan, exec-engine parity) =="
 "${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*'
 # Tracing + admin endpoint always run under TSan: the span tree is assembled
-# across client threads, epoll workers, and the combiner's dispatcher, and
-# the admin thread scrapes registries the workers are writing — both are
-# cross-thread by construction. The frame fuzzer and the loopback suite run
-# too: both servers share one connection loop (worker handoff, read, flush,
-# close), and these drive it from many client threads.
+# across client threads and epoll workers, and the admin thread scrapes
+# registries the workers are writing — both are cross-thread by construction.
+# The frame fuzzer and the loopback suite run too: both servers share one
+# connection loop (worker handoff, read, flush, close), and these drive it
+# from many client threads.
 echo "== rc_net_tests (TSan, tracing + admin endpoint + connection loop) =="
 "${BUILD_DIR}/tests/rc_net_tests" --gtest_filter='TracePropagation*:AdminServer*:FrameFuzz*:NetLoopback*'
 echo "== rc_obs_tests (TSan, trace store + window rotation) =="

@@ -43,9 +43,6 @@ void Usage() {
       "usage: rc_server [options]\n"
       "  --port P        listen port (default 7071; 0 = ephemeral)\n"
       "  --workers N     epoll worker threads (default 4)\n"
-      "  --combiner M    client cross-request batching: off | on\n"
-      "                  (default on; see DESIGN.md \"Cross-request batching\")\n"
-      "  --combiner-wait-us W  coalescing window in microseconds (default 40)\n"
       "  --vms N         synthetic workload size when no trace given (default 20000)\n"
       "  --trace PATH    train from a trace CSV instead of the synthetic workload\n"
       "  --days D        trace observation window in days (default 90)\n"
@@ -85,8 +82,6 @@ int main(int argc, char** argv) {
   int days = 90, train_days = -1;
   std::string trace_path;
   bool smoke = false;
-  bool combiner = true;
-  int64_t combiner_wait_us = 40;
   constexpr long long kIntMax = std::numeric_limits<int>::max();
   constexpr long long kPortMax = 65535;
   for (int i = 1; i < argc; ++i) {
@@ -118,16 +113,6 @@ int main(int argc, char** argv) {
       days = static_cast<int>(int_flag("--days", 1, kIntMax));
     } else if (std::strcmp(argv[i], "--train-days") == 0) {
       train_days = static_cast<int>(int_flag("--train-days", 0, kIntMax));
-    } else if (std::strcmp(argv[i], "--combiner") == 0) {
-      const std::string mode = need("--combiner");
-      if (mode != "off" && mode != "on") {
-        std::cerr << "--combiner must be off or on\n";
-        return 2;
-      }
-      combiner = mode == "on";
-    } else if (std::strcmp(argv[i], "--combiner-wait-us") == 0) {
-      combiner_wait_us =
-          int_flag("--combiner-wait-us", 0, std::numeric_limits<int64_t>::max());
     } else if (std::strcmp(argv[i], "--smoke") == 0) {
       smoke = true;
     } else {
@@ -167,8 +152,6 @@ int main(int argc, char** argv) {
   rc::obs::MetricsRegistry registry;
   rc::core::ClientConfig client_config;
   client_config.metrics = &registry;
-  client_config.combiner.enabled = combiner;
-  client_config.combiner.max_wait_us = combiner_wait_us;
   rc::core::Client client(&store, client_config);
   if (!client.Initialize()) {
     std::cerr << "client initialization failed\n";
@@ -258,7 +241,7 @@ int main(int argc, char** argv) {
 
   if (probe > 0) {
     // Self-issued traffic through a real pooled TCP client: exercises the
-    // full client -> server -> combiner -> engine path so /tracez has span
+    // full client -> server -> engine path so /tracez has span
     // trees to show right after startup.
     rc::net::ClientConfig probe_config;
     probe_config.port = server.port();
