@@ -154,10 +154,10 @@ std::vector<double> SubscriptionCoVs(
     size_t min_vms) {
   std::vector<double> covs;
   for (const auto& sub : trace.subscriptions()) {
-    const auto& vm_indices = trace.VmsOfSubscription(sub.subscription_id);
+    auto vm_indices = trace.VmsOfSubscription(sub.subscription_id);
     if (vm_indices.size() < min_vms) continue;
     rc::OnlineStats stats;
-    for (size_t idx : vm_indices) stats.Add(metric(trace.vms()[idx]));
+    for (uint32_t idx : vm_indices) stats.Add(metric(trace.vms()[idx]));
     covs.push_back(stats.cov());
   }
   return covs;
@@ -175,11 +175,11 @@ double FractionBelow(const std::vector<double>& xs, double threshold) {
 double SingleTypeSubscriptionFraction(const Trace& trace, size_t min_vms) {
   size_t total = 0, single = 0;
   for (const auto& sub : trace.subscriptions()) {
-    const auto& vm_indices = trace.VmsOfSubscription(sub.subscription_id);
+    auto vm_indices = trace.VmsOfSubscription(sub.subscription_id);
     if (vm_indices.size() < min_vms) continue;
     ++total;
     VmType first_type = trace.vms()[vm_indices[0]].vm_type;
-    bool all_same = std::all_of(vm_indices.begin(), vm_indices.end(), [&](size_t idx) {
+    bool all_same = std::all_of(vm_indices.begin(), vm_indices.end(), [&](uint32_t idx) {
       return trace.vms()[idx].vm_type == first_type;
     });
     if (all_same) ++single;

@@ -192,30 +192,13 @@ void Featurizer::EncodeTo(const ClientInputs& inputs, const SubscriptionFeatures
   }
 }
 
-int RoleId(const std::string& role_name) {
-  if (role_name == "IaaS") return 0;
-  if (role_name == "WebRole") return 1;
-  if (role_name == "WorkerRole") return 2;
-  if (role_name == "CacheRole") return 3;
-  if (role_name == "DbRole") return 4;
-  return 0;
-}
-
-int ServiceId(const std::string& service_name) {
-  // "svc-N" -> N + 1; anything else (incl. "unknown") -> 0.
-  if (service_name.rfind("svc-", 0) != 0) return 0;
-  int n = std::atoi(service_name.c_str() + 4);
-  if (n < 0 || n >= kNumServices) return 0;
-  return n + 1;
-}
-
 ClientInputs InputsFromVm(const rc::trace::VmRecord& vm,
                           const rc::trace::VmSizeCatalog& catalog) {
   ClientInputs in;
   in.subscription_id = vm.subscription_id;
   in.vm_type = static_cast<int>(vm.vm_type);
   in.guest_os = static_cast<int>(vm.guest_os);
-  in.role = RoleId(vm.role_name);
+  in.role = static_cast<int>(vm.role);
   in.cores = vm.cores;
   in.memory_gb = vm.memory_gb;
   in.size_index = 0;
@@ -228,7 +211,7 @@ ClientInputs InputsFromVm(const rc::trace::VmRecord& vm,
   in.region = vm.region;
   in.deploy_hour = HourOfDay(vm.created);
   in.deploy_dow = DayOfWeek(vm.created);
-  in.service_id = ServiceId(vm.service_name);
+  in.service_id = vm.service;
   return in;
 }
 

@@ -27,8 +27,9 @@ namespace rc::core {
 
 enum class FeatureEncoding { kExpanded = 0, kCompact = 1 };
 
-inline constexpr int kNumServices = 20;  // "svc-00".."svc-19"; id 0 = unknown
-inline constexpr int kNumRoles = 5;      // IaaS + 4 PaaS roles
+// "svc-0".."svc-19"; id 0 = unknown.
+inline constexpr int kNumServices = rc::trace::kNumServices;
+inline constexpr int kNumRoles = 5;  // IaaS + 4 PaaS roles
 inline constexpr int kNumRegions = 6;
 inline constexpr int kNumSizes = 14;
 
@@ -59,10 +60,6 @@ class Featurizer {
 // VM at creation time — only creation-time-observable attributes.
 ClientInputs InputsFromVm(const rc::trace::VmRecord& vm,
                           const rc::trace::VmSizeCatalog& catalog);
-
-// Maps role/service names to the integer codes used in ClientInputs.
-int RoleId(const std::string& role_name);
-int ServiceId(const std::string& service_name);
 
 }  // namespace rc::core
 

@@ -7,6 +7,7 @@
 #ifndef RC_SRC_SCHED_CLUSTER_H_
 #define RC_SRC_SCHED_CLUSTER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -18,22 +19,25 @@ namespace rc::sched {
 // A VM placement request plus the policy-computed utilization estimate.
 struct VmRequest {
   uint64_t vm_id = 0;
-  int cores = 1;            // virtual core allocation
   double memory_gb = 1.75;
-  bool production = true;   // production VMs are never used to oversubscribe
   SimTime arrival = 0;
   SimTime departure = 0;
   // Predicted P95 utilization as a fraction of the allocation, set by the
   // scheduling policy before placement (1.0 = assume full usage; Algorithm 1
   // line 13). Bookkept on oversubscribable servers as cores * fraction.
   double predicted_util_fraction = 1.0;
+  // Source record for telemetry replay in the simulator.
+  const rc::trace::VmRecord* source = nullptr;
+  int cores = 1;            // virtual core allocation
+  bool production = true;   // production VMs are never used to oversubscribe
   // Set by SchedulingPolicy::PrefetchUtil when predicted_util_fraction was
   // already filled by a batched prediction lookup; Place consumes (and
   // clears) it instead of asking the predictor again.
   bool util_prefetched = false;
-  // Source record for telemetry replay in the simulator.
-  const rc::trace::VmRecord* source = nullptr;
 };
+// A month's requests stay resident through the simulation: the small fields
+// share the last word.
+static_assert(sizeof(VmRequest) == 56);
 
 enum class ServerKind : uint8_t { kNonOversubscribable = 0, kOversubscribable = 1 };
 

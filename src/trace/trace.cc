@@ -1,6 +1,8 @@
 #include "src/trace/trace.h"
 
 #include <algorithm>
+#include <limits>
+#include <stdexcept>
 
 namespace rc::trace {
 
@@ -18,20 +20,42 @@ Trace::Trace(std::vector<SubscriptionProfile> subscriptions, std::vector<VmRecor
 }
 
 void Trace::RebuildIndex() {
-  by_subscription_.clear();
-  subscription_index_.clear();
-  for (size_t i = 0; i < vms_.size(); ++i) {
-    by_subscription_[vms_[i].subscription_id].push_back(i);
+  if (vms_.size() > std::numeric_limits<uint32_t>::max()) {
+    throw std::length_error("Trace: more VMs than a uint32_t index can address");
   }
+  // Counting pass: number the distinct subscriptions in id order, count
+  // their VMs, then place each VM's index after its subscription's
+  // predecessors. Visiting vms_ in order keeps each group in creation order.
+  std::unordered_map<uint64_t, uint32_t> group;
+  for (const VmRecord& vm : vms_) ++group[vm.subscription_id];
+  subscription_ids_.clear();
+  subscription_ids_.reserve(group.size());
+  for (const auto& [id, count] : group) subscription_ids_.push_back(id);
+  std::sort(subscription_ids_.begin(), subscription_ids_.end());
+  sub_offsets_.assign(subscription_ids_.size() + 1, 0);
+  for (size_t k = 0; k < subscription_ids_.size(); ++k) {
+    uint32_t& slot = group[subscription_ids_[k]];
+    sub_offsets_[k + 1] = sub_offsets_[k] + slot;
+    slot = sub_offsets_[k];  // from here on: next free position of group k
+  }
+  by_subscription_.resize(vms_.size());
+  for (size_t i = 0; i < vms_.size(); ++i) {
+    by_subscription_[group[vms_[i].subscription_id]++] = static_cast<uint32_t>(i);
+  }
+
+  subscription_index_.clear();
   for (size_t i = 0; i < subscriptions_.size(); ++i) {
     subscription_index_[subscriptions_[i].subscription_id] = i;
   }
 }
 
-const std::vector<size_t>& Trace::VmsOfSubscription(uint64_t subscription_id) const {
-  static const std::vector<size_t> kEmpty;
-  auto it = by_subscription_.find(subscription_id);
-  return it == by_subscription_.end() ? kEmpty : it->second;
+std::span<const uint32_t> Trace::VmsOfSubscription(uint64_t subscription_id) const {
+  auto it = std::lower_bound(subscription_ids_.begin(), subscription_ids_.end(),
+                             subscription_id);
+  if (it == subscription_ids_.end() || *it != subscription_id) return {};
+  size_t k = static_cast<size_t>(it - subscription_ids_.begin());
+  return std::span<const uint32_t>(by_subscription_).subspan(
+      sub_offsets_[k], sub_offsets_[k + 1] - sub_offsets_[k]);
 }
 
 const SubscriptionProfile* Trace::FindSubscription(uint64_t subscription_id) const {
@@ -49,10 +73,12 @@ std::vector<const VmRecord*> Trace::CompletedVms() const {
 }
 
 std::vector<const VmRecord*> Trace::VmsCreatedIn(SimTime from, SimTime to) const {
+  auto created_before = [](const VmRecord& vm, SimTime t) { return vm.created < t; };
+  auto first = std::lower_bound(vms_.begin(), vms_.end(), from, created_before);
+  auto last = std::lower_bound(first, vms_.end(), to, created_before);
   std::vector<const VmRecord*> out;
-  for (const auto& vm : vms_) {
-    if (vm.created >= from && vm.created < to) out.push_back(&vm);
-  }
+  out.reserve(static_cast<size_t>(last - first));
+  for (auto it = first; it != last; ++it) out.push_back(&*it);
   return out;
 }
 

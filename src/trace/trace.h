@@ -5,6 +5,7 @@
 #define RC_SRC_TRACE_TRACE_H_
 
 #include <cstdint>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -27,8 +28,9 @@ class Trace {
 
   size_t vm_count() const { return vms_.size(); }
 
-  // Indices (into vms()) of the VMs of each subscription, in creation order.
-  const std::vector<size_t>& VmsOfSubscription(uint64_t subscription_id) const;
+  // Indices (into vms()) of the VMs of a subscription, in creation order;
+  // empty for an id no VM carries.
+  std::span<const uint32_t> VmsOfSubscription(uint64_t subscription_id) const;
 
   const SubscriptionProfile* FindSubscription(uint64_t subscription_id) const;
 
@@ -37,7 +39,8 @@ class Trace {
   // its dataset).
   std::vector<const VmRecord*> CompletedVms() const;
 
-  // VMs created at or after `from` (e.g. the test month for Table 4).
+  // VMs created in [from, to) (e.g. the test month for Table 4), in trace
+  // order.
   std::vector<const VmRecord*> VmsCreatedIn(SimTime from, SimTime to) const;
 
  private:
@@ -46,7 +49,11 @@ class Trace {
   std::vector<SubscriptionProfile> subscriptions_;
   std::vector<VmRecord> vms_;  // sorted by (created, vm_id)
   SimDuration observation_window_ = 0;
-  std::unordered_map<uint64_t, std::vector<size_t>> by_subscription_;
+  // Compressed per-subscription index: the VMs of subscription_ids_[k] are
+  // by_subscription_[sub_offsets_[k] .. sub_offsets_[k + 1]).
+  std::vector<uint64_t> subscription_ids_;  // distinct ids of vms_, sorted
+  std::vector<uint32_t> sub_offsets_;       // subscription_ids_.size() + 1
+  std::vector<uint32_t> by_subscription_;   // one index into vms_ per VM
   std::unordered_map<uint64_t, size_t> subscription_index_;
 };
 

@@ -1,6 +1,7 @@
 #include "src/trace/trace_io.h"
 
 #include <charconv>
+#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 
@@ -51,6 +52,28 @@ DeploymentTag ParseTag(const std::string& s) {
   throw std::runtime_error("bad tag: " + s);
 }
 
+// Role and service columns read leniently: a name outside the vocabulary
+// reads as code 0 (IaaS / unknown service) instead of failing the file.
+Role ParseRole(const std::string& s) {
+  if (s == "WebRole") return Role::kWebRole;
+  if (s == "WorkerRole") return Role::kWorkerRole;
+  if (s == "CacheRole") return Role::kCacheRole;
+  if (s == "DbRole") return Role::kDbRole;
+  return Role::kIaas;
+}
+
+// "svc-N" -> N + 1 for N in the catalog; anything else (incl. "unknown") -> 0.
+uint8_t ParseService(const std::string& s) {
+  if (s.rfind("svc-", 0) != 0) return 0;
+  int n = std::atoi(s.c_str() + 4);
+  if (n < 0 || n >= kNumServices) return 0;
+  return static_cast<uint8_t>(n + 1);
+}
+
+std::string ServiceName(uint8_t service) {
+  return service == 0 ? "unknown" : "svc-" + std::to_string(service - 1);
+}
+
 WorkloadClass ParseClass(const std::string& s) {
   if (s == "Delay-insensitive") return WorkloadClass::kDelayInsensitive;
   if (s == "Interactive") return WorkloadClass::kInteractive;
@@ -68,7 +91,7 @@ void WriteVmTable(const Trace& trace, std::ostream& out) {
         std::to_string(vm.vm_id), std::to_string(vm.deployment_id),
         std::to_string(vm.subscription_id), std::to_string(vm.region),
         ToString(vm.party), ToString(vm.vm_type), ToString(vm.guest_os),
-        ToString(vm.tag), vm.role_name, vm.service_name, std::to_string(vm.cores),
+        ToString(vm.tag), ToString(vm.role), ServiceName(vm.service), std::to_string(vm.cores),
         Fmt(vm.memory_gb), std::to_string(vm.created), std::to_string(vm.deleted),
         Fmt(vm.avg_cpu), Fmt(vm.p95_max_cpu), ToString(vm.true_class),
         std::to_string(vm.util.seed), Fmt(vm.util.base), Fmt(vm.util.diurnal_amp),
@@ -108,8 +131,8 @@ Trace ReadVmTable(std::istream& in, SimDuration observation_window) {
     vm.vm_type = ParseVmType(row[i++]);
     vm.guest_os = ParseOs(row[i++]);
     vm.tag = ParseTag(row[i++]);
-    vm.role_name = row[i++];
-    vm.service_name = row[i++];
+    vm.role = ParseRole(row[i++]);
+    vm.service = ParseService(row[i++]);
     vm.cores = std::stoi(row[i++]);
     vm.memory_gb = std::stod(row[i++]);
     vm.created = std::stoll(row[i++]);

@@ -12,6 +12,17 @@ const char* ToString(DeploymentTag t) {
   return t == DeploymentTag::kProduction ? "production" : "non-production";
 }
 
+const char* ToString(Role r) {
+  switch (r) {
+    case Role::kIaas: return "IaaS";
+    case Role::kWebRole: return "WebRole";
+    case Role::kWorkerRole: return "WorkerRole";
+    case Role::kCacheRole: return "CacheRole";
+    case Role::kDbRole: return "DbRole";
+  }
+  return "?";
+}
+
 const char* ToString(WorkloadClass c) {
   switch (c) {
     case WorkloadClass::kDelayInsensitive: return "Delay-insensitive";

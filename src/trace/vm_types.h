@@ -7,7 +7,7 @@
 #define RC_SRC_TRACE_VM_TYPES_H_
 
 #include <cstdint>
-#include <string>
+#include <type_traits>
 
 #include "src/common/sim_time.h"
 
@@ -19,6 +19,18 @@ enum class GuestOs : uint8_t { kLinux = 0, kWindows = 1 };
 // First-party subscriptions carry a production / non-production annotation;
 // Algorithm 1 only oversubscribes with non-production VMs.
 enum class DeploymentTag : uint8_t { kProduction = 0, kNonProduction = 1 };
+// Top first-party services are named "svc-0".."svc-19".
+inline constexpr int kNumServices = 20;
+
+// IaaS VMs carry no role; PaaS VMs run one of four role types. The codes are
+// the ones ClientInputs::role carries.
+enum class Role : uint8_t {
+  kIaas = 0,
+  kWebRole = 1,
+  kWorkerRole = 2,
+  kCacheRole = 3,
+  kDbRole = 4,
+};
 enum class WorkloadClass : uint8_t {
   kDelayInsensitive = 0,
   kInteractive = 1,
@@ -29,6 +41,7 @@ const char* ToString(Party p);
 const char* ToString(VmType t);
 const char* ToString(GuestOs os);
 const char* ToString(DeploymentTag t);
+const char* ToString(Role r);
 const char* ToString(WorkloadClass c);
 
 // One 5-minute utilization reading: min/avg/max virtual CPU utilization as a
@@ -51,6 +64,8 @@ struct UtilizationParams {
   double burst_amp = 0.1;   // spiky max-over-slot headroom above avg
 };
 
+// 128 bytes and trivially copyable: the whole trace stays resident through
+// the pipeline and the simulator's set-up, so names are stored as codes.
 struct VmRecord {
   uint64_t vm_id = 0;
   uint64_t deployment_id = 0;
@@ -62,12 +77,14 @@ struct VmRecord {
   GuestOs guest_os = GuestOs::kLinux;
   DeploymentTag tag = DeploymentTag::kProduction;
 
-  // PaaS role name ("WebRole", "WorkerRole", ...) or "IaaS".
-  std::string role_name;
-  // Top first-party service name, or "unknown" (third-party / small services).
-  std::string service_name;
-
   int32_t cores = 1;
+  Role role = Role::kIaas;
+  // Top first-party service: 0 = unknown (third-party / small services),
+  // N + 1 = "svc-N". The code ClientInputs::service_id carries.
+  uint8_t service = 0;
+  // Ground-truth class: kUnknown for VMs that lived < 3 days.
+  WorkloadClass true_class = WorkloadClass::kUnknown;
+
   double memory_gb = 1.75;
 
   SimTime created = 0;
@@ -79,13 +96,14 @@ struct VmRecord {
   // generation time (what the telemetry pipeline would aggregate).
   double avg_cpu = 0.0;      // lifetime average of avg readings
   double p95_max_cpu = 0.0;  // 95th percentile of per-slot max readings
-  WorkloadClass true_class = WorkloadClass::kUnknown;
 
   SimDuration lifetime() const { return deleted - created; }
   double CoreHours() const {
     return static_cast<double>(cores) * static_cast<double>(lifetime()) / kHour;
   }
 };
+static_assert(sizeof(VmRecord) == 128);
+static_assert(std::is_trivially_copyable_v<VmRecord>);
 
 // Latent per-subscription profile. Subscriptions are the unit of behavioural
 // consistency in the paper (Section 3): VMs of a subscription mostly share a
@@ -97,7 +115,7 @@ struct SubscriptionProfile {
   double type_consistency = 1.0;  // probability a VM uses the dominant type
   GuestOs dominant_os = GuestOs::kLinux;
   DeploymentTag tag = DeploymentTag::kProduction;
-  std::string service_name;  // "unknown" unless a top first-party service
+  uint8_t service = 0;  // VmRecord::service code; 0 unless a top first-party service
   int32_t home_region = 0;
 
   // Dominant bucket + consistency per metric (see common/buckets.h).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <string>
 
 #include "src/common/buckets.h"
 #include "src/common/parallel.h"
@@ -34,8 +33,6 @@ double LogUniform(Rng& rng, double lo, double hi) {
   return std::exp(rng.Uniform(std::log(lo), std::log(hi)));
 }
 
-const char* kPaasRoles[] = {"WebRole", "WorkerRole", "CacheRole", "DbRole"};
-
 }  // namespace
 
 WorkloadModel::WorkloadModel(WorkloadConfig config) : config_(std::move(config)) {}
@@ -62,9 +59,7 @@ SubscriptionProfile WorkloadModel::MakeSubscription(uint64_t id, Rng& rng) {
   if (sub.party == Party::kFirst && rng.Bernoulli(0.6)) {
     // Zipf-ish assignment over 20 named top services.
     int svc = static_cast<int>(std::min<double>(19.0, std::floor(rng.Pareto(1.0, 1.2)) - 1.0));
-    sub.service_name = "svc-" + std::to_string(svc);
-  } else {
-    sub.service_name = "unknown";
+    sub.service = static_cast<uint8_t>(svc + 1);
   }
   sub.home_region = static_cast<int32_t>(rng.UniformInt(0, config_.num_regions - 1));
 
@@ -168,14 +163,13 @@ VmRecord WorkloadModel::MakeVm(const SubscriptionProfile& sub, uint64_t vm_id,
   vm.region = region;
   vm.party = sub.party;
   vm.tag = sub.tag;
-  vm.service_name = sub.service_name;
+  vm.service = sub.service;
 
   vm.vm_type = rng.Bernoulli(sub.type_consistency)
                    ? sub.dominant_type
                    : (sub.dominant_type == VmType::kIaas ? VmType::kPaas : VmType::kIaas);
-  vm.role_name = vm.vm_type == VmType::kIaas
-                     ? "IaaS"
-                     : kPaasRoles[rng.UniformInt(0, 3)];
+  vm.role = vm.vm_type == VmType::kIaas ? Role::kIaas
+                                         : static_cast<Role>(1 + rng.UniformInt(0, 3));
   vm.guest_os = rng.Bernoulli(0.93) ? sub.dominant_os
                                     : (sub.dominant_os == GuestOs::kLinux
                                            ? GuestOs::kWindows

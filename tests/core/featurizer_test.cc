@@ -113,26 +113,14 @@ TEST(FeaturizerTest, DeterministicEncoding) {
   EXPECT_EQ(f.Encode(SampleInputs(), history), f.Encode(SampleInputs(), history));
 }
 
-TEST(RoleServiceIdTest, Mappings) {
-  EXPECT_EQ(RoleId("IaaS"), 0);
-  EXPECT_EQ(RoleId("WebRole"), 1);
-  EXPECT_EQ(RoleId("DbRole"), 4);
-  EXPECT_EQ(RoleId("Mystery"), 0);
-  EXPECT_EQ(ServiceId("unknown"), 0);
-  EXPECT_EQ(ServiceId("svc-0"), 1);
-  EXPECT_EQ(ServiceId("svc-19"), 20);
-  EXPECT_EQ(ServiceId("svc-25"), 0);  // out of catalog
-  EXPECT_EQ(ServiceId("other"), 0);
-}
-
 TEST(InputsFromVmTest, MapsAllFields) {
   rc::trace::VmSizeCatalog catalog;
   rc::trace::VmRecord vm;
   vm.subscription_id = 77;
   vm.vm_type = rc::trace::VmType::kPaas;
   vm.guest_os = rc::trace::GuestOs::kWindows;
-  vm.role_name = "WorkerRole";
-  vm.service_name = "svc-3";
+  vm.role = rc::trace::Role::kWorkerRole;
+  vm.service = 4;  // svc-3
   vm.cores = 2;
   vm.memory_gb = 3.5;  // A2
   vm.region = 4;

@@ -4,7 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include "src/core/featurizer.h"
 #include "src/trace/utilization.h"
+#include "src/trace/vm_size_catalog.h"
 #include "src/trace/workload_model.h"
 
 namespace rc::trace {
@@ -16,6 +18,23 @@ Trace SmallTrace() {
   config.num_subscriptions = 40;
   config.seed = 77;
   return WorkloadModel(config).Generate();
+}
+
+// Writes one default VM (an IaaS VM of no named service), swaps the names in
+// its role and service columns, and reads the record back.
+VmRecord ReadWithNames(const std::string& role, const std::string& service) {
+  VmRecord vm;
+  vm.deleted = kHour;
+  std::stringstream written;
+  WriteVmTable(Trace({}, {vm}, kDay), written);
+  std::string csv = written.str();
+  const std::string canonical = ",production,IaaS,unknown,";
+  size_t at = csv.find(canonical);
+  EXPECT_NE(at, std::string::npos);
+  if (at == std::string::npos) return vm;
+  csv.replace(at, canonical.size(), ",production," + role + "," + service + ",");
+  std::stringstream in(csv);
+  return ReadVmTable(in, kDay).vms().at(0);
 }
 
 TEST(TraceIoTest, RoundTripPreservesRecords) {
@@ -35,8 +54,8 @@ TEST(TraceIoTest, RoundTripPreservesRecords) {
     ASSERT_EQ(a.vm_type, b.vm_type);
     ASSERT_EQ(a.guest_os, b.guest_os);
     ASSERT_EQ(a.tag, b.tag);
-    ASSERT_EQ(a.role_name, b.role_name);
-    ASSERT_EQ(a.service_name, b.service_name);
+    ASSERT_EQ(a.role, b.role);
+    ASSERT_EQ(a.service, b.service);
     ASSERT_EQ(a.cores, b.cores);
     ASSERT_EQ(a.created, b.created);
     ASSERT_EQ(a.deleted, b.deleted);
@@ -52,6 +71,62 @@ TEST(TraceIoTest, RoundTripPreservesRecords) {
     ASSERT_EQ(a.util.diurnal_phase_h, b.util.diurnal_phase_h);
     ASSERT_EQ(a.util.noise_amp, b.util.noise_amp);
     ASSERT_EQ(a.util.burst_amp, b.util.burst_amp);
+  }
+}
+
+TEST(TraceIoTest, RewriteIsByteIdentical) {
+  // The writer prints the canonical role and service names, so a restored
+  // trace writes the same bytes.
+  std::stringstream first;
+  WriteVmTable(SmallTrace(), first);
+  const std::string bytes = first.str();
+  Trace restored = ReadVmTable(first, kDay);
+  std::stringstream second;
+  WriteVmTable(restored, second);
+  EXPECT_EQ(second.str(), bytes);
+}
+
+TEST(TraceIoTest, ReadsRoleAndServiceCodes) {
+  EXPECT_EQ(ReadWithNames("IaaS", "unknown").role, Role::kIaas);
+  EXPECT_EQ(ReadWithNames("WebRole", "unknown").role, Role::kWebRole);
+  EXPECT_EQ(ReadWithNames("WorkerRole", "unknown").role, Role::kWorkerRole);
+  EXPECT_EQ(ReadWithNames("CacheRole", "unknown").role, Role::kCacheRole);
+  EXPECT_EQ(ReadWithNames("DbRole", "unknown").role, Role::kDbRole);
+  EXPECT_EQ(ReadWithNames("IaaS", "unknown").service, 0);
+  EXPECT_EQ(ReadWithNames("IaaS", "svc-0").service, 1);
+  EXPECT_EQ(ReadWithNames("IaaS", "svc-19").service, 20);
+}
+
+TEST(TraceIoTest, NamesOutsideTheVocabularyReadAsCodeZero) {
+  EXPECT_EQ(ReadWithNames("Mystery", "unknown").role, Role::kIaas);
+  EXPECT_EQ(ReadWithNames("IaaS", "svc-25").service, 0);  // out of catalog
+  EXPECT_EQ(ReadWithNames("IaaS", "svc--1").service, 0);
+  EXPECT_EQ(ReadWithNames("IaaS", "other").service, 0);
+}
+
+TEST(InputsFromVmTest, SameAfterCsvRoundTrip) {
+  // Every VM featurizes the same from the generator's codes as from the
+  // codes its CSV names parse back to.
+  Trace original = SmallTrace();
+  std::stringstream ss;
+  WriteVmTable(original, ss);
+  Trace restored = ReadVmTable(ss, original.observation_window());
+  ASSERT_EQ(restored.vm_count(), original.vm_count());
+  VmSizeCatalog catalog;
+  for (size_t i = 0; i < original.vm_count(); ++i) {
+    core::ClientInputs a = core::InputsFromVm(original.vms()[i], catalog);
+    core::ClientInputs b = core::InputsFromVm(restored.vms()[i], catalog);
+    ASSERT_EQ(a.subscription_id, b.subscription_id);
+    ASSERT_EQ(a.vm_type, b.vm_type);
+    ASSERT_EQ(a.guest_os, b.guest_os);
+    ASSERT_EQ(a.role, b.role);
+    ASSERT_EQ(a.cores, b.cores);
+    ASSERT_EQ(a.memory_gb, b.memory_gb);
+    ASSERT_EQ(a.size_index, b.size_index);
+    ASSERT_EQ(a.region, b.region);
+    ASSERT_EQ(a.deploy_hour, b.deploy_hour);
+    ASSERT_EQ(a.deploy_dow, b.deploy_dow);
+    ASSERT_EQ(a.service_id, b.service_id);
   }
 }
 

@@ -1,6 +1,14 @@
 #include "src/trace/trace.h"
 
+#include <set>
+#include <sstream>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "src/trace/trace_io.h"
+#include "src/trace/workload_model.h"
 
 namespace rc::trace {
 namespace {
@@ -11,8 +19,6 @@ VmRecord MakeVm(uint64_t id, uint64_t sub, SimTime created, SimTime deleted) {
   vm.subscription_id = sub;
   vm.created = created;
   vm.deleted = deleted;
-  vm.role_name = "IaaS";
-  vm.service_name = "unknown";
   return vm;
 }
 
@@ -72,6 +78,87 @@ TEST_F(TraceTest, TieBreakOnVmId) {
   vms.push_back(MakeVm(3, 1, 100, 200));
   Trace t({}, std::move(vms), kDay);
   EXPECT_EQ(t.vms()[0].vm_id, 3u);
+}
+
+Trace GeneratedTrace() {
+  WorkloadConfig config;
+  config.target_vm_count = 3000;
+  config.num_subscriptions = 120;
+  config.seed = 31;
+  return WorkloadModel(config).Generate();
+}
+
+// The subscription index holds, for every id a VM carries, exactly the
+// indices a scan of vms() finds, in creation order; other ids read empty.
+void ExpectIndexMatchesScan(const Trace& t) {
+  std::set<uint64_t> ids;
+  for (const VmRecord& vm : t.vms()) ids.insert(vm.subscription_id);
+  ASSERT_GT(ids.size(), 1u);
+  for (uint64_t id : ids) {
+    std::vector<uint32_t> scanned;
+    for (size_t i = 0; i < t.vm_count(); ++i) {
+      if (t.vms()[i].subscription_id == id) scanned.push_back(static_cast<uint32_t>(i));
+    }
+    auto indexed = t.VmsOfSubscription(id);
+    ASSERT_EQ(std::vector<uint32_t>(indexed.begin(), indexed.end()), scanned) << id;
+  }
+  EXPECT_TRUE(t.VmsOfSubscription(*ids.rbegin() + 1).empty());
+  if (*ids.begin() > 0) {
+    EXPECT_TRUE(t.VmsOfSubscription(*ids.begin() - 1).empty());
+  }
+}
+
+TEST(TraceIndexTest, SubscriptionIndexMatchesScanOnGeneratedTrace) {
+  Trace t = GeneratedTrace();
+  ASSERT_FALSE(t.subscriptions().empty());
+  ExpectIndexMatchesScan(t);
+}
+
+TEST(TraceIndexTest, SubscriptionIndexMatchesScanOnReadTrace) {
+  // A trace read from CSV has no subscription profiles; the index comes
+  // from the VMs alone.
+  Trace generated = GeneratedTrace();
+  std::stringstream ss;
+  WriteVmTable(generated, ss);
+  Trace t = ReadVmTable(ss, generated.observation_window());
+  ASSERT_TRUE(t.subscriptions().empty());
+  ExpectIndexMatchesScan(t);
+}
+
+TEST(TraceIndexTest, EmptyTraceHasEmptyIndex) {
+  Trace t;
+  EXPECT_TRUE(t.VmsOfSubscription(0).empty());
+  EXPECT_TRUE(t.VmsCreatedIn(0, kDay).empty());
+}
+
+TEST(TraceIndexTest, VmsCreatedInMatchesLinearFilter) {
+  Trace t = GeneratedTrace();
+  auto linear = [&](SimTime from, SimTime to) {
+    std::vector<const VmRecord*> out;
+    for (const auto& vm : t.vms()) {
+      if (vm.created >= from && vm.created < to) out.push_back(&vm);
+    }
+    return out;
+  };
+  const auto& vms = t.vms();
+  ASSERT_GT(vms.size(), 100u);
+  // Windows that start or end exactly on a created value, on either side of
+  // it, plus ones past both ends and an inverted one.
+  std::vector<std::pair<SimTime, SimTime>> windows = {
+      {vms[10].created, vms[90].created},
+      {vms[10].created + 1, vms[90].created - 1},
+      {vms[10].created - 1, vms[90].created + 1},
+      {vms[50].created, vms[50].created},
+      {vms[50].created, vms[50].created + 1},
+      {vms.front().created - kDay, vms.back().created},
+      {vms.front().created, vms.back().created + 1},
+      {vms.back().created + 1, vms.back().created + kDay},
+      {vms[90].created, vms[10].created},
+      {10 * kDay, 20 * kDay},
+  };
+  for (const auto& [from, to] : windows) {
+    EXPECT_EQ(t.VmsCreatedIn(from, to), linear(from, to)) << from << ".." << to;
+  }
 }
 
 }  // namespace

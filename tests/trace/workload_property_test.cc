@@ -38,11 +38,13 @@ TEST_P(WorkloadProperty, StructuralInvariants) {
     ASSERT_GE(vm.avg_cpu, 0.0);
     ASSERT_LE(vm.p95_max_cpu, 1.0);
     ASSERT_LE(vm.avg_cpu, vm.p95_max_cpu + 1e-9);
-    ASSERT_FALSE(vm.role_name.empty());
-    ASSERT_FALSE(vm.service_name.empty());
+    // IaaS VMs carry no role; PaaS VMs run one of the four roles.
+    ASSERT_EQ(vm.role == Role::kIaas, vm.vm_type == VmType::kIaas);
+    ASSERT_LE(static_cast<int>(vm.role), static_cast<int>(Role::kDbRole));
+    ASSERT_LE(vm.service, kNumServices);
     // Third-party VMs never carry named first-party services or non-prod tags.
     if (vm.party == Party::kThird) {
-      ASSERT_EQ(vm.service_name, "unknown");
+      ASSERT_EQ(vm.service, 0);
       ASSERT_EQ(vm.tag, DeploymentTag::kProduction);
     }
     // Class labels consistent with lifetime and diurnal amplitude.

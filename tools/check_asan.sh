@@ -16,7 +16,8 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRC_SANITIZE=address
 cmake --build "${BUILD_DIR}" -j"$(nproc)" \
-  --target rc_common_tests rc_obs_tests rc_ml_tests rc_cache_tests rc_store_tests rc_core_tests rc_net_tests
+  --target rc_common_tests rc_obs_tests rc_ml_tests rc_cache_tests rc_store_tests rc_core_tests rc_net_tests \
+  rc_trace_tests
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
@@ -56,4 +57,10 @@ echo "== rc_store_tests (ASan+UBSan, sharded KvStore listener lifetime) =="
 # pusher and reloader replace and release.
 echo "== rc_core_tests (ASan+UBSan, cache parity + no-prediction storm + concurrency) =="
 "${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='ClientCacheParity*:ClientNoPredictionStress*:ClientConcurrency*'
+# The VM-table writer turns byte-sized role and service codes into names, and
+# the reader parses untrusted CSV columns back into those codes, which the
+# featurizer then uses as one-hot positions.
+echo "== rc_trace_tests + rc_core_tests (ASan+UBSan, trace CSV codes) =="
+"${BUILD_DIR}/tests/rc_trace_tests" --gtest_filter='TraceIo*:InputsFromVm*'
+"${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='InputsFromVm*'
 echo "ASan+UBSan check passed: no memory or UB reports."
