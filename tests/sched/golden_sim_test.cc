@@ -8,6 +8,8 @@
 // consciously; a refactor or speed-up of any of these layers must not.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -134,6 +136,11 @@ struct Golden {
   int64_t failures;
   int64_t overload_readings;
   int64_t oversub_placements;
+  int64_t occupied_readings;
+  // Bit patterns of the two double outcomes: the month is pinned exactly,
+  // so a change in summation order or a lost reading shows up here.
+  uint64_t mean_occupied_utilization_bits;
+  uint64_t p99_utilization_bits;
 };
 
 TEST_F(GoldenSimTest, OneMonthOutcomesArePinned) {
@@ -141,9 +148,15 @@ TEST_F(GoldenSimTest, OneMonthOutcomesArePinned) {
   // Baseline never oversubscribes; Naive oversubscribes blind; the
   // RC-informed soft rule keeps most oversubscribed placements off >100%.
   const Golden goldens[] = {
-      {PolicyKind::kBaseline, 5181, 57, 0, 0},
-      {PolicyKind::kNaive, 5181, 72, 29, 246},
-      {PolicyKind::kRcInformedSoft, 5181, 78, 5, 60},
+      // mean 0.4003022986501284, P99 0.835
+      {PolicyKind::kBaseline, 5181, 57, 0, 0, 73482, 0x3fd99e8d884dd1bdULL,
+       0x3feab851eb851eb8ULL},
+      // mean 0.37797672212229938, P99 0.865
+      {PolicyKind::kNaive, 5181, 72, 29, 246, 76685, 0x3fd830c5470a8814ULL,
+       0x3febae147ae147aeULL},
+      // mean 0.36855506348895317, P99 0.825
+      {PolicyKind::kRcInformedSoft, 5181, 78, 5, 60, 78931, 0x3fd79667fa1d74dcULL,
+       0x3fea666666666666ULL},
   };
   for (const Golden& g : goldens) {
     const SimResult r = Run(g.kind);
@@ -151,6 +164,12 @@ TEST_F(GoldenSimTest, OneMonthOutcomesArePinned) {
     EXPECT_EQ(r.failures, g.failures) << ToString(g.kind);
     EXPECT_EQ(r.overload_readings, g.overload_readings) << ToString(g.kind);
     EXPECT_EQ(r.oversub_placements, g.oversub_placements) << ToString(g.kind);
+    EXPECT_EQ(r.occupied_readings, g.occupied_readings) << ToString(g.kind);
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.mean_occupied_utilization),
+              g.mean_occupied_utilization_bits)
+        << ToString(g.kind) << " mean " << r.mean_occupied_utilization;
+    EXPECT_EQ(std::bit_cast<uint64_t>(r.p99_utilization), g.p99_utilization_bits)
+        << ToString(g.kind) << " p99 " << r.p99_utilization;
   }
 }
 
