@@ -3,12 +3,16 @@
 // allocated virtual cores (c.alloc) and predicted-utilization cores (c.util,
 // maintained only on oversubscribable servers). A server is logically split
 // into the oversubscribable / non-oversubscribable groups by the first VM
-// placed on it and returns to the empty pool when it drains.
+// placed on it and returns to the empty pool when it drains. The cluster
+// also keeps one bitset of non-empty servers per group, so the scheduler can
+// offer its rules the occupied servers plus one empty server instead of the
+// whole cluster (see CandidateServers).
 #ifndef RC_SRC_SCHED_CLUSTER_H_
 #define RC_SRC_SCHED_CLUSTER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/common/sim_time.h"
@@ -79,9 +83,30 @@ class Cluster {
 
   double physical_cores() const { return static_cast<double>(config_.cores_per_server); }
 
+  // Replaces `out` with the servers the scheduler offers its rule chain, in
+  // ascending id order: every non-empty server (only those tagged `kind`,
+  // when given) plus the lowest-id empty server, if any. The rules treat all
+  // empty servers alike (rules.h), so that one stands in for all of them.
+  void CandidateServers(std::optional<ServerKind> kind, std::vector<int>& out) const;
+
+  // Unallocated physical cores across the non-empty oversubscribable servers:
+  // the sum of max(0, physical - alloc_cores). Kept as servers fill and
+  // drain; exact, because alloc_cores is always a sum of whole cores.
+  double oversub_headroom_cores() const { return oversub_headroom_cores_; }
+
  private:
+  // The server's share of oversub_headroom_cores_ (0 unless non-empty and
+  // oversubscribable).
+  double HeadroomOf(const Server& s) const;
+
   ClusterConfig config_;
   std::vector<Server> servers_;
+  // One bit per server (bit id % 64 of word id / 64). empty_bits_ marks the
+  // empty servers; kind_bits_[k] the non-empty servers tagged ServerKind k.
+  // Every server's bit is set in exactly one of the three.
+  std::vector<uint64_t> empty_bits_;
+  std::vector<uint64_t> kind_bits_[2];
+  double oversub_headroom_cores_ = 0.0;
 };
 
 }  // namespace rc::sched

@@ -1,7 +1,5 @@
 #include "src/sched/scheduler.h"
 
-#include <numeric>
-
 namespace rc::sched {
 
 Scheduler::Scheduler(Cluster* cluster, std::vector<std::unique_ptr<Rule>> rules,
@@ -25,10 +23,13 @@ Scheduler::Scheduler(Cluster* cluster, std::vector<std::unique_ptr<Rule>> rules,
 
 std::optional<int> Scheduler::Schedule(const VmRequest& vm) {
   rc::obs::ScopedTimer timer(place_latency_us_);
-  scratch_.resize(static_cast<size_t>(cluster_->size()));
-  std::iota(scratch_.begin(), scratch_.end(), 0);
+  // The non-empty servers plus one empty server stand in for the whole
+  // cluster (the rule invariant in rules.h); a leading hard rule that keeps
+  // only one kind of non-empty server narrows them to that kind.
+  std::optional<ServerKind> kind;
+  if (!rules_.empty() && rules_.front()->hard()) kind = rules_.front()->OnlyNonEmptyKind(vm);
+  cluster_->CandidateServers(kind, scratch_);
 
-  std::vector<int> backup;
   for (size_t i = 0; i < rules_.size(); ++i) {
     const auto& rule = rules_[i];
     if (rule->hard()) {
@@ -39,11 +40,11 @@ std::optional<int> Scheduler::Schedule(const VmRequest& vm) {
       }
     } else {
       // Soft rule: enforce only if at least one candidate survives.
-      backup = scratch_;
+      backup_.assign(scratch_.begin(), scratch_.end());
       rule->Filter(vm, *cluster_, scratch_);
       if (scratch_.empty()) {
         softened_[i]->Increment();
-        scratch_ = std::move(backup);
+        scratch_.swap(backup_);
       }
     }
   }

@@ -34,7 +34,10 @@ class Scheduler {
  private:
   Cluster* cluster_;
   std::vector<std::unique_ptr<Rule>> rules_;
-  std::vector<int> scratch_;  // candidate buffer reused across calls
+  // Candidate buffers reused across calls: scratch_ holds the survivors,
+  // backup_ the set a soft rule started from.
+  std::vector<int> scratch_;
+  std::vector<int> backup_;
   // Parallel to rules_: rejections[i] counts hard-rule i emptying the
   // candidate set (a scheduling failure attributed to that rule);
   // softened[i] counts soft-rule i being disregarded because enforcing it

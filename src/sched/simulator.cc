@@ -37,11 +37,12 @@ SimResult ClusterSimulator::Run(std::vector<VmRequest> requests,
       "rc_sim_slot_latency_us", {}, {},
       "per-slot event processing + utilization sampling wall time (us)");
   // Spare physical capacity on the oversubscribable pool: sum over
-  // oversubscribable servers of max(0, physical - allocated) cores, sampled
-  // once per slot. Falls as the informed policies pack the pool tighter.
+  // non-empty oversubscribable servers of max(0, physical - allocated)
+  // cores, sampled once per slot. Falls as the informed policies pack the
+  // pool tighter.
   rc::obs::Gauge& headroom = reg.GetGauge(
       "rc_sim_oversub_headroom_cores", {},
-      "unallocated physical cores across oversubscribable servers");
+      "unallocated physical cores across non-empty oversubscribable servers");
   rc::obs::Counter& vms_placed = reg.GetCounter("rc_sim_vms", {}, "placement requests");
   rc::obs::Counter& sched_failures =
       reg.GetCounter("rc_sim_failures", {}, "scheduling failures");
@@ -131,21 +132,14 @@ SimResult ClusterSimulator::Run(std::vector<VmRequest> requests,
     rc::obs::ScopedTimer slot_timer(&slot_latency);
     SimTime slot_start = SlotStart(slot);
     process_events_until(slot_start);
-    {
-      const Cluster& cluster = policy.cluster();
-      double spare = 0.0;
-      for (int id = 0; id < cluster.size(); ++id) {
-        const Server& server = cluster.server(id);
-        if (server.kind != ServerKind::kOversubscribable) continue;
-        spare += std::max(0.0, physical - server.alloc_cores);
-      }
-      headroom.Set(spare);
-    }
+    headroom.Set(policy.cluster().oversub_headroom_cores());
+    // The slot's inner hashes, shared by every hosted VM's reading.
+    const UtilizationModel::SlotHashes slot_hashes(slot);
     for (auto& list : hosted) {
       if (list.empty()) continue;
       double used_cores = 0.0;
       for (const ActiveVm& vm : list) {
-        double frac = UtilizationModel::MaxCpuAt(vm.util, slot) + config_.util_inflation;
+        double frac = UtilizationModel::MaxCpuAt(vm.util, slot_hashes) + config_.util_inflation;
         used_cores += frac * vm.cores;
       }
       double fraction = used_cores / physical;

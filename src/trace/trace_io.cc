@@ -1,7 +1,6 @@
 #include "src/trace/trace_io.h"
 
 #include <charconv>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 
@@ -62,11 +61,14 @@ Role ParseRole(const std::string& s) {
   return Role::kIaas;
 }
 
-// "svc-N" -> N + 1 for N in the catalog; anything else (incl. "unknown") -> 0.
+// "svc-N" -> N + 1 for N in the catalog; anything else (incl. "unknown",
+// "svc-", signs, spaces, trailing characters and numbers out of range) -> 0.
 uint8_t ParseService(const std::string& s) {
   if (s.rfind("svc-", 0) != 0) return 0;
-  int n = std::atoi(s.c_str() + 4);
-  if (n < 0 || n >= kNumServices) return 0;
+  const char* end = s.data() + s.size();
+  int n = 0;
+  const auto [ptr, ec] = std::from_chars(s.data() + 4, end, n);
+  if (ec != std::errc() || ptr != end || n < 0 || n >= kNumServices) return 0;
   return static_cast<uint8_t>(n + 1);
 }
 

@@ -28,9 +28,22 @@ class UtilizationModel {
   static CpuReading ReadingAt(const VmRecord& vm, int64_t slot) {
     return ReadingAt(vm.util, slot);
   }
-  // ReadingAt(p, slot).max_cpu, bit for bit, without the min reading's dip
-  // hash: the per-slot load a placement simulator adds up.
-  static double MaxCpuAt(const UtilizationParams& p, int64_t slot);
+  // What a reading at one slot shares across VMs: the slot's time and, for
+  // every hash noise term HashU64(seed ^ HashU64(k)), the inner HashU64 of
+  // the slot and of the two hourly knots around it.
+  struct SlotHashes {
+    explicit SlotHashes(int64_t slot);
+    double t_hours;    // slot start, hours
+    double knot_frac;  // position between the two knots, [0, 1)
+    uint64_t slot_hash;       // HashU64(slot)
+    uint64_t knot_hash;       // HashU64(knot)
+    uint64_t next_knot_hash;  // HashU64(knot + 1)
+  };
+  // ReadingAt(p, slot).max_cpu, bit for bit, for SlotHashes(slot): without
+  // the min reading's dip hash, and with the slot's inner hashes computed
+  // once for all VMs, so per VM it costs 4 hash mixes. The per-slot load a
+  // placement simulator adds up.
+  static double MaxCpuAt(const UtilizationParams& p, const SlotHashes& slot);
 
   // Average-CPU series for `n` consecutive slots starting at `from_slot`.
   static std::vector<double> AvgSeries(const UtilizationParams& p, int64_t from_slot,
@@ -51,14 +64,12 @@ class UtilizationModel {
   static double HashNoise(uint64_t seed, int64_t k);
 
  private:
-  // Smooth noise in [-1, 1]: linear interpolation between hourly knot values.
-  static double ValueNoise(uint64_t seed, int64_t slot);
   // The avg reading and the max reading (avg plus burst term) at `slot`.
   struct AvgMax {
     double avg;
     double max;
   };
-  static AvgMax AvgAndMaxAt(const UtilizationParams& p, int64_t slot);
+  static AvgMax AvgAndMaxAt(const UtilizationParams& p, const SlotHashes& slot);
 };
 
 }  // namespace rc::trace

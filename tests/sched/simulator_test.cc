@@ -179,5 +179,39 @@ TEST(SimulatorTest, MaxOversubSweepMonotoneOversubscription) {
   }
 }
 
+TEST(SimulatorTest, HeadroomGaugeMatchesRecountAndSkipsDrainedServers) {
+  // A week whose last events fall before the last slot, so the final
+  // per-slot sample sees the cluster as the month leaves it.
+  SimConfig config = SmallSim();
+  rc::obs::MetricsRegistry reg;
+  config.metrics = &reg;
+  const SimTime cut = config.horizon - 2 * kSlot;
+  std::vector<VmRequest> requests;
+  for (const VmRequest& req : RequestsFromTrace(SimTrace(), cut)) {
+    if (req.departure < cut || req.departure > config.horizon) requests.push_back(req);
+  }
+  Cluster cluster(config.cluster);
+  PolicyConfig policy_config;
+  policy_config.kind = PolicyKind::kRcSoftRight;
+  SchedulingPolicy policy(policy_config, &cluster, nullptr);
+  ClusterSimulator(config).Run(requests, policy);
+
+  double recount = 0.0;
+  int drained_oversub = 0;
+  for (int id = 0; id < cluster.size(); ++id) {
+    const Server& s = cluster.server(id);
+    if (s.kind != ServerKind::kOversubscribable) continue;
+    if (s.empty()) {
+      ++drained_oversub;  // tagged by its last tenant; belongs to no group
+    } else {
+      recount += std::max(0.0, cluster.physical_cores() - s.alloc_cores);
+    }
+  }
+  EXPECT_GT(recount, 0.0);
+  EXPECT_GT(drained_oversub, 0);
+  EXPECT_EQ(cluster.oversub_headroom_cores(), recount);
+  EXPECT_EQ(reg.GetGauge("rc_sim_oversub_headroom_cores").Value(), recount);
+}
+
 }  // namespace
 }  // namespace rc::sched

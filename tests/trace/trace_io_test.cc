@@ -104,6 +104,21 @@ TEST(TraceIoTest, NamesOutsideTheVocabularyReadAsCodeZero) {
   EXPECT_EQ(ReadWithNames("IaaS", "other").service, 0);
 }
 
+TEST(TraceIoTest, ServiceNumbersParseWholeAndInRange) {
+  // The whole suffix must be a number in the catalog: no wrap-around on
+  // overflow, no signs or spaces, nothing after the digits.
+  EXPECT_EQ(ReadWithNames("IaaS", "svc-4294967299").service, 0);  // 2^32 + 3
+  EXPECT_EQ(ReadWithNames("IaaS", "svc-99999999999999999999").service, 0);
+  EXPECT_EQ(ReadWithNames("IaaS", "svc- +3x").service, 0);
+  EXPECT_EQ(ReadWithNames("IaaS", "svc-+3").service, 0);
+  EXPECT_EQ(ReadWithNames("IaaS", "svc- 3").service, 0);
+  EXPECT_EQ(ReadWithNames("IaaS", "svc-3x").service, 0);
+  EXPECT_EQ(ReadWithNames("IaaS", "svc-").service, 0);
+  EXPECT_EQ(ReadWithNames("IaaS", "svc-20").service, 0);
+  EXPECT_EQ(ReadWithNames("IaaS", "svc-3").service, 4);
+  EXPECT_EQ(ReadWithNames("IaaS", "svc-03").service, 4);
+}
+
 TEST(InputsFromVmTest, SameAfterCsvRoundTrip) {
   // Every VM featurizes the same from the generator's codes as from the
   // codes its CSV names parse back to.

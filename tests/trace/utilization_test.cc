@@ -1,7 +1,10 @@
 #include "src/trace/utilization.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numbers>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -164,32 +167,111 @@ TEST(UtilizationModelTest, DistinctSeedsDecorrelated) {
   EXPECT_NEAR(dot / static_cast<double>(n), 0.0, 0.002);
 }
 
+// Random params across the shapes the generator produces, plus the edge
+// cases: diurnal off, noise at its 0.005 floor, and params whose avg clamps
+// at 0 or whose max clamps at 1.
+UtilizationParams RandomParams(Rng& rng, int trial) {
+  UtilizationParams p;
+  p.seed = rng.NextU64();
+  p.base = rng.Uniform(-0.05, 1.0);
+  p.diurnal_amp = trial % 2 == 0 ? 0.0 : rng.Uniform(0.12, 0.5);
+  p.diurnal_phase_h = rng.Uniform(10.0, 18.0);
+  p.noise_amp = trial % 3 == 0 ? 0.005 : rng.Uniform(0.005, 0.3);
+  p.burst_amp = trial % 5 == 0 ? 1.0 : rng.Uniform(0.01, 1.0);
+  return p;
+}
+
+// A slot drawn at random, or, every other draw, on or next to an hourly
+// knot, where the value noise switches to the next pair of knots.
+int64_t RandomSlot(Rng& rng, int k) {
+  if (k % 2 == 0) return rng.UniformInt(-kSlotsPerDay, 120 * kSlotsPerDay);
+  const int64_t knot = rng.UniformInt(-24, 120 * 24);
+  const int64_t offsets[] = {-1, 0, 1, kSlotsPerHour - 1};
+  return knot * kSlotsPerHour + offsets[rng.UniformInt(0, 3)];
+}
+
+// The reading as the model's header defines it, written out from HashNoise
+// alone: each noise term hashes its own (seed, k) pair.
+CpuReading OracleReading(const UtilizationParams& p, int64_t slot) {
+  const double t_hours = static_cast<double>(slot) * static_cast<double>(kSlot) / kHour;
+  double diurnal = 0.0;
+  if (p.diurnal_amp > 0.0) {
+    diurnal = p.diurnal_amp * 0.5 *
+              (1.0 + std::cos(2.0 * std::numbers::pi * (t_hours - p.diurnal_phase_h) / 24.0));
+  }
+  const int64_t knot =
+      slot >= 0 ? slot / kSlotsPerHour : (slot - kSlotsPerHour + 1) / kSlotsPerHour;
+  const double frac = static_cast<double>(slot - knot * kSlotsPerHour) /
+                      static_cast<double>(kSlotsPerHour);
+  const double v0 = 2.0 * UtilizationModel::HashNoise(p.seed, knot) - 1.0;
+  const double v1 = 2.0 * UtilizationModel::HashNoise(p.seed, knot + 1) - 1.0;
+  const double smooth = p.noise_amp * (v0 + (v1 - v0) * frac);
+  const double jitter =
+      0.25 * p.noise_amp * (2.0 * UtilizationModel::HashNoise(p.seed ^ 0x5bd1e995, slot) - 1.0);
+  const double avg = std::clamp(p.base + diurnal + smooth + jitter, 0.0, 1.0);
+  const double u = UtilizationModel::HashNoise(p.seed ^ 0x9e3779b9, slot);
+  const double max = std::clamp(avg + p.burst_amp * (1.0 - 0.35 * u * u), 0.0, 1.0);
+  const double d = UtilizationModel::HashNoise(p.seed ^ 0x7f4a7c15, slot);
+  const double min =
+      std::min(avg, std::clamp(avg - 0.5 * (p.burst_amp * 0.3 + p.noise_amp) * d, 0.0, 1.0));
+  return CpuReading{min, avg, max};
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
 TEST(UtilizationModelTest, MaxCpuAtMatchesReadingAtBitForBit) {
-  // Random params across the shapes the generator produces, plus the edge
-  // cases: diurnal off, noise at its 0.005 floor, and params whose avg
-  // clamps at 0 or whose max clamps at 1.
   Rng rng(2024);
-  int64_t clamped_low = 0, clamped_high = 0;
+  int64_t clamped_low = 0, clamped_high = 0, diurnal = 0, on_knot = 0;
   for (int trial = 0; trial < 400; ++trial) {
-    UtilizationParams p;
-    p.seed = rng.NextU64();
-    p.base = rng.Uniform(-0.05, 1.0);
-    p.diurnal_amp = trial % 2 == 0 ? 0.0 : rng.Uniform(0.12, 0.5);
-    p.diurnal_phase_h = rng.Uniform(10.0, 18.0);
-    p.noise_amp = trial % 3 == 0 ? 0.005 : rng.Uniform(0.005, 0.3);
-    p.burst_amp = trial % 5 == 0 ? 1.0 : rng.Uniform(0.01, 1.0);
+    const UtilizationParams p = RandomParams(rng, trial);
     for (int k = 0; k < 200; ++k) {
-      const int64_t slot = rng.UniformInt(-kSlotsPerDay, 120 * kSlotsPerDay);
+      const int64_t slot = RandomSlot(rng, k);
       const CpuReading r = UtilizationModel::ReadingAt(p, slot);
-      const double max = UtilizationModel::MaxCpuAt(p, slot);
-      ASSERT_EQ(std::memcmp(&max, &r.max_cpu, sizeof max), 0)
+      const double max = UtilizationModel::MaxCpuAt(p, UtilizationModel::SlotHashes(slot));
+      ASSERT_TRUE(SameBits(max, r.max_cpu))
           << "trial " << trial << " slot " << slot << ": " << max << " vs " << r.max_cpu;
       clamped_low += r.avg_cpu == 0.0;
       clamped_high += r.max_cpu == 1.0;
+      diurnal += p.diurnal_amp > 0.0;
+      on_knot += slot % kSlotsPerHour == 0;
     }
   }
   EXPECT_GT(clamped_low, 0);
   EXPECT_GT(clamped_high, 0);
+  EXPECT_GT(diurnal, 0);
+  EXPECT_GT(on_knot, 0);
+}
+
+TEST(UtilizationModelTest, SharedSlotHashesMatchReadingAtAcrossHourBoundaries) {
+  // The simulator's shape: one SlotHashes per slot, read for many VMs, over
+  // consecutive slots that cross hourly knots (and zero, where the knot
+  // index rounds toward minus infinity).
+  Rng rng(77);
+  std::vector<UtilizationParams> vms;
+  for (int trial = 0; trial < 64; ++trial) vms.push_back(RandomParams(rng, trial));
+  for (int64_t slot = -2 * kSlotsPerHour - 1; slot <= 3 * kSlotsPerHour + 1; ++slot) {
+    const UtilizationModel::SlotHashes hashes(slot);
+    for (const UtilizationParams& p : vms) {
+      ASSERT_TRUE(SameBits(UtilizationModel::MaxCpuAt(p, hashes),
+                           UtilizationModel::ReadingAt(p, slot).max_cpu))
+          << "slot " << slot;
+    }
+  }
+}
+
+TEST(UtilizationModelTest, ReadingAtMatchesHashNoiseOracle) {
+  Rng rng(4096);
+  for (int trial = 0; trial < 300; ++trial) {
+    const UtilizationParams p = RandomParams(rng, trial);
+    for (int k = 0; k < 100; ++k) {
+      const int64_t slot = RandomSlot(rng, k);
+      const CpuReading r = UtilizationModel::ReadingAt(p, slot);
+      const CpuReading o = OracleReading(p, slot);
+      ASSERT_TRUE(SameBits(r.min_cpu, o.min_cpu)) << "trial " << trial << " slot " << slot;
+      ASSERT_TRUE(SameBits(r.avg_cpu, o.avg_cpu)) << "trial " << trial << " slot " << slot;
+      ASSERT_TRUE(SameBits(r.max_cpu, o.max_cpu)) << "trial " << trial << " slot " << slot;
+    }
+  }
 }
 
 }  // namespace

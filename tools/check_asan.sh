@@ -17,7 +17,7 @@ cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}" \
   -DRC_SANITIZE=address
 cmake --build "${BUILD_DIR}" -j"$(nproc)" \
   --target rc_common_tests rc_obs_tests rc_ml_tests rc_cache_tests rc_store_tests rc_core_tests rc_net_tests \
-  rc_trace_tests
+  rc_trace_tests rc_sched_tests
 
 export ASAN_OPTIONS="${ASAN_OPTIONS:-halt_on_error=1 detect_leaks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-halt_on_error=1 print_stacktrace=1}"
@@ -63,4 +63,11 @@ echo "== rc_core_tests (ASan+UBSan, cache parity + no-prediction storm + concurr
 echo "== rc_trace_tests + rc_core_tests (ASan+UBSan, trace CSV codes) =="
 "${BUILD_DIR}/tests/rc_trace_tests" --gtest_filter='TraceIo*:InputsFromVm*'
 "${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='InputsFromVm*'
+# The scheduler walks per-group bitsets of servers (word and bit indices,
+# the ragged last word) to build its candidate set, and the parity suite
+# replays random streams against a whole-cluster oracle on clusters sized
+# around the 64-server words. The whole binary runs: golden month,
+# scheduler, cluster, rules, simulator and parity suites.
+echo "== rc_sched_tests (ASan+UBSan, candidate bitsets + placement parity) =="
+"${BUILD_DIR}/tests/rc_sched_tests"
 echo "ASan+UBSan check passed: no memory or UB reports."
