@@ -114,7 +114,7 @@ void PrintPercentileTable() {
     std::string model = MetricModelName(metric);
     Featurizer featurizer(metric, OfflinePipeline::EncodingFor(metric));
     rc::obs::Histogram& hist = BenchRegistry().GetHistogram(
-        "rc_bench_model_execution_us", {}, {{"metric", MetricName(metric)}},
+        "rc_bench_model_execution_us", {{"metric", MetricName(metric)}},
         "featurize + model execute latency (us)");
     std::vector<double> micros;
     micros.reserve(kCalls);
@@ -147,7 +147,7 @@ void PrintPercentileTable() {
 void RecordResultCacheHitLatency() {
   Harness& h = SharedHarness();
   rc::obs::Histogram& hist = BenchRegistry().GetHistogram(
-      "rc_bench_result_cache_hit_us", {}, {}, "PredictSingle result-cache hit (us)");
+      "rc_bench_result_cache_hit_us", {}, "PredictSingle result-cache hit (us)");
   const ClientInputs& inputs = h.test_inputs.front();
   h.client->PredictSingle("VM_AVGUTIL", inputs);  // prime
   for (int i = 0; i < 4000; ++i) {

@@ -176,54 +176,6 @@ void PrintThreadScalingTable() {
             << "\n\n";
 }
 
-// Hot-path instrumentation cost (the ISSUE's <5% criterion): single-thread
-// warm-cache throughput with latency sampling off (counters only), at the
-// default 1-in-64 sampling, and timing every call. The 0 -> 64 delta is the
-// shipped configuration's overhead; 0 -> 1 bounds the cost of the two clock
-// reads.
-void PrintInstrumentationOverheadTable() {
-  bench::Banner("Observability: hot-path instrumentation overhead",
-                "DESIGN.md Observability (cost model)");
-  Harness& h = SharedHarness();
-  std::vector<ClientInputs> working_set(
-      h.replay.begin(), h.replay.begin() + std::min<size_t>(256, h.replay.size()));
-
-  auto run = [&](uint32_t sample_every) {
-    ClientConfig config;
-    config.predict_latency_sample_every = sample_every;
-    Client client(&h.store, config);
-    client.Initialize();
-    for (const auto& inputs : working_set) client.PredictSingle("VM_P95UTIL", inputs);
-    constexpr int kIters = 400'000;
-    auto begin = std::chrono::steady_clock::now();
-    size_t i = 0;
-    for (int iter = 0; iter < kIters; ++iter) {
-      auto p = client.PredictSingle("VM_P95UTIL", working_set[i++ % working_set.size()]);
-      benchmark::DoNotOptimize(p);
-    }
-    auto elapsed = std::chrono::duration<double>(std::chrono::steady_clock::now() - begin);
-    return kIters / elapsed.count();
-  };
-
-  TablePrinter table({"sample_every", "preds/sec", "vs unarmed"});
-  double unarmed = 0.0;
-  for (uint32_t every : {0u, 64u, 1u}) {
-    double rate = run(every);
-    if (every == 0) unarmed = rate;
-    BenchRegistry()
-        .GetGauge("rc_bench_instrumented_throughput_per_sec",
-                  {{"sample_every", std::to_string(every)}},
-                  "warm-hit throughput under latency sampling")
-        .Set(rate);
-    table.AddRow({every == 0 ? "0 (off)" : std::to_string(every),
-                  TablePrinter::Fmt(rate, 0),
-                  TablePrinter::Fmt(100.0 * rate / unarmed, 1) + "%"});
-  }
-  table.Print(std::cout);
-  std::cout << "\nacceptance bar: sample_every=64 (the default) within 5% of off.\n"
-            << "counters (relaxed sharded fetch_add) are on in every column.\n\n";
-}
-
 // ===========================================================================
 // rc::cache arms: admission policy quality, lock-free probe latency, global
 // vs sharded store throughput. Everything below writes into
@@ -552,7 +504,6 @@ BENCHMARK(BM_ClientInitialize)->Unit(benchmark::kMillisecond);
 int main(int argc, char** argv) {
   PrintHitRateTable();
   PrintThreadScalingTable();
-  PrintInstrumentationOverheadTable();
   PrintCachePolicyTable();
   PrintProbeLatencyTable();
   PrintStoreShardingTable();

@@ -135,7 +135,7 @@ Series Measure(size_t calls, size_t examples_per_call, bool expect_no_alloc,
 void Record(rc::obs::MetricsRegistry& reg, const std::string& model,
             const std::string& mode, const Series& s) {
   rc::obs::Labels labels{{"model", model}, {"mode", mode}};
-  reg.GetHistogram("rc_bench_exec_engine_call_us", {}, labels,
+  reg.GetHistogram("rc_bench_exec_engine_call_us", labels,
                    "per-call latency (us)")
       .Record(s.p50_us);
   reg.GetGauge("rc_bench_exec_engine_call_p99_us", labels, "per-call p99 (us)")

@@ -13,10 +13,24 @@ using rc::trace::UtilizationModel;
 using rc::trace::VmRecord;
 using rc::trace::WorkloadClass;
 
-WorkloadClass ClassifySeries(std::span<const double> avg_series,
-                             const PeriodicityConfig& config) {
+namespace {
+
+// Telemetry analyzed per VM, from creation; shorter series are Unknown.
+constexpr int kAnalysisDays = 3;
+constexpr SimDuration kMinSpan = kAnalysisDays * kDay;
+// A diurnal peak must carry at least this multiple of the median per-bin
+// spectral power to count as periodic...
+constexpr double kPeakToMedian = 40.0;
+// ...and at least this fraction of total signal power. (Still biased toward
+// recall: a periodic background VM may be flagged interactive, which the
+// paper deems the acceptable direction of error.)
+constexpr double kMinPowerFraction = 0.25;
+
+}  // namespace
+
+WorkloadClass ClassifySeries(std::span<const double> avg_series) {
   const size_t n = avg_series.size();
-  if (static_cast<SimDuration>(n) * kSlot < config.min_span) {
+  if (static_cast<SimDuration>(n) * kSlot < kMinSpan) {
     return WorkloadClass::kUnknown;
   }
   std::vector<double> power = rc::ml::PowerSpectrum(avg_series, /*hann_window=*/true);
@@ -46,18 +60,18 @@ WorkloadClass ClassifySeries(std::span<const double> avg_series,
   // patterns often split power across both.
   double peak = std::max(band_power(diurnal_bin), band_power(2.0 * diurnal_bin));
 
-  bool periodic = peak > config.peak_to_median * std::max(median, 1e-12) &&
-                  peak > config.min_power_fraction * total;
+  bool periodic = peak > kPeakToMedian * std::max(median, 1e-12) &&
+                  peak > kMinPowerFraction * total;
   return periodic ? WorkloadClass::kInteractive : WorkloadClass::kDelayInsensitive;
 }
 
-WorkloadClass ClassifyVm(const VmRecord& vm, const PeriodicityConfig& config) {
-  if (vm.lifetime() < config.min_span) return WorkloadClass::kUnknown;
+WorkloadClass ClassifyVm(const VmRecord& vm) {
+  if (vm.lifetime() < kMinSpan) return WorkloadClass::kUnknown;
   int64_t from = SlotIndex(vm.created) + 1;
   int64_t span_slots = std::min<int64_t>(vm.lifetime() / kSlot,
-                                         config.analysis_days * kSlotsPerDay);
+                                         kAnalysisDays * kSlotsPerDay);
   std::vector<double> series = UtilizationModel::AvgSeries(vm.util, from, span_slots);
-  return ClassifySeries(series, config);
+  return ClassifySeries(series);
 }
 
 }  // namespace rc::analysis

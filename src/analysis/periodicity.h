@@ -15,28 +15,12 @@
 
 namespace rc::analysis {
 
-struct PeriodicityConfig {
-  // Minimum series length to attempt classification.
-  SimDuration min_span = 3 * kDay;
-  // Number of days of telemetry analyzed (from VM creation).
-  int analysis_days = 3;
-  // A diurnal peak must carry at least this multiple of the median
-  // per-bin spectral power to count as periodic...
-  double peak_to_median = 40.0;
-  // ...and at least this fraction of total signal power. (Still biased
-  // toward recall: a periodic background VM may be flagged interactive,
-  // which the paper deems the acceptable direction of error.)
-  double min_power_fraction = 0.25;
-};
-
 // Classifies a raw average-CPU series sampled at 5-minute slots.
-rc::trace::WorkloadClass ClassifySeries(std::span<const double> avg_series,
-                                        const PeriodicityConfig& config = {});
+rc::trace::WorkloadClass ClassifySeries(std::span<const double> avg_series);
 
 // Convenience: synthesizes the VM's telemetry for the analysis window and
-// classifies it. Returns Unknown for VMs shorter than min_span.
-rc::trace::WorkloadClass ClassifyVm(const rc::trace::VmRecord& vm,
-                                    const PeriodicityConfig& config = {});
+// classifies it. Returns Unknown for VMs that ran less than 3 days.
+rc::trace::WorkloadClass ClassifyVm(const rc::trace::VmRecord& vm);
 
 }  // namespace rc::analysis
 

@@ -1,40 +1,6 @@
 #include "src/common/histogram.h"
 
-#include <cmath>
-#include <stdexcept>
-
 namespace rc {
-
-Histogram::Histogram(double lo, double hi, size_t bins) : lo_(lo), hi_(hi) {
-  if (!(hi > lo) || bins == 0) {
-    throw std::invalid_argument("Histogram: need hi > lo and bins > 0");
-  }
-  width_ = (hi - lo) / static_cast<double>(bins);
-  counts_.assign(bins, 0);
-}
-
-void Histogram::Add(double x, uint64_t weight) {
-  total_ += weight;
-  if (x < lo_) {
-    underflow_ += weight;
-    return;
-  }
-  if (x >= hi_) {
-    overflow_ += weight;
-    return;
-  }
-  size_t bin = static_cast<size_t>((x - lo_) / width_);
-  if (bin >= counts_.size()) bin = counts_.size() - 1;  // guard fp edge
-  counts_[bin] += weight;
-}
-
-double Histogram::bin_lo(size_t i) const { return lo_ + width_ * static_cast<double>(i); }
-double Histogram::bin_hi(size_t i) const { return lo_ + width_ * static_cast<double>(i + 1); }
-
-double Histogram::Fraction(size_t i) const {
-  if (total_ == 0) return 0.0;
-  return static_cast<double>(counts_.at(i)) / static_cast<double>(total_);
-}
 
 void CategoricalHistogram::Add(const std::string& key, double weight) {
   counts_[key] += weight;

@@ -1,41 +1,11 @@
-// Fixed-bin and categorical histograms.
+// Categorical histogram.
 #ifndef RC_SRC_COMMON_HISTOGRAM_H_
 #define RC_SRC_COMMON_HISTOGRAM_H_
 
-#include <cstddef>
-#include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
 
 namespace rc {
-
-// Histogram over [lo, hi) with `bins` equal-width bins plus underflow and
-// overflow counters.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t bins);
-
-  void Add(double x, uint64_t weight = 1);
-
-  uint64_t total() const { return total_; }
-  uint64_t underflow() const { return underflow_; }
-  uint64_t overflow() const { return overflow_; }
-  size_t bins() const { return counts_.size(); }
-  uint64_t count(size_t bin) const { return counts_.at(bin); }
-  // Lower edge of bin i.
-  double bin_lo(size_t i) const;
-  double bin_hi(size_t i) const;
-  // Fraction of total mass in bin i (0 if empty histogram).
-  double Fraction(size_t i) const;
-
- private:
-  double lo_, hi_, width_;
-  std::vector<uint64_t> counts_;
-  uint64_t underflow_ = 0;
-  uint64_t overflow_ = 0;
-  uint64_t total_ = 0;
-};
 
 // Weighted counts keyed by string category (e.g. VM size names, buckets).
 class CategoricalHistogram {

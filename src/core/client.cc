@@ -33,6 +33,10 @@ namespace {
 // restarted client can reload everything while the store is down.
 constexpr char kIndexKey[] = "__rc_client_index__";
 
+// PredictSingle latency goes into rc_client_predict_latency_us once per this
+// many calls on each thread.
+constexpr uint32_t kPredictLatencySampleEvery = 64;
+
 std::vector<uint8_t> SerializeKeys(const std::vector<std::string>& keys) {
   rc::ml::ByteWriter w;
   w.U32(static_cast<uint32_t>(keys.size()));
@@ -115,22 +119,14 @@ void Client::RegisterInstruments() {
       "rc_client_degraded_reason", config_.metric_labels,
       "current DegradedReason (0 none, 1 outage, 2 errors, 3 corrupt)");
   m_.predict_latency_us = &metrics_->GetHistogram(
-      "rc_client_predict_latency_us", rc::obs::HistogramOptions{}, config_.metric_labels,
+      "rc_client_predict_latency_us", config_.metric_labels,
       "sampled PredictSingle latency (us)");
   m_.store_read_latency_us = &metrics_->GetHistogram(
-      "rc_client_store_read_latency_us", rc::obs::HistogramOptions{},
-      config_.metric_labels, "per-call store read latency incl. retries (us)");
+      "rc_client_store_read_latency_us", config_.metric_labels,
+      "per-call store read latency incl. retries (us)");
   m_.batch_size = &metrics_->GetHistogram(
-      "rc_client_batch_size", rc::obs::HistogramOptions{}, config_.metric_labels,
+      "rc_client_batch_size", config_.metric_labels,
       "inputs per PredictMany call");
-}
-
-bool Client::ShouldSampleLatency() const {
-  uint32_t every = config_.predict_latency_sample_every;
-  if (every == 0) return false;
-  if (every == 1) return true;
-  thread_local uint32_t calls = 0;
-  return ++calls % every == 0;
 }
 
 Client::~Client() {
@@ -548,11 +544,12 @@ void Client::ExportModelBytes(const std::string& name,
 }
 
 Prediction Client::PredictSingle(const std::string& model_name, const ClientInputs& inputs) {
-  // Sampled timing (config_.predict_latency_sample_every) keeps the two
-  // clock reads off most calls; everything else on this path is relaxed
+  // Sampled timing (one call in kPredictLatencySampleEvery per thread) keeps
+  // the two clock reads off most calls; everything else on this path is relaxed
   // shard increments — no mutex beyond the result-cache shard lock.
   rc::obs::TraceSpan span("client/predict");
-  const bool timed = ShouldSampleLatency();
+  thread_local uint32_t calls = 0;
+  const bool timed = ++calls % kPredictLatencySampleEvery == 0;
   const uint64_t start_ns = timed ? rc::obs::NowNs() : 0;
   Prediction prediction = PredictSingleImpl(model_name, inputs);
   if (timed) {

@@ -118,10 +118,6 @@ struct ClientConfig {
   // Label set stamped on every instrument this client registers (lets
   // multiple clients share a registry without merging, e.g. {"client","a"}).
   rc::obs::Labels metric_labels;
-  // Record PredictSingle latency into rc_client_predict_latency_us once per
-  // N calls (per thread). Sampling keeps the two clock reads off most
-  // hot-path calls; 1 times every call, 0 disables timing entirely.
-  uint32_t predict_latency_sample_every = 64;
 };
 
 // Why the client is currently serving from stale/partial state. kNone means
@@ -279,8 +275,6 @@ class Client {
     rc::obs::Histogram* batch_size;             // inputs per PredictMany call
   };
   void RegisterInstruments();
-  // True once per config_.predict_latency_sample_every calls on this thread.
-  bool ShouldSampleLatency() const;
 
   // A result-cache value: the prediction plus the generation stamp it was
   // computed under, packed into the cache's 16-byte value.

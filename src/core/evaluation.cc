@@ -12,7 +12,7 @@ MetricQuality EvaluateModel(const rc::ml::Classifier& model, const Featurizer& f
   // Evaluation is the "validate" stage of the offline workflow; it shares the
   // pipeline's stage-duration family (process-global registry).
   rc::obs::ScopedTimer timer(&rc::obs::MetricsRegistry::Global().GetHistogram(
-      "rc_pipeline_stage_duration_us", {}, {{"stage", "validate"}},
+      "rc_pipeline_stage_duration_us", {{"stage", "validate"}},
       "offline pipeline stage wall time (us)"));
   MetricQuality q;
   q.metric = featurizer.metric();

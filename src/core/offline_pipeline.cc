@@ -22,7 +22,7 @@ namespace {
 rc::obs::Histogram& StageHistogram(rc::obs::MetricsRegistry* metrics, const char* stage) {
   rc::obs::MetricsRegistry& reg =
       metrics != nullptr ? *metrics : rc::obs::MetricsRegistry::Global();
-  return reg.GetHistogram("rc_pipeline_stage_duration_us", {}, {{"stage", stage}},
+  return reg.GetHistogram("rc_pipeline_stage_duration_us", {{"stage", stage}},
                           "offline pipeline stage wall time (us)");
 }
 
@@ -316,17 +316,17 @@ FeatureEncoding OfflinePipeline::EncodingFor(Metric metric) {
 
 std::vector<LabeledExample> OfflinePipeline::BuildExamples(const Trace& trace,
                                                            Metric metric, SimTime from,
-                                                           SimTime to, bool use_fft_labels) {
+                                                           SimTime to, bool fft_labels) {
   const ObservationStream stream = BuildObservations(trace, to - 1);
-  ClassLabeler labeler(trace, use_fft_labels);
+  ClassLabeler labeler(trace, fft_labels);
   const std::vector<Emission> deploy_emissions =
       IsDeploymentMetric(metric) ? DeploymentEmissions(trace) : std::vector<Emission>{};
   return ExamplesFrom(trace, stream, deploy_emissions, labeler, metric, from, to);
 }
 
 std::unordered_map<uint64_t, SubscriptionFeatures> OfflinePipeline::BuildFeatureSnapshot(
-    const Trace& trace, SimTime until, bool use_fft_labels) {
-  ClassLabeler labeler(trace, use_fft_labels);
+    const Trace& trace, SimTime until, bool fft_labels) {
+  ClassLabeler labeler(trace, fft_labels);
   return SnapshotFrom(trace, BuildObservations(trace, until), labeler, until);
 }
 
@@ -351,7 +351,7 @@ TrainedModels OfflinePipeline::Run(const Trace& trace) const {
     rc::obs::ScopedTimer timer(&StageHistogram(config_.metrics, "observations"));
     stream = BuildObservations(trace, config_.train_end);
   }
-  ClassLabeler labeler(trace, config_.use_fft_labels);
+  ClassLabeler labeler(trace, /*use_fft=*/true);
   std::vector<Emission> deploy_emissions;  // built for the first deployment metric
   TrainedModels trained;
   for (Metric metric : kAllMetrics) {

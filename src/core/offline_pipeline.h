@@ -37,9 +37,6 @@ struct PipelineConfig {
   // Training window (the paper trains on two months, tests on the third).
   SimTime train_begin = 0;
   SimTime train_end = 60 * kDay;
-  // Label the class metric with the FFT detector's output (the paper's
-  // method) rather than the generator's ground truth.
-  bool use_fft_labels = true;
   rc::ml::RandomForestConfig rf;  // utilization metrics
   rc::ml::GbtConfig gbt;          // deployment size, lifetime, class
   uint64_t seed = 17;
@@ -67,19 +64,22 @@ class OfflinePipeline {
   explicit OfflinePipeline(PipelineConfig config) : config_(std::move(config)) {}
 
   // Runs the full workflow over the trace and returns the six trained
-  // models plus the feature-data snapshot.
+  // models plus the feature-data snapshot. The class metric is labeled with
+  // the FFT detector's output (the paper's method).
   TrainedModels Run(const rc::trace::Trace& trace) const;
 
   // Builds chronological labeled examples for `metric` over VMs (or, for the
   // deployment metrics, deployment groups) created in [from, to). Exposed for
   // evaluation (Table 4 uses the third month) and for the ablation benches.
+  // `fft_labels` picks the FFT detector's class labels over the generator's
+  // ground truth.
   static std::vector<LabeledExample> BuildExamples(const rc::trace::Trace& trace,
                                                    Metric metric, SimTime from, SimTime to,
-                                                   bool use_fft_labels);
+                                                   bool fft_labels);
 
   // Feature-data snapshot with all observations up to `until` folded in.
   static std::unordered_map<uint64_t, SubscriptionFeatures> BuildFeatureSnapshot(
-      const rc::trace::Trace& trace, SimTime until, bool use_fft_labels);
+      const rc::trace::Trace& trace, SimTime until, bool fft_labels);
 
   // Converts examples to an ml::Dataset under the given encoding.
   static rc::ml::Dataset ToDataset(const std::vector<LabeledExample>& examples,

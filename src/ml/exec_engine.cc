@@ -21,13 +21,6 @@ const char* ExecEngine::ModeName(Mode mode) {
   return "unknown";
 }
 
-std::optional<ExecEngine::Mode> ExecEngine::ParseMode(std::string_view name) {
-  if (name == "auto") return Mode::kAuto;
-  if (name == "scalar") return Mode::kScalar;
-  if (name == "avx2") return Mode::kAvx2;
-  return std::nullopt;
-}
-
 bool ExecEngine::Avx2Available() {
   static const bool available = [] {
     if (!internal::CompiledWithAvx2()) return false;

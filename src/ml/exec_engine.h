@@ -43,9 +43,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "src/ml/classifier.h"
@@ -73,8 +71,6 @@ class ExecEngine {
     kAvx2 = 2,    // gather/blend kernel; falls back to scalar if absent
   };
   static const char* ModeName(Mode mode);
-  // Parses "auto" / "scalar" / "avx2" (exact match).
-  static std::optional<Mode> ParseMode(std::string_view name);
   // True when the AVX2 kernel is compiled in (RC_ENABLE_AVX2), the CPU
   // reports AVX2, and the RC_DISABLE_AVX2 env kill-switch is not set (any
   // non-empty value other than "0" disables; read once per process).

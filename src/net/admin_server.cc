@@ -56,7 +56,7 @@ bool AdminServer::Start() {
                              .num_workers = 1,
                              .backlog = 64,
                              .read_chunk = 4096,
-                             .read_limit = config_.max_request_bytes,
+                             .read_limit = kMaxRequestBytes,
                              .rejected_fd_limit = rejected_fd_limit_});
 }
 
@@ -65,7 +65,7 @@ void AdminServer::Stop() { loop_.Stop(); }
 void AdminServer::MaybeRespond(Conn& conn) {
   size_t header_end = HeaderEnd(conn.in);
   if (header_end == std::string::npos) {
-    if (conn.in.size() > config_.max_request_bytes) {
+    if (conn.in.size() > kMaxRequestBytes) {
       QueueResponse(conn, {414, "text/plain; charset=utf-8", "request too large\n"});
     }
     return;  // keep buffering the dribble

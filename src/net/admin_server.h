@@ -9,7 +9,7 @@
 //    flush. No keep-alive, no chunking, no TLS.
 //  * requests are read until the blank line ending the header block;
 //    dribbled requests (byte-at-a-time) just keep buffering. A request
-//    exceeding max_request_bytes without completing is answered 414 and the
+//    exceeding kMaxRequestBytes without completing is answered 414 and the
 //    connection closed. Reading stops as soon as the buffer passes that
 //    bound (by at most one 4 KiB read), so a peer streaming an endless
 //    header block cannot grow it further. A request line that is not
@@ -36,9 +36,6 @@ namespace rc::net {
 struct AdminServerConfig {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; read back via port()
-  // Ceiling on buffered request bytes before the header block completes;
-  // beyond it the request is answered 414 (URI/headers too long).
-  size_t max_request_bytes = 8192;
   // Registry receiving rc_net_conn_rejected{reason="fd_limit"}; null = a
   // private one.
   rc::obs::MetricsRegistry* metrics = nullptr;
@@ -52,6 +49,10 @@ class AdminServer : private ConnHandler {
     std::string body;
   };
   using Handler = std::function<Response()>;
+
+  // Ceiling on buffered request bytes before the header block completes;
+  // beyond it the request is answered 414 (URI/headers too long).
+  static constexpr size_t kMaxRequestBytes = 8192;
 
   explicit AdminServer(AdminServerConfig config);
   ~AdminServer() override;

@@ -64,7 +64,7 @@ Client::Client(ClientConfig config) : config_(std::move(config)) {
   m_.reconnects = &metrics_->GetCounter("rc_net_client_reconnects", {}, "sockets (re)opened");
   m_.errors = &metrics_->GetCounter("rc_net_client_errors", {}, "failed round-trips");
   m_.request_latency_us = &metrics_->GetHistogram(
-      "rc_net_client_request_latency_us", {}, {}, "client-observed round-trip latency (us)");
+      "rc_net_client_request_latency_us", {}, "client-observed round-trip latency (us)");
 
   int pool = config_.pool_size > 0 ? config_.pool_size : 1;
   conns_.resize(static_cast<size_t>(pool));
@@ -228,7 +228,7 @@ Status Client::Call(Opcode opcode, uint64_t request_id, const std::vector<uint8_
                        deadline_us);
   }
   if (status == Status::kOk &&
-      (payload_len < kHeaderBytesV1 || payload_len > config_.max_frame_bytes)) {
+      (payload_len < kHeaderBytesV1 || payload_len > kMaxFrameBytes)) {
     status = Status::kProtocolError;
   }
   if (status == Status::kOk) {

@@ -57,7 +57,6 @@ struct ClientConfig {
   // reconnect_backoff_us * 2^attempt between tries (clamped to the deadline).
   int max_connect_attempts = 3;
   int64_t reconnect_backoff_us = 1'000;
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
   // Registry for the rc_net_client_* instruments; null = private registry.
   rc::obs::MetricsRegistry* metrics = nullptr;
   // Injected time source for deadlines, pool waits, and reconnect backoff.

@@ -7,7 +7,7 @@
 // and validate before allocating:
 //
 //   offset  size  field
-//        0     4  payload_len   (bytes after this field; <= max_frame_bytes)
+//        0     4  payload_len   (bytes after this field; <= kMaxFrameBytes)
 //        4     4  magic         'RCNP' (0x504E4352 little-endian)
 //        8     2  version       1 (legacy) or 2
 //       10     2  opcode        Opcode (request) / same opcode echoed (response)
@@ -58,10 +58,10 @@ inline constexpr size_t kHeaderBytesV1 = 4 + 2 + 2 + 8;
 inline constexpr size_t kTraceWireBytes = 8 + 8 + 1;
 inline constexpr uint8_t kFlagTraceContext = 0x01;
 inline constexpr size_t kLengthPrefixBytes = 4;
-// Default ceiling on payload_len; a peer announcing more is answered with
+// Ceiling on payload_len; a peer announcing more is answered with
 // kFrameTooLarge and disconnected (the stream cannot be resynchronized
 // without trusting the length).
-inline constexpr size_t kDefaultMaxFrameBytes = 4u << 20;
+inline constexpr size_t kMaxFrameBytes = 4u << 20;
 // Hard cap on PredictMany batch size (also bounds response frames).
 inline constexpr size_t kMaxBatch = 8192;
 // Encoded size of one ClientInputs record (u64 + 9 * i32 + f64).

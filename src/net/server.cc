@@ -32,7 +32,7 @@ Server::Server(rc::core::Client* client, ServerConfig config)
   m_.bytes_written =
       &metrics_->GetCounter("rc_net_bytes_written", {}, "response bytes written");
   m_.request_latency_us = &metrics_->GetHistogram(
-      "rc_net_request_latency_us", {}, {}, "server-side frame handle latency (us)");
+      "rc_net_request_latency_us", {}, "server-side frame handle latency (us)");
 }
 
 Server::~Server() { Stop(); }
@@ -67,7 +67,7 @@ void Server::ProcessFrames(Conn& conn) {
   while (!conn.close_after_flush && conn.in.size() - off >= kLengthPrefixBytes) {
     uint32_t payload_len;
     std::memcpy(&payload_len, conn.in.data() + off, sizeof(payload_len));
-    if (payload_len > config_.max_frame_bytes) {
+    if (payload_len > kMaxFrameBytes) {
       // The length cannot be trusted, so the stream cannot be resynchronized:
       // answer the protocol error, then close once it is flushed.
       m_.protocol_errors->Increment();
@@ -138,7 +138,7 @@ void Server::HandleFrame(Conn& conn, const uint8_t* payload, size_t size) {
     }
     case Opcode::kPredictMany: {
       PredictManyRequest req;
-      status = DecodePredictManyRequest(r, config_.max_batch, &req);
+      status = DecodePredictManyRequest(r, kMaxBatch, &req);
       if (status != WireStatus::kOk) break;
       std::vector<core::Prediction> predictions = client_->PredictMany(req.model, req.inputs);
       m_.predictions->Increment(predictions.size());

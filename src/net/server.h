@@ -13,7 +13,7 @@
 //  * a malformed frame (bad magic/version/opcode, truncated or inconsistent
 //    body) is answered with a protocol-error response, not a disconnect —
 //    the length prefix keeps the stream framed;
-//  * only an announced payload length above max_frame_bytes forces a close
+//  * only an announced payload length above kMaxFrameBytes forces a close
 //    (the stream cannot be resynchronized without trusting the length), and
 //    even then the error response is flushed first.
 #ifndef RC_SRC_NET_SERVER_H_
@@ -34,8 +34,6 @@ struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   uint16_t port = 0;  // 0 = ephemeral; read the bound port back via port()
   int num_workers = 4;
-  size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  size_t max_batch = kMaxBatch;
   // Registry receiving the rc_net_* instruments; null = private registry
   // (same convention as core::Client).
   rc::obs::MetricsRegistry* metrics = nullptr;

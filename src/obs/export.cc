@@ -71,21 +71,19 @@ std::string PrometheusText(const RegistrySnapshot& snapshot) {
     MetricInfo count_info = h.info;
     count_info.name += "_count";
     out << Series(count_info) << " " << h.hist.count << "\n";
-    if (h.has_window) {
-      // Sliding-window companions (gauges: they go up and down as the ring
-      // rotates, unlike the monotone lifetime series above).
-      auto window_series = [&](const char* suffix, double v) {
-        MetricInfo window_info = h.info;
-        window_info.name += suffix;
-        window_info.help.clear();
-        Header(out, window_info, "gauge", emitted);
-        out << Series(window_info) << " " << Fmt(v) << "\n";
-      };
-      window_series("_window_count", static_cast<double>(h.window.count));
-      window_series("_window_p50", h.window.Quantile(0.50));
-      window_series("_window_p95", h.window.Quantile(0.95));
-      window_series("_window_p99", h.window.Quantile(0.99));
-    }
+    // Sliding-window companions (gauges: they go up and down as the ring
+    // rotates, unlike the monotone lifetime series above).
+    auto window_series = [&](const char* suffix, double v) {
+      MetricInfo window_info = h.info;
+      window_info.name += suffix;
+      window_info.help.clear();
+      Header(out, window_info, "gauge", emitted);
+      out << Series(window_info) << " " << Fmt(v) << "\n";
+    };
+    window_series("_window_count", static_cast<double>(h.window.count));
+    window_series("_window_p50", h.window.Quantile(0.50));
+    window_series("_window_p95", h.window.Quantile(0.95));
+    window_series("_window_p99", h.window.Quantile(0.99));
   }
   return out.str();
 }
@@ -132,14 +130,11 @@ std::vector<std::pair<std::string, std::string>> JsonEntries(
                        ",\"p50\":" + Fmt(h.hist.Quantile(0.50)) +
                        ",\"p95\":" + Fmt(h.hist.Quantile(0.95)) +
                        ",\"p99\":" + Fmt(h.hist.Quantile(0.99)) +
-                       ",\"p999\":" + Fmt(h.hist.Quantile(0.999));
-    if (h.has_window) {
-      body += ",\"window_count\":" + std::to_string(h.window.count) +
-              ",\"window_p50\":" + Fmt(h.window.Quantile(0.50)) +
-              ",\"window_p95\":" + Fmt(h.window.Quantile(0.95)) +
-              ",\"window_p99\":" + Fmt(h.window.Quantile(0.99));
-    }
-    body += "}";
+                       ",\"p999\":" + Fmt(h.hist.Quantile(0.999)) +
+                       ",\"window_count\":" + std::to_string(h.window.count) +
+                       ",\"window_p50\":" + Fmt(h.window.Quantile(0.50)) +
+                       ",\"window_p95\":" + Fmt(h.window.Quantile(0.95)) +
+                       ",\"window_p99\":" + Fmt(h.window.Quantile(0.99)) + "}";
     entries.emplace_back(h.info.Key(), std::move(body));
   }
   return entries;
@@ -165,11 +160,12 @@ std::string JsonText(const MetricsRegistry& registry) {
   return JsonText(registry.Collect());
 }
 
+namespace {
+
 bool WriteTextFile(const std::string& path, const std::string& text) {
-  // Write-then-rename so a concurrent reader (a scraper polling the dump
-  // file) sees either the old snapshot or the new one, never a torn write.
-  // The pid in the temp name keeps parallel dumpers to the same path from
-  // clobbering each other's in-flight temp files.
+  // Write-then-rename so a concurrent reader sees either the old snapshot or
+  // the new one, never a torn write. The pid in the temp name keeps parallel
+  // writers to the same path from clobbering each other's temp files.
   const std::string tmp = path + ".tmp." + std::to_string(::getpid());
   {
     std::ofstream out(tmp, std::ios::trunc);
@@ -187,8 +183,6 @@ bool WriteTextFile(const std::string& path, const std::string& text) {
   }
   return true;
 }
-
-namespace {
 
 // Minimal scanner for the {"metrics": {...}} layout written above: extracts
 // the top-level entries of the "metrics" object as key -> raw value text.
@@ -278,39 +272,6 @@ bool MergeJsonMetricsFile(const std::string& path, const MetricsRegistry& regist
   for (auto& [key, body] : JsonEntries(registry.Collect())) merged[key] = std::move(body);
   std::vector<std::pair<std::string, std::string>> entries(merged.begin(), merged.end());
   return WriteTextFile(path, RenderJson(entries));
-}
-
-PeriodicDumper::PeriodicDumper(const MetricsRegistry& registry, std::string path,
-                               Format format, std::chrono::milliseconds interval)
-    : registry_(registry),
-      path_(std::move(path)),
-      format_(format),
-      interval_(interval),
-      thread_([this] {
-        std::unique_lock<std::mutex> lock(mu_);
-        while (!cv_.wait_for(lock, interval_, [this] { return stop_; })) {
-          lock.unlock();
-          DumpOnce();
-          lock.lock();
-        }
-      }) {}
-
-PeriodicDumper::~PeriodicDumper() { Stop(); }
-
-void PeriodicDumper::Stop() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (stop_) return;
-    stop_ = true;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-  DumpOnce();  // final snapshot so short runs still leave a file behind
-}
-
-void PeriodicDumper::DumpOnce() {
-  WriteTextFile(path_, format_ == Format::kPrometheus ? PrometheusText(registry_)
-                                                      : JsonText(registry_));
 }
 
 }  // namespace rc::obs

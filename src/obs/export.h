@@ -1,5 +1,5 @@
 // rc::obs exporters: Prometheus-style text exposition, a JSON snapshot, and
-// a periodic file dumper for long-running benches / the simulator.
+// a JSON metrics file that several bench binaries can merge into.
 //
 // Both exporters render a RegistrySnapshot, so they can be pointed at the
 // process-wide registry or any privately owned one (e.g. a Client's).
@@ -8,12 +8,7 @@
 #ifndef RC_SRC_OBS_EXPORT_H_
 #define RC_SRC_OBS_EXPORT_H_
 
-#include <chrono>
-#include <condition_variable>
-#include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 
 #include "src/obs/metrics.h"
 
@@ -29,40 +24,13 @@ std::string PrometheusText(const MetricsRegistry& registry);
 std::string JsonText(const RegistrySnapshot& snapshot);
 std::string JsonText(const MetricsRegistry& registry);
 
-// Atomically replaces `path` with `text` (temp file + rename, so concurrent
-// readers never observe a torn snapshot); false on I/O failure.
-bool WriteTextFile(const std::string& path, const std::string& text);
-
 // Merges the registry's JSON snapshot into an existing JSON metrics file:
 // entries under "metrics" keep their old value unless this snapshot carries
-// the same series. An absent or unparseable file is simply overwritten.
-// Lets several bench binaries accumulate into one BENCH_*.json.
+// the same series. An absent or unparseable file is simply overwritten. The
+// file is replaced atomically (temp file + rename), so concurrent readers
+// never observe a torn snapshot; false on I/O failure. Lets several bench
+// binaries accumulate into one BENCH_*.json.
 bool MergeJsonMetricsFile(const std::string& path, const MetricsRegistry& registry);
-
-// Background thread dumping a registry snapshot to a file on an interval
-// (and once more on Stop, so short runs still produce a final snapshot).
-class PeriodicDumper {
- public:
-  enum class Format { kPrometheus, kJson };
-
-  PeriodicDumper(const MetricsRegistry& registry, std::string path, Format format,
-                 std::chrono::milliseconds interval);
-  ~PeriodicDumper();  // implies Stop()
-
-  void Stop();
-
- private:
-  void DumpOnce();
-
-  const MetricsRegistry& registry_;
-  std::string path_;
-  Format format_;
-  std::chrono::milliseconds interval_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  bool stop_ = false;
-  std::thread thread_;
-};
 
 }  // namespace rc::obs
 

@@ -12,54 +12,45 @@ size_t ThreadShard() {
   return shard;
 }
 
-Histogram::Histogram(const HistogramOptions& options) {
-  min_ = std::max(options.min, 1e-12);
-  double max = std::max(options.max, min_ * 1.0001);
-  int per_decade = std::max(options.buckets_per_decade, 1);
-  buckets_per_log10_ = static_cast<double>(per_decade);
-  int finite = static_cast<int>(std::ceil(std::log10(max / min_) * per_decade)) + 1;
-  bounds_.reserve(static_cast<size_t>(finite));
-  for (int i = 0; i < finite; ++i) {
-    bounds_.push_back(min_ * std::pow(10.0, static_cast<double>(i) / per_decade));
-  }
-  for (Shard& shard : shards_) {
-    shard.buckets = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);
-  }
-  if (options.window_epochs > 0) {
-    window_epochs_ = options.window_epochs;
-    epoch_ns_ = std::max<uint64_t>(options.window_epoch_ns, 1);
-    // One spare slot beyond the window, so the slot recycled for the next
-    // epoch is never one the current window still reads.
-    window_.resize(static_cast<size_t>(window_epochs_) + 1);
-    for (auto& slot : window_) {
-      slot = std::make_unique<WindowSlot>();
-      for (Shard& shard : slot->shards) {
-        shard.buckets = std::make_unique<std::atomic<uint64_t>[]>(bounds_.size() + 1);
-      }
+namespace {
+constexpr double kMinBound = 0.1;     // upper bound of the first bucket (us)
+constexpr double kBucketsPerDecade = 8.0;
+}  // namespace
+
+const std::vector<double>& Histogram::bounds() {
+  static const std::vector<double> bounds = [] {
+    std::vector<double> out(kFiniteBuckets);
+    for (size_t i = 0; i < kFiniteBuckets; ++i) {
+      out[i] = kMinBound * std::pow(10.0, static_cast<double>(i) / kBucketsPerDecade);
     }
-  }
+    return out;
+  }();
+  return bounds;
 }
 
-size_t Histogram::BucketIndex(double value) const {
-  if (!(value > min_)) return 0;  // also catches NaN and negatives
+size_t Histogram::BucketIndex(double value) {
+  if (!(value > kMinBound)) return 0;  // also catches NaN and negatives
   // ceil(log10(value/min) * per_decade): the first bound at or above value.
-  double pos = std::log10(value / min_) * buckets_per_log10_;
+  double pos = std::log10(value / kMinBound) * kBucketsPerDecade;
   size_t index = static_cast<size_t>(std::ceil(pos - 1e-9));
-  return std::min(index, bounds_.size());  // bounds_.size() == overflow
+  return std::min(index, kFiniteBuckets);  // kFiniteBuckets == overflow
+}
+
+void Histogram::Add(Shard& shard, size_t bucket, double value) {
+  shard.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+  shard.count.fetch_add(1, std::memory_order_relaxed);
+  shard.sum.fetch_add(value, std::memory_order_relaxed);
 }
 
 void Histogram::RecordAt(double value, uint64_t now_ns) {
   const size_t bucket = BucketIndex(value);
-  Shard& shard = shards_[ThreadShard()];
-  shard.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(value, std::memory_order_relaxed);
-  if (!window_.empty()) WindowRecord(bucket, value, now_ns);
+  Add(shards_[ThreadShard()], bucket, value);
+  WindowRecord(bucket, value, now_ns);
 }
 
 void Histogram::WindowRecord(size_t bucket, double value, uint64_t now_ns) {
-  const uint64_t epoch = now_ns / epoch_ns_;
-  WindowSlot& slot = *window_[epoch % window_.size()];
+  const uint64_t epoch = now_ns / kWindowEpochNs;
+  WindowSlot& slot = window_[epoch % window_.size()];
   uint64_t tag = slot.epoch.load(std::memory_order_acquire);
   if (tag != epoch) {
     // A tag from a newer epoch means this sample is too old for the ring
@@ -69,53 +60,44 @@ void Histogram::WindowRecord(size_t bucket, double value, uint64_t now_ns) {
       for (Shard& shard : slot.shards) {
         shard.sum.store(0.0, std::memory_order_relaxed);
         shard.count.store(0, std::memory_order_relaxed);
-        for (size_t b = 0; b <= bounds_.size(); ++b) {
-          shard.buckets[b].store(0, std::memory_order_relaxed);
-        }
+        for (auto& b : shard.buckets) b.store(0, std::memory_order_relaxed);
       }
     } else if (slot.epoch.load(std::memory_order_acquire) != epoch) {
       return;  // lost the claim to a different epoch; drop the window sample
     }
   }
-  Shard& shard = slot.shards[ThreadShard()];
-  shard.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-  shard.count.fetch_add(1, std::memory_order_relaxed);
-  shard.sum.fetch_add(value, std::memory_order_relaxed);
+  Add(slot.shards[ThreadShard()], bucket, value);
+}
+
+void Histogram::SumInto(const Shards& shards, Snapshot& snap) {
+  for (const Shard& shard : shards) {
+    snap.count += shard.count.load(std::memory_order_relaxed);
+    snap.sum += shard.sum.load(std::memory_order_relaxed);
+    for (size_t b = 0; b < shard.buckets.size(); ++b) {
+      snap.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
+    }
+  }
 }
 
 Histogram::Snapshot Histogram::TakeSnapshot() const {
   Snapshot snap;
-  snap.bounds = bounds_;
-  snap.buckets.assign(bounds_.size() + 1, 0);
-  for (const Shard& shard : shards_) {
-    snap.count += shard.count.load(std::memory_order_relaxed);
-    snap.sum += shard.sum.load(std::memory_order_relaxed);
-    for (size_t b = 0; b <= bounds_.size(); ++b) {
-      snap.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
-    }
-  }
+  snap.bounds = bounds();
+  snap.buckets.assign(kFiniteBuckets + 1, 0);
+  SumInto(shards_, snap);
   return snap;
 }
 
 Histogram::Snapshot Histogram::TakeWindowSnapshot(uint64_t now_ns) const {
   Snapshot snap;
-  snap.bounds = bounds_;
-  snap.buckets.assign(bounds_.size() + 1, 0);
-  if (window_.empty()) return snap;
-  const uint64_t cur = now_ns / epoch_ns_;
-  for (const auto& slot : window_) {
-    const uint64_t tag = slot->epoch.load(std::memory_order_acquire);
-    if (tag == kEmptyEpoch || tag > cur ||
-        cur - tag >= static_cast<uint64_t>(window_epochs_)) {
+  snap.bounds = bounds();
+  snap.buckets.assign(kFiniteBuckets + 1, 0);
+  const uint64_t cur = now_ns / kWindowEpochNs;
+  for (const WindowSlot& slot : window_) {
+    const uint64_t tag = slot.epoch.load(std::memory_order_acquire);
+    if (tag == kEmptyEpoch || tag > cur || cur - tag >= kWindowEpochs) {
       continue;  // outside the window (stale slot awaiting reuse)
     }
-    for (const Shard& shard : slot->shards) {
-      snap.count += shard.count.load(std::memory_order_relaxed);
-      snap.sum += shard.sum.load(std::memory_order_relaxed);
-      for (size_t b = 0; b <= bounds_.size(); ++b) {
-        snap.buckets[b] += shard.buckets[b].load(std::memory_order_relaxed);
-      }
-    }
+    SumInto(slot.shards, snap);
   }
   return snap;
 }
@@ -141,12 +123,26 @@ MetricsRegistry& MetricsRegistry::Global() {
 }
 
 namespace {
+// Label values may come from outside the process (a model name read from a
+// store key), so `\`, `"` and newline are escaped as the Prometheus text
+// format requires; otherwise one value could end its series or forge another.
 std::string RenderLabels(Labels& labels) {
   std::sort(labels.begin(), labels.end());
   std::string out;
   for (size_t i = 0; i < labels.size(); ++i) {
     if (i > 0) out += ",";
-    out += labels[i].first + "=\"" + labels[i].second + "\"";
+    out += labels[i].first + "=\"";
+    for (char c : labels[i].second) {
+      if (c == '\\' || c == '"') {
+        out += '\\';
+        out += c;
+      } else if (c == '\n') {
+        out += "\\n";
+      } else {
+        out += c;
+      }
+    }
+    out += '"';
   }
   return out;
 }
@@ -154,8 +150,7 @@ std::string RenderLabels(Labels& labels) {
 
 MetricsRegistry::Entry& MetricsRegistry::GetOrCreate(std::string_view name,
                                                      Labels&& labels,
-                                                     std::string_view help, Kind kind,
-                                                     const HistogramOptions* options) {
+                                                     std::string_view help, Kind kind) {
   MetricInfo info;
   info.name = std::string(name);
   info.labels = RenderLabels(labels);
@@ -181,8 +176,7 @@ MetricsRegistry::Entry& MetricsRegistry::GetOrCreate(std::string_view name,
       entry.gauge = std::make_unique<Gauge>();
       break;
     case Kind::kHistogram:
-      entry.histogram = std::make_unique<Histogram>(options != nullptr ? *options
-                                                                       : HistogramOptions{});
+      entry.histogram = std::make_unique<Histogram>();
       break;
   }
   return entries_.emplace(std::move(key), std::move(entry)).first->second;
@@ -190,18 +184,17 @@ MetricsRegistry::Entry& MetricsRegistry::GetOrCreate(std::string_view name,
 
 Counter& MetricsRegistry::GetCounter(std::string_view name, Labels labels,
                                      std::string_view help) {
-  return *GetOrCreate(name, std::move(labels), help, Kind::kCounter, nullptr).counter;
+  return *GetOrCreate(name, std::move(labels), help, Kind::kCounter).counter;
 }
 
 Gauge& MetricsRegistry::GetGauge(std::string_view name, Labels labels,
                                  std::string_view help) {
-  return *GetOrCreate(name, std::move(labels), help, Kind::kGauge, nullptr).gauge;
+  return *GetOrCreate(name, std::move(labels), help, Kind::kGauge).gauge;
 }
 
-Histogram& MetricsRegistry::GetHistogram(std::string_view name,
-                                         const HistogramOptions& options, Labels labels,
+Histogram& MetricsRegistry::GetHistogram(std::string_view name, Labels labels,
                                          std::string_view help) {
-  return *GetOrCreate(name, std::move(labels), help, Kind::kHistogram, &options).histogram;
+  return *GetOrCreate(name, std::move(labels), help, Kind::kHistogram).histogram;
 }
 
 RegistrySnapshot MetricsRegistry::Collect() const {
@@ -217,8 +210,7 @@ RegistrySnapshot MetricsRegistry::Collect() const {
         break;
       case Kind::kHistogram:
         snap.histograms.push_back({entry.info, entry.histogram->TakeSnapshot(),
-                                   entry.histogram->TakeWindowSnapshot(NowNs()),
-                                   entry.histogram->has_window()});
+                                   entry.histogram->TakeWindowSnapshot(NowNs())});
         break;
     }
   }

@@ -79,38 +79,31 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-// Log-spaced bucket layout: finite bucket i covers (bound[i-1], bound[i]]
-// with bound[i] = min * 10^(i / buckets_per_decade); one overflow bucket
-// catches values above `max`. Values at or below `min` (including negatives)
-// land in bucket 0. Quantiles report the upper bound of the bucket holding
-// the rank, so they overestimate by at most one bucket width (a factor of
-// 10^(1/buckets_per_decade), 1.33x at the default 8 buckets per decade).
-struct HistogramOptions {
-  double min = 0.1;  // upper bound of the first bucket (0.1us default)
-  double max = 1e7;  // values above this land in the overflow bucket (10s)
-  int buckets_per_decade = 8;
-  // Sliding-window view (TakeWindowSnapshot): the most recent
-  // `window_epochs` epochs of `window_epoch_ns` each — defaults cover the
-  // last minute. 0 epochs disables the window and its memory.
-  int window_epochs = 6;
-  uint64_t window_epoch_ns = 10'000'000'000ull;  // 10 s
-};
-
 // Fixed-bucket histogram with per-thread shards. Record() is two relaxed
 // atomic adds (bucket count + shard sum) plus a log10 for the bucket index;
 // no locks anywhere, so it is safe on the prediction hot path.
 //
-// The optional sliding window is a ring of epoch-tagged shard sets: a
-// recording thread whose epoch does not match its slot's tag claims the
-// slot with one CAS and zeroes it, so the ring rotates without any clock
-// thread. Lifetime shards are untouched by rotation — lifetime counts stay
-// monotone no matter what the window does. Claim races lose at most the
-// handful of window-only samples in flight during a rotation (never
-// lifetime samples); snapshots sum only slots whose tag falls inside the
-// window, so stale epochs are invisible rather than zeroed lazily.
+// Every histogram shares one log-spaced layout: finite bucket i covers
+// (bound[i-1], bound[i]] with bound[i] = 0.1 * 10^(i / 8), from 0.1 (us)
+// to 1e7 (10 s) — 65 finite bounds plus one overflow bucket. Values at or
+// below 0.1 (including negatives) land in bucket 0. Quantiles report the
+// upper bound of the bucket holding the rank, so they overestimate by at
+// most one bucket width (a factor of 10^(1/8), 1.33x).
+//
+// The sliding window (TakeWindowSnapshot) covers the last minute: a ring of
+// epoch-tagged shard sets, 6 epochs of 10 s plus one spare. A recording
+// thread whose epoch does not match its slot's tag claims the slot with one
+// CAS and zeroes it, so the ring rotates without any clock thread. Lifetime
+// shards are untouched by rotation — lifetime counts stay monotone no
+// matter what the window does. Claim races lose at most the handful of
+// window-only samples in flight during a rotation (never lifetime samples);
+// snapshots sum only slots whose tag falls inside the window, so stale
+// epochs are invisible rather than zeroed lazily.
 class Histogram {
  public:
-  explicit Histogram(const HistogramOptions& options = {});
+  static constexpr size_t kFiniteBuckets = 65;
+  static constexpr int kWindowEpochs = 6;
+  static constexpr uint64_t kWindowEpochNs = 10'000'000'000ull;  // 10 s
 
   void Record(double value) { RecordAt(value, NowNs()); }
   // Same, with an injected timestamp for the window epoch (tests virtualize
@@ -118,12 +111,7 @@ class Histogram {
   void RecordAt(double value, uint64_t now_ns);
 
   // Upper bounds of the finite buckets (the overflow bucket is implicit).
-  const std::vector<double>& bounds() const { return bounds_; }
-
-  bool has_window() const { return !window_.empty(); }
-  uint64_t window_span_ns() const {
-    return static_cast<uint64_t>(window_epochs_) * epoch_ns_;
-  }
+  static const std::vector<double>& bounds();
 
   struct Snapshot {
     uint64_t count = 0;
@@ -137,34 +125,32 @@ class Histogram {
     double Quantile(double q) const;
   };
   Snapshot TakeSnapshot() const;
-  // Sums the ring slots whose epoch is within the window ending at
-  // `now_ns`. Empty (all-zero) snapshot when the window is disabled.
+  // Sums the ring slots whose epoch is within the window ending at `now_ns`.
   Snapshot TakeWindowSnapshot(uint64_t now_ns) const;
 
  private:
   static constexpr uint64_t kEmptyEpoch = ~0ull;
 
-  size_t BucketIndex(double value) const;
-  void WindowRecord(size_t bucket, double value, uint64_t now_ns);
-
-  std::vector<double> bounds_;
-  double min_;
-  double buckets_per_log10_;
-
   struct alignas(64) Shard {
     std::atomic<double> sum{0.0};
     std::atomic<uint64_t> count{0};
-    std::unique_ptr<std::atomic<uint64_t>[]> buckets;  // bounds + overflow
+    std::array<std::atomic<uint64_t>, kFiniteBuckets + 1> buckets{};  // overflow last
   };
-  std::array<Shard, kShards> shards_;
-
+  using Shards = std::array<Shard, kShards>;
   struct WindowSlot {
     std::atomic<uint64_t> epoch{kEmptyEpoch};
-    std::array<Shard, kShards> shards;
+    Shards shards;
   };
-  std::vector<std::unique_ptr<WindowSlot>> window_;  // ring; empty = disabled
-  int window_epochs_ = 0;
-  uint64_t epoch_ns_ = 1;
+
+  static size_t BucketIndex(double value);
+  static void Add(Shard& shard, size_t bucket, double value);
+  static void SumInto(const Shards& shards, Snapshot& snap);
+  void WindowRecord(size_t bucket, double value, uint64_t now_ns);
+
+  Shards shards_;
+  // One spare slot beyond the window, so the slot recycled for the next
+  // epoch is never one the current window still reads.
+  std::array<WindowSlot, kWindowEpochs + 1> window_;
 };
 
 // Sorted label set rendered Prometheus-style. Keys are sorted (and
@@ -196,7 +182,6 @@ struct HistogramSample {
   MetricInfo info;
   Histogram::Snapshot hist;    // lifetime, monotone
   Histogram::Snapshot window;  // sliding window ending at collection time
-  bool has_window = false;
 };
 
 // A consistent-enough view of a registry for export: every sample is read
@@ -224,10 +209,8 @@ class MetricsRegistry {
                       std::string_view help = "");
   Gauge& GetGauge(std::string_view name, Labels labels = {},
                   std::string_view help = "");
-  // Options apply on first registration only (later calls return the
-  // existing instrument unchanged).
-  Histogram& GetHistogram(std::string_view name, const HistogramOptions& options = {},
-                          Labels labels = {}, std::string_view help = "");
+  Histogram& GetHistogram(std::string_view name, Labels labels = {},
+                          std::string_view help = "");
 
   RegistrySnapshot Collect() const;
 
@@ -242,7 +225,7 @@ class MetricsRegistry {
   };
 
   Entry& GetOrCreate(std::string_view name, Labels&& labels, std::string_view help,
-                     Kind kind, const HistogramOptions* options);
+                     Kind kind);
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;  // keyed by MetricInfo::Key()

@@ -17,7 +17,7 @@ Scheduler::Scheduler(Cluster* cluster, std::vector<std::unique_ptr<Rule>> rules,
                                         {{"rule", rule->name()}},
                                         "soft rule disregarded (would empty set)"));
   }
-  place_latency_us_ = &reg.GetHistogram("rc_sched_place_latency_us", {}, {},
+  place_latency_us_ = &reg.GetHistogram("rc_sched_place_latency_us", {},
                                         "Schedule() wall time (us)");
 }
 

@@ -34,7 +34,7 @@ SimResult ClusterSimulator::Run(std::vector<VmRequest> requests,
                                       ? *config_.metrics
                                       : rc::obs::MetricsRegistry::Global();
   rc::obs::Histogram& slot_latency = reg.GetHistogram(
-      "rc_sim_slot_latency_us", {}, {},
+      "rc_sim_slot_latency_us", {},
       "per-slot event processing + utilization sampling wall time (us)");
   // Spare physical capacity on the oversubscribable pool: sum over
   // non-empty oversubscribable servers of max(0, physical - allocated)

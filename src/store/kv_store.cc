@@ -48,7 +48,7 @@ KvStore::KvStore(Options options)
   m_.gets_notfound = &reg.GetCounter("rc_store_gets", {{"status", "notfound"}});
   m_.gets_failed = &reg.GetCounter("rc_store_gets", {{"status", "failed"}});
   m_.keys = &reg.GetGauge("rc_store_keys", {}, "distinct keys stored");
-  m_.get_latency_us = &reg.GetHistogram("rc_store_get_latency_us", {}, {},
+  m_.get_latency_us = &reg.GetHistogram("rc_store_get_latency_us", {},
                                         "TryGet latency incl. simulated profile (us)");
 }
 

@@ -5,50 +5,6 @@
 namespace rc {
 namespace {
 
-TEST(HistogramTest, BinEdgesAndCounts) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(0.0);    // bin 0 (inclusive lower edge)
-  h.Add(1.99);   // bin 0
-  h.Add(2.0);    // bin 1
-  h.Add(9.99);   // bin 4
-  EXPECT_EQ(h.count(0), 2u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(4), 1u);
-  EXPECT_EQ(h.total(), 4u);
-}
-
-TEST(HistogramTest, UnderOverflow) {
-  Histogram h(0.0, 1.0, 2);
-  h.Add(-0.1);
-  h.Add(1.0);  // hi is exclusive
-  h.Add(5.0);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.overflow(), 2u);
-  EXPECT_EQ(h.total(), 3u);
-}
-
-TEST(HistogramTest, WeightedAdds) {
-  Histogram h(0.0, 4.0, 4);
-  h.Add(1.5, 10);
-  EXPECT_EQ(h.count(1), 10u);
-  EXPECT_EQ(h.total(), 10u);
-  EXPECT_DOUBLE_EQ(h.Fraction(1), 1.0);
-}
-
-TEST(HistogramTest, BinBounds) {
-  Histogram h(2.0, 12.0, 5);
-  EXPECT_DOUBLE_EQ(h.bin_lo(0), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(0), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_lo(4), 10.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(4), 12.0);
-}
-
-TEST(HistogramTest, InvalidConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(2.0, 1.0, 4), std::invalid_argument);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), std::invalid_argument);
-}
-
 TEST(CategoricalHistogramTest, CountsAndFractions) {
   CategoricalHistogram h;
   h.Add("a");

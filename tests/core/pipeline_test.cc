@@ -108,7 +108,7 @@ TEST(PipelineTest, RunAttributesEveryStage) {
   SharedModels();
   auto count = [](const char* stage) {
     return SharedRunMetrics()
-        .GetHistogram("rc_pipeline_stage_duration_us", {}, {{"stage", stage}})
+        .GetHistogram("rc_pipeline_stage_duration_us", {{"stage", stage}})
         .TakeSnapshot()
         .count;
   };

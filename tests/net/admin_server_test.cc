@@ -71,9 +71,7 @@ std::string Get(uint16_t port, const std::string& path) {
 class AdminServerTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    AdminServerConfig config;
-    config.max_request_bytes = 1024;  // small so the 414 test is cheap
-    server_ = std::make_unique<AdminServer>(config);
+    server_ = std::make_unique<AdminServer>(AdminServerConfig{});
     server_->Handle("/ping", [] {
       return AdminServer::Response{200, "text/plain", "pong\n"};
     });
@@ -164,14 +162,15 @@ TEST_F(AdminServerTest, MalformedRequestLineIs400) {
 }
 
 TEST_F(AdminServerTest, OversizedRequestIs414) {
-  // Headers never complete and exceed max_request_bytes (1024).
-  std::string huge = "GET /ping HTTP/1.0\r\nX-Pad: " + std::string(2000, 'a');
+  // Headers never complete and exceed AdminServer::kMaxRequestBytes (8192).
+  std::string huge = "GET /ping HTTP/1.0\r\nX-Pad: " +
+                     std::string(AdminServer::kMaxRequestBytes + 1000, 'a');
   EXPECT_NE(RoundTrip(huge).find("414 URI Too Long"), std::string::npos);
 }
 
 TEST_F(AdminServerTest, StreamedHeaderFloodIs414BeforeSixteenMiB) {
   // A header block that never ends, sent as fast as the socket takes it.
-  // The server must stop buffering near max_request_bytes (1024), answer
+  // The server must stop buffering near kMaxRequestBytes (8192), answer
   // 414 and close, however fast the sender keeps the socket readable.
   constexpr uint64_t kFloodBytes = 256ull << 20;
   constexpr uint64_t kCloseBefore = 16ull << 20;
@@ -211,7 +210,8 @@ TEST_F(AdminServerTest, DribbledRequestStillServed) {
 TEST_F(AdminServerTest, ListenerSurvivesAbuse) {
   // A barrage of every abuse in sequence, then a clean request must work.
   RoundTrip("garbage\r\n\r\n");
-  RoundTrip("GET /ping HTTP/1.0\r\nX-Pad: " + std::string(2000, 'a'));
+  RoundTrip("GET /ping HTTP/1.0\r\nX-Pad: " +
+            std::string(AdminServer::kMaxRequestBytes + 1000, 'a'));
   RoundTrip("DELETE /ping HTTP/1.0\r\n\r\n");
   {
     int fd = Connect();  // connect and slam shut mid-request

@@ -38,7 +38,6 @@ class FrameFuzzTest : public ::testing::Test {
     ASSERT_TRUE(core_client_->Initialize());
     ServerConfig config;
     config.num_workers = 2;
-    config.max_frame_bytes = 1 << 20;
     server_ = std::make_unique<Server>(core_client_.get(), config);
     ASSERT_TRUE(server_->Start());
   }
@@ -89,7 +88,7 @@ class FrameFuzzTest : public ::testing::Test {
     if (!RecvExact(fd, reinterpret_cast<uint8_t*>(&payload_len), sizeof(payload_len))) {
       return std::nullopt;
     }
-    if (payload_len < kHeaderBytes || payload_len > kDefaultMaxFrameBytes) return std::nullopt;
+    if (payload_len < kHeaderBytes || payload_len > kMaxFrameBytes) return std::nullopt;
     std::vector<uint8_t> payload(payload_len);
     if (!RecvExact(fd, payload.data(), payload.size())) return std::nullopt;
     return payload;
@@ -206,7 +205,7 @@ TEST_F(FrameFuzzTest, HeaderFieldCorruptionAnswered) {
 // is flushed, then the connection closes (the stream cannot be trusted).
 TEST_F(FrameFuzzTest, OversizedLengthAnsweredThenClosed) {
   std::vector<uint8_t> frame = ValidSingleRequest(88);
-  uint32_t huge = (2u << 20);  // above the 1 MiB test ceiling
+  uint32_t huge = kMaxFrameBytes + 1;  // one byte above the 4 MiB ceiling
   std::memcpy(frame.data(), &huge, sizeof(huge));
   int fd = Connect();
   SendAll(fd, frame);

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -16,14 +15,10 @@ namespace {
 void FillDemoRegistry(MetricsRegistry& reg) {
   reg.GetCounter("rc_demo_requests", {{"path", "/x"}}, "requests served").Increment(3);
   reg.GetGauge("rc_demo_queue", {}, "queue depth").Set(1.5);
-  HistogramOptions opts;
-  opts.min = 1.0;
-  opts.max = 100.0;
-  opts.buckets_per_decade = 1;
-  Histogram& h = reg.GetHistogram("rc_demo_latency_us", opts, {}, "demo latency (us)");
-  h.Record(0.5);     // bucket le=1
-  h.Record(5.0);     // bucket le=10
-  h.Record(1000.0);  // overflow
+  Histogram& h = reg.GetHistogram("rc_demo_latency_us", {}, "demo latency (us)");
+  h.Record(0.5);  // bucket le=0.5623413252
+  h.Record(5.0);  // bucket le=5.623413252
+  h.Record(2e7);  // overflow
 }
 
 TEST(PrometheusTextTest, GoldenExposition) {
@@ -38,19 +33,19 @@ TEST(PrometheusTextTest, GoldenExposition) {
       "rc_demo_queue 1.5\n"
       "# HELP rc_demo_latency_us demo latency (us)\n"
       "# TYPE rc_demo_latency_us histogram\n"
-      "rc_demo_latency_us_bucket{le=\"1\"} 1\n"
-      "rc_demo_latency_us_bucket{le=\"10\"} 2\n"
+      "rc_demo_latency_us_bucket{le=\"0.5623413252\"} 1\n"
+      "rc_demo_latency_us_bucket{le=\"5.623413252\"} 2\n"
       "rc_demo_latency_us_bucket{le=\"+Inf\"} 3\n"
-      "rc_demo_latency_us_sum 1005.5\n"
+      "rc_demo_latency_us_sum 20000005.5\n"
       "rc_demo_latency_us_count 3\n"
       "# TYPE rc_demo_latency_us_window_count gauge\n"
       "rc_demo_latency_us_window_count 3\n"
       "# TYPE rc_demo_latency_us_window_p50 gauge\n"
-      "rc_demo_latency_us_window_p50 10\n"
+      "rc_demo_latency_us_window_p50 5.623413252\n"
       "# TYPE rc_demo_latency_us_window_p95 gauge\n"
-      "rc_demo_latency_us_window_p95 100\n"
+      "rc_demo_latency_us_window_p95 10000000\n"
       "# TYPE rc_demo_latency_us_window_p99 gauge\n"
-      "rc_demo_latency_us_window_p99 100\n";
+      "rc_demo_latency_us_window_p99 10000000\n";
   EXPECT_EQ(PrometheusText(reg), expected);
 }
 
@@ -62,12 +57,28 @@ TEST(JsonTextTest, GoldenSnapshot) {
       "  \"metrics\": {\n"
       "    \"rc_demo_requests{path=\\\"/x\\\"}\": {\"type\":\"counter\",\"value\":3},\n"
       "    \"rc_demo_queue\": {\"type\":\"gauge\",\"value\":1.5},\n"
-      "    \"rc_demo_latency_us\": {\"type\":\"histogram\",\"count\":3,\"sum\":1005.5,"
-      "\"mean\":335.1666667,\"p50\":10,\"p95\":100,\"p99\":100,\"p999\":100,"
-      "\"window_count\":3,\"window_p50\":10,\"window_p95\":100,\"window_p99\":100}\n"
+      "    \"rc_demo_latency_us\": {\"type\":\"histogram\",\"count\":3,"
+      "\"sum\":20000005.5,\"mean\":6666668.5,\"p50\":5.623413252,\"p95\":10000000,"
+      "\"p99\":10000000,\"p999\":10000000,\"window_count\":3,"
+      "\"window_p50\":5.623413252,\"window_p95\":10000000,\"window_p99\":10000000}\n"
       "  }\n"
       "}\n";
   EXPECT_EQ(JsonText(reg), expected);
+}
+
+// Label values can come from outside the process (a model name read from an
+// ingested store key). A quote, backslash or newline in one must be escaped
+// so it cannot end the series early or forge another series line.
+TEST(PrometheusTextTest, LabelValuesAreEscaped) {
+  MetricsRegistry reg;
+  reg.GetGauge("rc_client_model_bytes", {{"model", "a\"b\\c\nd"}}).Set(1.0);
+  reg.GetGauge("rc_client_model_bytes", {{"model", "x\"} 0\nrc_forged 1\n#"}}).Set(2.0);
+  const std::string text = PrometheusText(reg);
+  EXPECT_EQ(text,
+            "# TYPE rc_client_model_bytes gauge\n"
+            "rc_client_model_bytes{model=\"a\\\"b\\\\c\\nd\"} 1\n"
+            "rc_client_model_bytes{model=\"x\\\"} 0\\nrc_forged 1\\n#\"} 2\n");
+  EXPECT_EQ(text.find("\nrc_forged"), std::string::npos) << text;
 }
 
 TEST(JsonTextTest, EmptyRegistryRendersEmptyObject) {
@@ -95,10 +106,12 @@ class TempFileTest : public ::testing::Test {
   std::string path_;
 };
 
-TEST_F(TempFileTest, WriteTextFileRoundTrips) {
-  ASSERT_TRUE(WriteTextFile(path_, "hello\n"));
-  EXPECT_EQ(ReadFile(), "hello\n");
-  EXPECT_FALSE(WriteTextFile("/nonexistent-dir-xyz/file", "x"));
+TEST_F(TempFileTest, MergeFailsOnUnwritablePath) {
+  MetricsRegistry reg;
+  reg.GetCounter("rc_x_total").Increment(1);
+  EXPECT_FALSE(MergeJsonMetricsFile("/nonexistent-dir-xyz/file", reg));
+  ASSERT_TRUE(MergeJsonMetricsFile(path_, reg));
+  EXPECT_EQ(ReadFile(), JsonText(reg));
 }
 
 TEST_F(TempFileTest, MergePreservesOtherSeriesAndUpdatesOwn) {
@@ -121,24 +134,11 @@ TEST_F(TempFileTest, MergePreservesOtherSeriesAndUpdatesOwn) {
 }
 
 TEST_F(TempFileTest, MergeOverwritesUnparseableFile) {
-  ASSERT_TRUE(WriteTextFile(path_, "not json at all"));
+  std::ofstream(path_) << "not json at all";
   MetricsRegistry reg;
   reg.GetCounter("rc_x_total").Increment(2);
   ASSERT_TRUE(MergeJsonMetricsFile(path_, reg));
   EXPECT_NE(ReadFile().find("\"rc_x_total\""), std::string::npos);
-}
-
-TEST_F(TempFileTest, PeriodicDumperWritesFinalSnapshotOnStop) {
-  MetricsRegistry reg;
-  reg.GetCounter("rc_dumped_total").Increment(9);
-  {
-    PeriodicDumper dumper(reg, path_, PeriodicDumper::Format::kPrometheus,
-                          std::chrono::milliseconds(60000));
-    // Destructor stops the thread and writes a final snapshot even though
-    // the interval never elapsed.
-  }
-  std::string text = ReadFile();
-  EXPECT_NE(text.find("rc_dumped_total 9"), std::string::npos) << text;
 }
 
 }  // namespace

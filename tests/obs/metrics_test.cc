@@ -42,36 +42,35 @@ TEST(CounterTest, ConcurrentHammeringIsExact) {
 }
 
 TEST(HistogramTest, BucketBoundsAreLogSpaced) {
-  HistogramOptions opts;
-  opts.min = 1.0;
-  opts.max = 100.0;
-  opts.buckets_per_decade = 1;
-  Histogram h(opts);
-  ASSERT_EQ(h.bounds().size(), 3u);
-  EXPECT_DOUBLE_EQ(h.bounds()[0], 1.0);
-  EXPECT_NEAR(h.bounds()[1], 10.0, 1e-9);
-  EXPECT_NEAR(h.bounds()[2], 100.0, 1e-7);
+  Histogram h;
+  ASSERT_EQ(h.bounds().size(), Histogram::kFiniteBuckets);
+  EXPECT_DOUBLE_EQ(h.bounds()[0], 0.1);
+  // Eight buckets per decade, each 10^(1/8) wider than the last.
+  EXPECT_NEAR(h.bounds()[8], 1.0, 1e-12);
+  EXPECT_NEAR(h.bounds()[16], 10.0, 1e-11);
+  EXPECT_NEAR(h.bounds()[64], 1e7, 1e-3);
+  for (size_t i = 1; i < h.bounds().size(); ++i) {
+    EXPECT_NEAR(h.bounds()[i] / h.bounds()[i - 1], std::pow(10.0, 1.0 / 8.0), 1e-12) << i;
+  }
 }
 
 TEST(HistogramTest, RecordPlacesValuesInExpectedBuckets) {
-  HistogramOptions opts;
-  opts.min = 1.0;
-  opts.max = 100.0;
-  opts.buckets_per_decade = 1;
-  Histogram h(opts);
-  h.Record(0.5);     // at/below min -> bucket 0
-  h.Record(-3.0);    // negative -> bucket 0
-  h.Record(5.0);     // (1, 10] -> bucket 1
-  h.Record(10.0);    // boundary lands in its own bucket, not the next
-  h.Record(1000.0);  // above max -> overflow
+  Histogram h;
+  h.Record(0.05);  // at/below the first bound -> bucket 0
+  h.Record(-3.0);  // negative -> bucket 0
+  h.Record(5.0);   // (4.217, 5.623] -> bucket 14
+  h.Record(10.0);  // boundary lands in its own bucket (16), not the next
+  h.Record(2e7);   // above 10 s -> overflow
   auto snap = h.TakeSnapshot();
   EXPECT_EQ(snap.count, 5u);
-  ASSERT_EQ(snap.buckets.size(), 4u);
+  ASSERT_EQ(snap.buckets.size(), Histogram::kFiniteBuckets + 1);
   EXPECT_EQ(snap.buckets[0], 2u);
-  EXPECT_EQ(snap.buckets[1], 2u);
-  EXPECT_EQ(snap.buckets[2], 0u);
-  EXPECT_EQ(snap.buckets[3], 1u);
-  EXPECT_NEAR(snap.sum, 0.5 - 3.0 + 5.0 + 10.0 + 1000.0, 1e-9);
+  EXPECT_EQ(snap.buckets[14], 1u);
+  EXPECT_EQ(snap.buckets[15], 0u);
+  EXPECT_EQ(snap.buckets[16], 1u);
+  EXPECT_EQ(snap.buckets[17], 0u);
+  EXPECT_EQ(snap.buckets[Histogram::kFiniteBuckets], 1u);
+  EXPECT_NEAR(snap.sum, 0.05 - 3.0 + 5.0 + 10.0 + 2e7, 1e-6);
   EXPECT_NEAR(snap.Mean(), snap.sum / 5.0, 1e-12);
 }
 
@@ -156,21 +155,6 @@ TEST(RegistryTest, TypeMismatchThrows) {
   EXPECT_THROW(reg.GetHistogram("rc_test_metric"), std::logic_error);
 }
 
-TEST(RegistryTest, HistogramOptionsApplyOnFirstRegistrationOnly) {
-  MetricsRegistry reg;
-  HistogramOptions narrow;
-  narrow.min = 1.0;
-  narrow.max = 10.0;
-  narrow.buckets_per_decade = 1;
-  Histogram& a = reg.GetHistogram("rc_test_us", narrow);
-  HistogramOptions wide;
-  wide.min = 0.001;
-  wide.max = 1e9;
-  Histogram& b = reg.GetHistogram("rc_test_us", wide);
-  EXPECT_EQ(&a, &b);
-  EXPECT_EQ(b.bounds().size(), a.bounds().size());
-}
-
 TEST(RegistryTest, CollectReturnsSortedSamples) {
   MetricsRegistry reg;
   reg.GetCounter("rc_b_total").Increment(2);
@@ -222,29 +206,19 @@ TEST(ScopedTimerTest, RecordsRoughlyElapsedTime) {
 }
 
 // --- sliding-window view (epoch-ring rotation, virtualized time) ---
+// The window is 6 epochs of 10 s; a ring of 7 slots.
 
-TEST(HistogramWindowTest, DisabledWindowIsEmptyAndFree) {
-  HistogramOptions opts;
-  opts.window_epochs = 0;
-  Histogram h(opts);
-  EXPECT_FALSE(h.has_window());
-  h.Record(5.0);
-  Histogram::Snapshot w = h.TakeWindowSnapshot(NowNs());
-  EXPECT_EQ(w.count, 0u);
-  EXPECT_EQ(h.TakeSnapshot().count, 1u);  // lifetime unaffected
-}
+constexpr uint64_t kSec = 1'000'000'000ull;
 
 TEST(HistogramWindowTest, WindowSeesRecentAndForgetsOld) {
-  HistogramOptions opts;
-  opts.window_epochs = 3;
-  opts.window_epoch_ns = 1'000'000'000ull;  // 1s epochs, 3s window
-  Histogram h(opts);
-  const uint64_t t0 = 100'000'000'000ull;  // arbitrary virtual origin
+  Histogram h;
+  const uint64_t t0 = 1000 * kSec;  // arbitrary virtual origin, epoch-aligned
   h.RecordAt(10.0, t0);
-  h.RecordAt(20.0, t0 + 500'000'000ull);
-  EXPECT_EQ(h.TakeWindowSnapshot(t0 + 600'000'000ull).count, 2u);
-  // 4s later both records have aged past the 3s window...
-  EXPECT_EQ(h.TakeWindowSnapshot(t0 + 4'000'000'000ull).count, 0u);
+  h.RecordAt(20.0, t0 + 5 * kSec);
+  EXPECT_EQ(h.TakeWindowSnapshot(t0 + 6 * kSec).count, 2u);
+  EXPECT_EQ(h.TakeWindowSnapshot(t0 + 59 * kSec).count, 2u);
+  // One window span later both records have aged out...
+  EXPECT_EQ(h.TakeWindowSnapshot(t0 + 60 * kSec).count, 0u);
   // ...but the lifetime view keeps them forever.
   EXPECT_EQ(h.TakeSnapshot().count, 2u);
 }
@@ -253,25 +227,22 @@ TEST(HistogramWindowTest, WindowSeesRecentAndForgetsOld) {
 // the lifetime quantile still remembers the old regime — the property the
 // /metrics _window_p99 series exists for.
 TEST(HistogramWindowTest, StepLoadConvergesWithinOneWindow) {
-  HistogramOptions opts;
-  opts.window_epochs = 6;
-  opts.window_epoch_ns = 1'000'000'000ull;
-  Histogram h(opts);
-  uint64_t now = 50'000'000'000ull;
-  // Regime A: 1000 fast samples (~10us) spread over 3s.
+  Histogram h;
+  uint64_t now = 500 * kSec;
+  // Regime A: 1000 fast samples (~10us) spread over 30s.
   for (int i = 0; i < 1000; ++i) {
-    h.RecordAt(10.0, now + static_cast<uint64_t>(i) * 3'000'000ull);
+    h.RecordAt(10.0, now + static_cast<uint64_t>(i) * 30'000'000ull);
   }
-  now += 3'000'000'000ull;
+  now += 30 * kSec;
   Histogram::Snapshot before = h.TakeWindowSnapshot(now);
   EXPECT_LE(before.Quantile(0.99), 20.0);
   // Regime B: latency jumps 100x. One full window later the window p99
   // reflects only the new regime.
-  now += 6'000'000'000ull;  // old samples age out entirely
+  now += 60 * kSec;  // old samples age out entirely
   for (int i = 0; i < 1000; ++i) {
-    h.RecordAt(1000.0, now + static_cast<uint64_t>(i) * 3'000'000ull);
+    h.RecordAt(1000.0, now + static_cast<uint64_t>(i) * 30'000'000ull);
   }
-  now += 3'000'000'000ull;
+  now += 30 * kSec;
   Histogram::Snapshot after = h.TakeWindowSnapshot(now);
   EXPECT_EQ(after.count, 1000u);
   EXPECT_GE(after.Quantile(0.99), 1000.0);
@@ -285,14 +256,11 @@ TEST(HistogramWindowTest, StepLoadConvergesWithinOneWindow) {
 // Ring reuse: epochs far enough apart land in the same ring slot; the CAS
 // claim must zero the stale contents rather than accumulate them.
 TEST(HistogramWindowTest, SlotReclaimZeroesStaleEpoch) {
-  HistogramOptions opts;
-  opts.window_epochs = 2;
-  opts.window_epoch_ns = 1'000'000'000ull;  // ring of 3 slots
-  Histogram h(opts);
-  const uint64_t t0 = 10'000'000'000ull;
+  Histogram h;
+  const uint64_t t0 = 100 * kSec;
   for (int i = 0; i < 100; ++i) h.RecordAt(1.0, t0);
-  // Same slot (epoch multiple of ring size), much later.
-  const uint64_t t1 = t0 + 9'000'000'000ull;
+  // Same slot (7 epochs later, the ring size).
+  const uint64_t t1 = t0 + 70 * kSec;
   h.RecordAt(2.0, t1);
   Histogram::Snapshot w = h.TakeWindowSnapshot(t1);
   EXPECT_EQ(w.count, 1u);  // the 100 stale samples did not leak in
@@ -300,16 +268,18 @@ TEST(HistogramWindowTest, SlotReclaimZeroesStaleEpoch) {
 }
 
 TEST(HistogramWindowTest, ConcurrentRotationNeverLosesLifetimeSamples) {
-  HistogramOptions opts;
-  opts.window_epochs = 2;
-  opts.window_epoch_ns = 1'000'000ull;  // 1ms epochs force constant rotation
-  Histogram h(opts);
+  Histogram h;
   constexpr int kThreads = 4;
   constexpr int kPerThread = 50'000;
+  // Each thread's virtual clock advances 100ms per sample, so every thread
+  // crosses a 10s epoch every 100 samples: the threads race to claim and
+  // zero slots, and laggards write into slots others already moved past.
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&h] {
-      for (int i = 0; i < kPerThread; ++i) h.Record(3.0);
+      for (int i = 0; i < kPerThread; ++i) {
+        h.RecordAt(3.0, 1000 * kSec + static_cast<uint64_t>(i) * 100'000'000ull);
+      }
     });
   }
   for (auto& t : threads) t.join();
@@ -317,7 +287,7 @@ TEST(HistogramWindowTest, ConcurrentRotationNeverLosesLifetimeSamples) {
   // counts must be exact.
   EXPECT_EQ(h.TakeSnapshot().count,
             static_cast<uint64_t>(kThreads) * kPerThread);
-  EXPECT_LE(h.TakeWindowSnapshot(NowNs()).count,
+  EXPECT_LE(h.TakeWindowSnapshot(1000 * kSec + kPerThread * 100'000'000ull).count,
             static_cast<uint64_t>(kThreads) * kPerThread);
 }
 

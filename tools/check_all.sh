@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # One-shot gate: plain build + full ctest, a metrics-exposition smoke check
-# (quickstart with RC_METRICS_DUMP=1 must emit every required metric family),
+# (quickstart with RC_METRICS_DUMP=1 must emit every required metric family,
+# every series line must parse, every histogram must have _window_count),
 # then the TSan and ASan/UBSan suites. Any failure stops the script.
 #
 # Usage: tools/check_all.sh
@@ -78,6 +79,29 @@ for family in "${REQUIRED_FAMILIES[@]}"; do
   fi
 done
 echo "all ${#REQUIRED_FAMILIES[@]} required metric families present."
+# Every series line must parse as `name{k="escaped",...} number` (label
+# values escape \\, \" and newline), so a hostile label value cannot break
+# the exposition or forge a series.
+EXPO_BODY="$(sed -n '/^== metrics (client registry) ==$/,$p' <<<"${EXPO}" \
+  | grep -v -e '^== metrics' -e '^$')"
+LABEL='[a-zA-Z_][a-zA-Z0-9_]*="([^"\\]|\\[\\"n])*"'
+VALUE='[-+]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?|NaN|[-+]Inf'
+SERIES_LINE="^[a-zA-Z_:][a-zA-Z0-9_:]*(\\{${LABEL}(,${LABEL})*\\})? (${VALUE})\$"
+BAD_LINES="$(grep -v '^#' <<<"${EXPO_BODY}" | grep -vE "${SERIES_LINE}" || true)"
+if [[ -n "${BAD_LINES}" ]]; then
+  echo "FAIL: quickstart exposition lines outside the series grammar:" >&2
+  echo "${BAD_LINES}" >&2
+  exit 1
+fi
+# Every histogram carries its sliding-window companions.
+HISTOGRAMS="$(sed -n 's/^# TYPE \([a-zA-Z0-9_:]*\) histogram$/\1/p' <<<"${EXPO_BODY}")"
+for family in ${HISTOGRAMS}; do
+  if ! grep -qE "^${family}_window_count( |\\{)" <<<"${EXPO_BODY}"; then
+    echo "FAIL: histogram family '${family}' has no _window_count series" >&2
+    exit 1
+  fi
+done
+echo "every series line parses; all $(wc -w <<<"${HISTOGRAMS}") histograms have _window_count."
 
 echo "== network service smoke check =="
 NET_EXPO="$("${BUILD_DIR}/tools/rc_server" --smoke --vms 3000 2>/dev/null)"
