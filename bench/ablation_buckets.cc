@@ -62,7 +62,8 @@ int main() {
     std::vector<double> proba(static_cast<size_t>(model.num_classes()));
     for (size_t j = 0; j < test.size(); ++j) {
       featurizer.EncodeTo(test[j].inputs, test[j].history, row);
-      int predicted = model.PredictScored(row, proba).label;
+      model.PredictBatch(row.data(), 1, row.size(), proba.data());
+      int predicted = rc::ml::Argmax(proba).label;
       double p95 = test_vms[j]->p95_max_cpu;
       if (predicted == FineBucket(p95, granularity)) ++fine_correct;
       // Map the fine prediction to the paper's 4 buckets via its midpoint.

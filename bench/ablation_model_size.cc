@@ -36,7 +36,8 @@ int main() {
     for (size_t i = 0; i < test.size() && i < 2000; ++i) {
       featurizer.EncodeTo(test[i].inputs, test[i].history, row);
       auto start = std::chrono::steady_clock::now();
-      auto scored = model.PredictScored(row, proba);
+      model.PredictBatch(row.data(), 1, row.size(), proba.data());
+      auto scored = rc::ml::Argmax(proba);
       auto end = std::chrono::steady_clock::now();
       (void)scored;
       micros.push_back(std::chrono::duration<double, std::micro>(end - start).count());

@@ -72,7 +72,8 @@ void BM_ModelExecution(benchmark::State& state) {
     const ClientInputs& inputs = h.test_inputs[i++ % h.test_inputs.size()];
     const auto& features = h.trained.feature_data.at(inputs.subscription_id);
     featurizer.EncodeTo(inputs, features, row);
-    auto scored = classifier.PredictScored(row, proba);
+    classifier.PredictBatch(row.data(), 1, row.size(), proba.data());
+    auto scored = rc::ml::Argmax(proba);
     benchmark::DoNotOptimize(scored);
   }
   state.SetLabel(MetricName(metric));
@@ -125,7 +126,8 @@ void PrintPercentileTable() {
       const ClientInputs& inputs = h.test_inputs[static_cast<size_t>(i) % h.test_inputs.size()];
       auto start = std::chrono::steady_clock::now();
       featurizer.EncodeTo(inputs, h.trained.feature_data.at(inputs.subscription_id), row);
-      auto scored = classifier.PredictScored(row, proba);
+      classifier.PredictBatch(row.data(), 1, row.size(), proba.data());
+      auto scored = rc::ml::Argmax(proba);
       benchmark::DoNotOptimize(scored);
       auto end = std::chrono::steady_clock::now();
       double us = std::chrono::duration<double, std::micro>(end - start).count();

@@ -29,10 +29,10 @@
 #include "src/ml/random_forest.h"
 #include "src/obs/export.h"
 
-// Global allocation counter: the engine's contract is that PredictInto /
-// PredictBatch never allocate, and a benchmark is the right place to hold it
-// to that — a regression here silently re-adds the per-call malloc the
-// engine exists to remove.
+// Global allocation counter: the engine's contract is that PredictBatch
+// never allocates, and a benchmark is the right place to hold it to that —
+// a regression here silently re-adds the per-call malloc the engine exists
+// to remove.
 static std::atomic<uint64_t> g_allocations{0};
 
 void* operator new(std::size_t size) {
@@ -175,7 +175,7 @@ double RunModel(const std::string& name, const Model& model, size_t features,
   Series single = Measure(
       4000, 1, /*expect_no_alloc=*/true, name + "/compiled-single", alloc_check_ok,
       [&](size_t i) {
-        engine.PredictInto({&X[(i % kPool) * features], features}, {proba.data(), k});
+        engine.PredictBatch(&X[(i % kPool) * features], 1, features, proba.data());
         benchmark_do_not_optimize(proba.data());
       });
   add_row("compiled-single", single);
@@ -375,7 +375,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\nbatch-64 vs compiled-single throughput: rf " << TablePrinter::Fmt(rf_ratio, 2)
             << "x, gbt " << TablePrinter::Fmt(gbt_ratio, 2) << "x (acceptance: >= 2x)\n";
-  std::cout << "engine hot loops (PredictInto / PredictBatch): "
+  std::cout << "engine hot loops (PredictBatch): "
             << (alloc_check_ok ? "0 allocations, as designed"
                                : "ALLOCATION CHECK FAILED")
             << "\n";

@@ -679,12 +679,8 @@ void Client::ScoreMisses(const std::string& model_name, std::span<const MissRow>
     for (size_t b = 0; b < batch.size(); ++b) {
       const MissRow& row = rows[batch[b].row];
       if (first_of_key(b)) {
-        // Argmax; ties break toward the lower class index.
-        size_t best = 0;
-        for (size_t c = 1; c < k; ++c) {
-          if (p[c] > p[best]) best = c;
-        }
-        scored = Prediction::Of(static_cast<int>(best), p[best]);
+        const rc::ml::Scored top = rc::ml::Argmax({p, k});
+        scored = Prediction::Of(top.label, top.score);
         p += k;
         if (scored.valid) ResultCacheInsert(row.key, scored, row.stamp);
       }

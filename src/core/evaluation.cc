@@ -38,14 +38,10 @@ MetricQuality EvaluateModel(const rc::ml::Classifier& model, const Featurizer& f
     }
     model.PredictBatch(X.data(), n, nf, proba.data());
     for (size_t i = 0; i < n; ++i) {
-      const double* p = proba.data() + i * kk;
-      size_t best = 0;
-      for (size_t c = 1; c < kk; ++c) {
-        if (p[c] > p[best]) best = c;
-      }
+      const rc::ml::Scored top = rc::ml::Argmax({proba.data() + i * kk, kk});
       const LabeledExample& example = examples[begin + i];
-      confusion.Add(example.label, static_cast<int>(best));
-      thresholded.Add(example.label, static_cast<int>(best), p[best]);
+      confusion.Add(example.label, top.label);
+      thresholded.Add(example.label, top.label, top.score);
     }
   }
 

@@ -108,13 +108,6 @@ void Featurizer::BuildNames() {
   }
 }
 
-std::vector<double> Featurizer::Encode(const ClientInputs& inputs,
-                                       const SubscriptionFeatures& history) const {
-  std::vector<double> out(num_features());
-  EncodeTo(inputs, history, out);
-  return out;
-}
-
 void Featurizer::EncodeTo(const ClientInputs& inputs, const SubscriptionFeatures& history,
                           std::span<double> out) const {
   if (out.size() != num_features()) {

@@ -30,7 +30,7 @@ enum class FeatureEncoding { kExpanded = 0, kCompact = 1 };
 // "svc-0".."svc-19"; id 0 = unknown.
 inline constexpr int kNumServices = rc::trace::kNumServices;
 inline constexpr int kNumRoles = 5;  // IaaS + 4 PaaS roles
-inline constexpr int kNumRegions = 6;
+inline constexpr int kNumRegions = rc::trace::kNumRegions;
 inline constexpr int kNumSizes = 14;
 
 class Featurizer {
@@ -42,9 +42,8 @@ class Featurizer {
   size_t num_features() const { return names_.size(); }
   const std::vector<std::string>& feature_names() const { return names_; }
 
-  std::vector<double> Encode(const ClientInputs& inputs,
-                             const SubscriptionFeatures& history) const;
-  // Zero-allocation variant; `out.size()` must equal num_features().
+  // Writes one feature row into caller storage (allocation-free);
+  // `out.size()` must equal num_features().
   void EncodeTo(const ClientInputs& inputs, const SubscriptionFeatures& history,
                 std::span<double> out) const;
 

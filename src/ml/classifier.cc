@@ -1,41 +1,11 @@
 #include "src/ml/classifier.h"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "src/ml/gbt.h"
 #include "src/ml/random_forest.h"
 
 namespace rc::ml {
-
-void Classifier::PredictInto(std::span<const double> x, std::span<double> out) const {
-  std::vector<double> probs = PredictProba(x);
-  std::copy(probs.begin(), probs.end(), out.begin());
-}
-
-void Classifier::PredictBatch(const double* X, size_t n, size_t stride,
-                              double* proba_out) const {
-  const size_t k = static_cast<size_t>(num_classes());
-  for (size_t i = 0; i < n; ++i) {
-    PredictInto({X + i * stride, static_cast<size_t>(num_features())},
-                {proba_out + i * k, k});
-  }
-}
-
-Classifier::Scored Classifier::PredictScored(std::span<const double> x) const {
-  std::vector<double> probs(static_cast<size_t>(num_classes()));
-  return PredictScored(x, probs);
-}
-
-Classifier::Scored Classifier::PredictScored(std::span<const double> x,
-                                             std::span<double> scratch) const {
-  PredictInto(x, scratch);
-  int best = 0;
-  for (int c = 1; c < num_classes(); ++c) {
-    if (scratch[static_cast<size_t>(c)] > scratch[static_cast<size_t>(best)]) best = c;
-  }
-  return Scored{best, scratch[static_cast<size_t>(best)]};
-}
 
 std::vector<uint8_t> Classifier::SerializeTagged() const {
   ByteWriter w;

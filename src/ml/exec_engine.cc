@@ -289,9 +289,4 @@ void ExecEngine::FinalizeRows(size_t n, double* proba_out) const {
   }
 }
 
-void ExecEngine::PredictInto(std::span<const double> x,
-                             std::span<double> proba_out, Mode mode) const {
-  PredictBatch(x.data(), 1, x.size(), proba_out.data(), mode);
-}
-
 }  // namespace rc::ml

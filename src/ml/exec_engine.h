@@ -22,13 +22,14 @@
 // One comparison steers the descent and the sign bit terminates it — no
 // "is this a leaf" load, no pointer chasing across per-tree allocations.
 //
-// The batched entry point `PredictBatch` walks tree-major (outer loop over
-// trees, inner loop over examples) so a tree's slice of the pool stays hot
-// in cache across the whole batch; per-example accumulation order over trees
-// is unchanged, which keeps results bit-identical to the legacy traversal
-// (the exec_engine parity suite asserts exact equality, NaN/∞ inputs
-// included). All entry points are allocation-free: callers own the output
-// buffers, and the engine needs no scratch beyond them.
+// The one entry point, `PredictBatch` (a single example is n == 1), walks
+// tree-major (outer loop over trees, inner loop over examples) so a tree's
+// slice of the pool stays hot in cache across the whole batch; per-example
+// accumulation order over trees is unchanged, which keeps results
+// bit-identical to the legacy traversal (the exec_engine parity suite
+// asserts exact equality with PredictProbaLegacy, NaN/∞ inputs included).
+// It is allocation-free: callers own the output buffers, and the engine
+// needs no scratch beyond them.
 //
 // Walk modes (`ExecEngine::Mode`): one exact walk with two executions.
 // kScalar is the portable branchless 16-lane walk — the only walk on hosts
@@ -43,7 +44,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "src/ml/classifier.h"
@@ -62,9 +62,9 @@ class ExecEngine {
     kBoosted,         // regression trees; logit accumulation + sigmoid/softmax
   };
 
-  // Which walk executes a PredictBatch/PredictInto call. See
-  // the header comment; Resolve() maps a requested mode to the one that
-  // actually runs on this host/model.
+  // Which walk executes a PredictBatch call. See the header comment;
+  // Resolve() maps a requested mode to the one that actually runs on this
+  // host/model.
   enum class Mode : uint8_t {
     kAuto = 0,    // AVX2 when available, else scalar
     kScalar = 1,  // portable branchless lockstep walk
@@ -106,14 +106,9 @@ class ExecEngine {
   // doubles each (stride >= num_features(); only the first num_features()
   // of each row are read). Writes n * num_classes() probabilities to
   // `proba_out`. Allocation-free; `proba_out` doubles as the logit scratch
-  // for the boosted family.
+  // for the boosted family. A single example is n == 1.
   void PredictBatch(const double* X, size_t n, size_t stride, double* proba_out,
                     Mode mode = Mode::kAuto) const;
-
-  // Single-example form writing into caller scratch; `proba_out.size()` must
-  // be num_classes(). Exactly PredictBatch with n == 1.
-  void PredictInto(std::span<const double> x, std::span<double> proba_out,
-                   Mode mode = Mode::kAuto) const;
 
  private:
   ExecEngine() = default;

@@ -114,17 +114,6 @@ void GradientBoostedTrees::CompileEngine() {
   engine_ = std::make_shared<const ExecEngine>(ExecEngine::Compile(*this));
 }
 
-std::vector<double> GradientBoostedTrees::PredictProba(std::span<const double> x) const {
-  std::vector<double> probs(static_cast<size_t>(num_classes_));
-  PredictInto(x, probs);
-  return probs;
-}
-
-void GradientBoostedTrees::PredictInto(std::span<const double> x,
-                                       std::span<double> out) const {
-  engine_->PredictInto(x, out);
-}
-
 void GradientBoostedTrees::PredictBatch(const double* X, size_t n, size_t stride,
                                         double* proba_out) const {
   engine_->PredictBatch(X, n, stride, proba_out);
@@ -184,8 +173,8 @@ GradientBoostedTrees GradientBoostedTrees::Deserialize(ByteReader& r) {
   }
   model.learning_rate_ = r.F64();
   model.base_score_ = r.PodVector<double>();
-  // PredictProba indexes base_score_ directly; its size is fixed by the
-  // class count (1 logit for binary, k for multiclass).
+  // The engine and PredictProbaLegacy index base_score_ directly; its size
+  // is fixed by the class count (1 logit for binary, k for multiclass).
   size_t want_scores = model.num_classes_ == 2 ? 1 : static_cast<size_t>(model.num_classes_);
   if (model.base_score_.size() != want_scores) {
     throw std::runtime_error("GradientBoostedTrees: base score size mismatch");

@@ -60,16 +60,6 @@ void RandomForest::CompileEngine() {
   engine_ = std::make_shared<const ExecEngine>(ExecEngine::Compile(*this));
 }
 
-std::vector<double> RandomForest::PredictProba(std::span<const double> x) const {
-  std::vector<double> probs(static_cast<size_t>(num_classes_));
-  PredictInto(x, probs);
-  return probs;
-}
-
-void RandomForest::PredictInto(std::span<const double> x, std::span<double> out) const {
-  engine_->PredictInto(x, out);
-}
-
 void RandomForest::PredictBatch(const double* X, size_t n, size_t stride,
                                 double* proba_out) const {
   engine_->PredictBatch(X, n, stride, proba_out);

@@ -33,11 +33,9 @@ class RandomForest final : public Classifier {
 
   int num_classes() const override { return num_classes_; }
   int num_features() const override { return num_features_; }
-  // Prediction entry points delegate to the compiled ExecEngine (built at
+  // Prediction delegates to the compiled ExecEngine (built at
   // the end of Fit/Deserialize, so the load path pays for compilation and
   // the prediction path never does).
-  std::vector<double> PredictProba(std::span<const double> x) const override;
-  void PredictInto(std::span<const double> x, std::span<double> out) const override;
   void PredictBatch(const double* X, size_t n, size_t stride,
                     double* proba_out) const override;
   const ExecEngine* engine() const override { return engine_.get(); }

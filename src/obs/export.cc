@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -12,11 +13,18 @@ namespace rc::obs {
 
 namespace {
 
+// A sample value in the Prometheus text format, which spells the non-finite
+// values NaN, +Inf and -Inf (printf would write nan/inf).
 std::string Fmt(double v) {
+  if (std::isnan(v)) return "NaN";
+  if (std::isinf(v)) return v > 0 ? "+Inf" : "-Inf";
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.10g", v);
   return buf;
 }
+
+// A JSON number; JSON has no NaN or infinity, so those render as null.
+std::string JsonNumber(double v) { return std::isfinite(v) ? Fmt(v) : "null"; }
 
 std::string Series(const MetricInfo& info, const std::string& extra_label = "") {
   std::string labels = info.labels;
@@ -122,19 +130,20 @@ std::vector<std::pair<std::string, std::string>> JsonEntries(
   }
   for (const auto& g : snapshot.gauges) {
     entries.emplace_back(g.info.Key(),
-                         "{\"type\":\"gauge\",\"value\":" + Fmt(g.value) + "}");
+                         "{\"type\":\"gauge\",\"value\":" + JsonNumber(g.value) + "}");
   }
   for (const auto& h : snapshot.histograms) {
     std::string body = "{\"type\":\"histogram\",\"count\":" + std::to_string(h.hist.count) +
-                       ",\"sum\":" + Fmt(h.hist.sum) + ",\"mean\":" + Fmt(h.hist.Mean()) +
-                       ",\"p50\":" + Fmt(h.hist.Quantile(0.50)) +
-                       ",\"p95\":" + Fmt(h.hist.Quantile(0.95)) +
-                       ",\"p99\":" + Fmt(h.hist.Quantile(0.99)) +
-                       ",\"p999\":" + Fmt(h.hist.Quantile(0.999)) +
+                       ",\"sum\":" + JsonNumber(h.hist.sum) +
+                       ",\"mean\":" + JsonNumber(h.hist.Mean()) +
+                       ",\"p50\":" + JsonNumber(h.hist.Quantile(0.50)) +
+                       ",\"p95\":" + JsonNumber(h.hist.Quantile(0.95)) +
+                       ",\"p99\":" + JsonNumber(h.hist.Quantile(0.99)) +
+                       ",\"p999\":" + JsonNumber(h.hist.Quantile(0.999)) +
                        ",\"window_count\":" + std::to_string(h.window.count) +
-                       ",\"window_p50\":" + Fmt(h.window.Quantile(0.50)) +
-                       ",\"window_p95\":" + Fmt(h.window.Quantile(0.95)) +
-                       ",\"window_p99\":" + Fmt(h.window.Quantile(0.99)) + "}";
+                       ",\"window_p50\":" + JsonNumber(h.window.Quantile(0.50)) +
+                       ",\"window_p95\":" + JsonNumber(h.window.Quantile(0.95)) +
+                       ",\"window_p99\":" + JsonNumber(h.window.Quantile(0.99)) + "}";
     entries.emplace_back(h.info.Key(), std::move(body));
   }
   return entries;

@@ -139,11 +139,6 @@ std::optional<VersionedBlob> DiskCache::Get(const std::string& key, int64_t now_
   return blob;
 }
 
-void DiskCache::Remove(const std::string& key) {
-  std::error_code ec;
-  std::filesystem::remove(PathFor(key), ec);
-}
-
 void DiskCache::Clear() {
   std::error_code ec;
   for (const auto& entry : std::filesystem::directory_iterator(dir_, ec)) {

@@ -32,7 +32,6 @@ class DiskCache {
   // (torn write), or a payload CRC mismatch (bit rot) all reject the entry.
   std::optional<VersionedBlob> Get(const std::string& key, int64_t now_unix = -1) const;
 
-  void Remove(const std::string& key);
   void Clear();
 
   const std::filesystem::path& dir() const { return dir_; }

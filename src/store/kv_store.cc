@@ -176,15 +176,6 @@ std::optional<VersionedBlob> KvStore::Get(const std::string& key) const {
   return std::move(result.blob);
 }
 
-std::optional<uint64_t> KvStore::GetVersion(const std::string& key) const {
-  if (!available_.load(std::memory_order_acquire)) return std::nullopt;
-  Shard& s = ShardFor(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.blobs.find(key);
-  if (it == s.blobs.end()) return std::nullopt;
-  return it->second.version;
-}
-
 std::vector<std::string> KvStore::ListKeys(const std::string& prefix) const {
   std::vector<std::string> keys;
   if (!available_.load(std::memory_order_acquire)) return keys;

@@ -100,13 +100,10 @@ class KvStore {
   // Latest blob for key; nullopt if absent or the store is unavailable.
   std::optional<VersionedBlob> Get(const std::string& key) const;
 
-  // Version lookup without transferring the payload.
-  std::optional<uint64_t> GetVersion(const std::string& key) const;
-
   // Matching keys across all shards, in sorted order.
   std::vector<std::string> ListKeys(const std::string& prefix = "") const;
 
-  // Simulates an outage: Get/GetVersion/ListKeys return empty until restored.
+  // Simulates an outage: Get/ListKeys return empty until restored.
   void SetAvailable(bool available);
   bool available() const;
 

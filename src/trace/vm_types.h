@@ -21,6 +21,9 @@ enum class GuestOs : uint8_t { kLinux = 0, kWindows = 1 };
 enum class DeploymentTag : uint8_t { kProduction = 0, kNonProduction = 1 };
 // Top first-party services are named "svc-0".."svc-19".
 inline constexpr int kNumServices = 20;
+// Regions are numbered 0..kNumRegions-1; the generator draws from this range
+// and the featurizer one-hot encodes it, so both read this one constant.
+inline constexpr int kNumRegions = 6;
 
 // IaaS VMs carry no role; PaaS VMs run one of four role types. The codes are
 // the ones ClientInputs::role carries.

@@ -61,7 +61,7 @@ SubscriptionProfile WorkloadModel::MakeSubscription(uint64_t id, Rng& rng) {
     int svc = static_cast<int>(std::min<double>(19.0, std::floor(rng.Pareto(1.0, 1.2)) - 1.0));
     sub.service = static_cast<uint8_t>(svc + 1);
   }
-  sub.home_region = static_cast<int32_t>(rng.UniformInt(0, config_.num_regions - 1));
+  sub.home_region = static_cast<int32_t>(rng.UniformInt(0, kNumRegions - 1));
 
   const auto& avg_marginal = sub.party == Party::kFirst ? config_.first_avg_util_marginal
                                                         : config_.third_avg_util_marginal;
@@ -411,7 +411,7 @@ Trace WorkloadModel::Generate() {
     const SubscriptionProfile& sub = subs[sub_sampler.Sample(master)];
     int region = master.Bernoulli(0.85)
                      ? sub.home_region
-                     : static_cast<int>(master.UniformInt(0, config_.num_regions - 1));
+                     : static_cast<int>(master.UniformInt(0, kNumRegions - 1));
     int deploy_bucket = SampleVmBucket(sub.deploy_vms_bucket, config_.deploy_vms_marginal,
                                        sub.metric_consistency, master);
     int64_t n = SampleDeploymentVmCount(deploy_bucket, master);

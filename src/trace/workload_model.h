@@ -46,7 +46,6 @@ struct WorkloadConfig {
   // Observation window (the paper's dataset spans three months).
   SimDuration duration = 90 * kDay;
   int num_subscriptions = 2'000;
-  int num_regions = 6;
 
   double frac_first_party = 0.55;
   // Fraction of first-party VMs that are VM-creation test workloads

@@ -346,7 +346,7 @@ TEST_F(ClientTest, EngineModeServesPredictionsInEveryMode) {
                       row);
   std::vector<double> proba(static_cast<size_t>(model.num_classes()));
   for (Mode mode : {Mode::kAuto, Mode::kScalar, Mode::kAvx2}) {
-    model.engine()->PredictInto(row, proba, mode);
+    model.engine()->PredictBatch(row.data(), 1, row.size(), proba.data(), mode);
     const auto best = std::max_element(proba.begin(), proba.end());  // first max
     EXPECT_EQ(best - proba.begin(), p.bucket) << rc::ml::ExecEngine::ModeName(mode);
     EXPECT_EQ(*best, p.score) << rc::ml::ExecEngine::ModeName(mode);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace rc::core {
 namespace {
 
@@ -18,13 +20,16 @@ class ScriptedClassifier final : public rc::ml::Classifier {
 
   int num_classes() const override { return num_classes_; }
   int num_features() const override { return 1; }
-  std::vector<double> PredictProba(std::span<const double> x) const override {
-    const Entry& e = script_.at(static_cast<size_t>(x[0]));
-    // Top class carries `score`; the rest is spread uniformly.
-    std::vector<double> probs(static_cast<size_t>(num_classes_),
-                              (1.0 - e.score) / (num_classes_ - 1));
-    probs[static_cast<size_t>(e.label)] = e.score;
-    return probs;
+  void PredictBatch(const double* X, size_t n, size_t stride,
+                    double* proba_out) const override {
+    const size_t k = static_cast<size_t>(num_classes_);
+    for (size_t i = 0; i < n; ++i) {
+      const Entry& e = script_.at(static_cast<size_t>(X[i * stride]));
+      // Top class carries `score`; the rest is spread uniformly.
+      double* probs = proba_out + i * k;
+      std::fill(probs, probs + k, (1.0 - e.score) / (num_classes_ - 1));
+      probs[static_cast<size_t>(e.label)] = e.score;
+    }
   }
   const char* type_name() const override { return "scripted"; }
   void Serialize(rc::ml::ByteWriter&) const override {}

@@ -26,6 +26,13 @@ ClientInputs SampleInputs() {
   return in;
 }
 
+std::vector<double> Encode(const Featurizer& f, const ClientInputs& inputs,
+                           const SubscriptionFeatures& history) {
+  std::vector<double> row(f.num_features());
+  f.EncodeTo(inputs, history, row);
+  return row;
+}
+
 TEST(FeaturizerTest, ExpandedFeatureCountInPaperBallpark) {
   // Table 1 reports 127 features for the Random Forest utilization models;
   // the expanded encoding should land in that neighbourhood.
@@ -59,7 +66,7 @@ TEST(FeaturizerTest, NamesUniqueWithinEncoding) {
 TEST(FeaturizerTest, OneHotBlocksAreOneHot) {
   Featurizer f(Metric::kP95Cpu, FeatureEncoding::kExpanded);
   SubscriptionFeatures history;
-  auto row = f.Encode(SampleInputs(), history);
+  auto row = Encode(f, SampleInputs(), history);
   ASSERT_EQ(row.size(), f.num_features());
   // Every one-hot block sums to exactly 1; block boundaries are encoded in
   // the feature names (prefix before the final underscore).
@@ -80,6 +87,34 @@ TEST(FeaturizerTest, OneHotBlocksAreOneHot) {
   }
 }
 
+TEST(FeaturizerTest, GeneratedRegionsEncodeOneHot) {
+  // The generator and the featurizer share rc::trace::kNumRegions, so every
+  // region a generated VM carries lands on exactly one region_* column.
+  rc::trace::WorkloadConfig config;
+  config.target_vm_count = 3000;
+  config.num_subscriptions = 200;
+  rc::trace::WorkloadModel model(config);
+  const rc::trace::Trace trace = model.Generate();
+  ASSERT_GT(trace.vm_count(), 0u);
+  Featurizer f(Metric::kAvgCpu, FeatureEncoding::kExpanded);
+  std::vector<size_t> region_columns;
+  for (size_t i = 0; i < f.num_features(); ++i) {
+    if (f.feature_names()[i].starts_with("region_")) region_columns.push_back(i);
+  }
+  ASSERT_EQ(region_columns.size(), static_cast<size_t>(rc::trace::kNumRegions));
+  SubscriptionFeatures history;
+  std::vector<double> row(f.num_features());
+  std::set<int> regions_seen;
+  for (const auto& vm : trace.vms()) {
+    f.EncodeTo(InputsFromVm(vm, model.catalog()), history, row);
+    int bits = 0;
+    for (size_t col : region_columns) bits += row[col] == 1.0 ? 1 : 0;
+    ASSERT_EQ(bits, 1) << "vm " << vm.vm_id << " region " << vm.region;
+    regions_seen.insert(vm.region);
+  }
+  EXPECT_EQ(regions_seen.size(), static_cast<size_t>(rc::trace::kNumRegions));
+}
+
 TEST(FeaturizerTest, HistoryFlowsIntoFeatures) {
   Featurizer f(Metric::kAvgCpu, FeatureEncoding::kCompact);
   SubscriptionFeatures empty;
@@ -87,8 +122,8 @@ TEST(FeaturizerTest, HistoryFlowsIntoFeatures) {
   history.vm_count = 10;
   history.bucket_frac[static_cast<size_t>(Metric::kAvgCpu)][2] = 0.7;
   history.mean_avg_cpu = 0.55;
-  auto row_empty = f.Encode(SampleInputs(), empty);
-  auto row_hist = f.Encode(SampleInputs(), history);
+  auto row_empty = Encode(f, SampleInputs(), empty);
+  auto row_hist = Encode(f, SampleInputs(), history);
   EXPECT_NE(row_empty, row_hist);
   // The hist_avg_b2 feature must carry the 0.7.
   for (size_t i = 0; i < f.num_features(); ++i) {
@@ -110,7 +145,7 @@ TEST(FeaturizerTest, DeterministicEncoding) {
   Featurizer f(Metric::kLifetime, FeatureEncoding::kCompact);
   SubscriptionFeatures history;
   history.vm_count = 3;
-  EXPECT_EQ(f.Encode(SampleInputs(), history), f.Encode(SampleInputs(), history));
+  EXPECT_EQ(Encode(f, SampleInputs(), history), Encode(f, SampleInputs(), history));
 }
 
 TEST(InputsFromVmTest, MapsAllFields) {

@@ -81,8 +81,12 @@ TEST_F(EndToEndTest, ClientPredictionsMatchDirectModelExecution) {
                                 OfflinePipeline::EncodingFor(Metric::kP95Cpu));
     auto features = core::SubscriptionFeatures::Deserialize(
         trained_->feature_data.at(vm->subscription_id).Serialize());
-    auto row = featurizer.Encode(inputs, features);
-    auto direct = trained_->models.at("VM_P95UTIL")->PredictScored(row);
+    const rc::ml::Classifier& model = *trained_->models.at("VM_P95UTIL");
+    std::vector<double> row(featurizer.num_features());
+    featurizer.EncodeTo(inputs, features, row);
+    std::vector<double> proba(static_cast<size_t>(model.num_classes()));
+    model.PredictBatch(row.data(), 1, row.size(), proba.data());
+    auto direct = rc::ml::Argmax(proba);
     ASSERT_EQ(via_client.bucket, direct.label);
     ASSERT_NEAR(via_client.score, direct.score, 1e-12);
     if (++compared >= 50) break;

@@ -63,7 +63,9 @@ bool DecodeAndExercise(const std::vector<uint8_t>& bytes) {
   EXPECT_GE(f, 0);
   std::vector<double> x(static_cast<size_t>(f), 0.5);
   if (k > 0) {
-    auto scored = model->PredictScored(x);
+    std::vector<double> proba(static_cast<size_t>(k));
+    model->PredictBatch(x.data(), 1, x.size(), proba.data());
+    auto scored = Argmax(proba);
     EXPECT_GE(scored.label, 0);
     EXPECT_LT(scored.label, k);
   }

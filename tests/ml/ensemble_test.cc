@@ -2,6 +2,10 @@
 // classifier registry.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/ml/gbt.h"
 #include "src/ml/random_forest.h"
@@ -22,10 +26,21 @@ Dataset MakeMulticlass(uint64_t seed, int n) {
   return d;
 }
 
+// One example through the single prediction entry point (n == 1).
+std::vector<double> Proba(const Classifier& model, std::span<const double> x) {
+  std::vector<double> probs(static_cast<size_t>(model.num_classes()));
+  model.PredictBatch(x.data(), 1, x.size(), probs.data());
+  return probs;
+}
+
+int Label(const Classifier& model, std::span<const double> x) {
+  return Argmax(Proba(model, x)).label;
+}
+
 double Accuracy(const Classifier& model, const Dataset& test) {
   int correct = 0;
   for (size_t i = 0; i < test.num_rows(); ++i) {
-    if (model.PredictScored(test.Row(i)).label == test.Label(i)) ++correct;
+    if (Label(model, test.Row(i)) == test.Label(i)) ++correct;
   }
   return static_cast<double>(correct) / static_cast<double>(test.num_rows());
 }
@@ -50,7 +65,7 @@ TEST(RandomForestTest, ProbabilitiesNormalized) {
   Rng rng(4);
   for (int i = 0; i < 100; ++i) {
     double row[3] = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()};
-    auto probs = forest.PredictProba(row);
+    auto probs = Proba(forest, row);
     double sum = probs[0] + probs[1] + probs[2];
     ASSERT_NEAR(sum, 1.0, 1e-6);  // leaf distributions are floats
     for (double p : probs) ASSERT_GE(p, 0.0);
@@ -69,8 +84,8 @@ TEST(RandomForestTest, DeterministicAcrossThreadCounts) {
   Rng rng(6);
   for (int i = 0; i < 200; ++i) {
     double row[3] = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()};
-    auto pa = a.PredictProba(row);
-    auto pb = b.PredictProba(row);
+    auto pa = Proba(a, row);
+    auto pb = Proba(b, row);
     for (size_t c = 0; c < pa.size(); ++c) ASSERT_EQ(pa[c], pb[c]);
   }
 }
@@ -86,8 +101,8 @@ TEST(RandomForestTest, SerializationRoundTrip) {
   Rng rng(8);
   for (int i = 0; i < 200; ++i) {
     double row[3] = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()};
-    auto pa = forest.PredictProba(row);
-    auto pb = restored->PredictProba(row);
+    auto pa = Proba(forest, row);
+    auto pb = Proba(*restored, row);
     for (size_t c = 0; c < pa.size(); ++c) ASSERT_EQ(pa[c], pb[c]);
   }
 }
@@ -146,7 +161,7 @@ TEST(GbtTest, ProbabilitiesNormalized) {
   Rng rng(15);
   for (int i = 0; i < 100; ++i) {
     double row[3] = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()};
-    auto probs = model.PredictProba(row);
+    auto probs = Proba(model, row);
     ASSERT_NEAR(probs[0] + probs[1] + probs[2], 1.0, 1e-9);
   }
 }
@@ -187,7 +202,7 @@ TEST(GbtTest, ClassWeightBoostsMinorityRecall) {
     int tp = 0, fn = 0;
     for (size_t i = 0; i < test.num_rows(); ++i) {
       if (test.Label(i) != 1) continue;
-      if (m.PredictScored(test.Row(i)).label == 1) {
+      if (Label(m, test.Row(i)) == 1) {
         ++tp;
       } else {
         ++fn;
@@ -217,8 +232,8 @@ TEST(GbtTest, SerializationRoundTrip) {
   Rng rng(20);
   for (int i = 0; i < 200; ++i) {
     double row[3] = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()};
-    auto pa = model.PredictProba(row);
-    auto pb = restored->PredictProba(row);
+    auto pa = Proba(model, row);
+    auto pb = Proba(*restored, row);
     for (size_t c = 0; c < pa.size(); ++c) ASSERT_EQ(pa[c], pb[c]);
   }
 }
@@ -230,7 +245,7 @@ TEST(ClassifierRegistryTest, UnknownTagThrows) {
   EXPECT_THROW(Classifier::DeserializeTagged(bytes), std::runtime_error);
 }
 
-TEST(ClassifierTest, PredictScoredPicksArgmax) {
+TEST(ClassifierTest, ArgmaxPicksMaxProbability) {
   Dataset train = MakeMulticlass(21, 3000);
   RandomForestConfig config;
   config.num_trees = 10;
@@ -238,12 +253,28 @@ TEST(ClassifierTest, PredictScoredPicksArgmax) {
   Rng rng(22);
   for (int i = 0; i < 100; ++i) {
     double row[3] = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()};
-    auto probs = forest.PredictProba(row);
-    auto scored = forest.PredictScored(row);
+    auto probs = Proba(forest, row);
+    auto scored = Argmax(probs);
     double max_p = *std::max_element(probs.begin(), probs.end());
     ASSERT_EQ(scored.score, max_p);
     ASSERT_EQ(probs[static_cast<size_t>(scored.label)], max_p);
   }
+}
+
+// The scoring rule the client and offline evaluation share: ties go to the
+// lower class index, and a later equal maximum never displaces an earlier one.
+TEST(ClassifierTest, ArgmaxTiesGoToLowerIndex) {
+  const std::vector<double> all_equal = {0.25, 0.25, 0.25, 0.25};
+  EXPECT_EQ(Argmax(all_equal).label, 0);
+  EXPECT_EQ(Argmax(all_equal).score, 0.25);
+  const std::vector<double> tie_after_first = {0.1, 0.45, 0.0, 0.45};
+  EXPECT_EQ(Argmax(tie_after_first).label, 1);
+  EXPECT_EQ(Argmax(tie_after_first).score, 0.45);
+  const std::vector<double> strict_last = {0.3, 0.3, 0.4};
+  EXPECT_EQ(Argmax(strict_last).label, 2);
+  const std::vector<double> single = {1.0};
+  EXPECT_EQ(Argmax(single).label, 0);
+  EXPECT_EQ(Argmax(single).score, 1.0);
 }
 
 }  // namespace

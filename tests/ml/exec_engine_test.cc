@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -99,7 +101,7 @@ TEST(ExecEngineParityTest, RandomForestAcrossShapes) {
     std::vector<double> engine_out(static_cast<size_t>(s.classes));
     for (const auto& row : TestRows(s.features, rng)) {
       auto legacy = forest.PredictProbaLegacy(row);
-      forest.engine()->PredictInto(row, engine_out);
+      forest.engine()->PredictBatch(row.data(), 1, row.size(), engine_out.data());
       ExpectExactlyEqual(legacy, engine_out);
     }
   }
@@ -127,7 +129,7 @@ TEST(ExecEngineParityTest, GbtBinaryAndMulticlass) {
     std::vector<double> engine_out(static_cast<size_t>(s.classes));
     for (const auto& row : TestRows(s.features, rng)) {
       auto legacy = model.PredictProbaLegacy(row);
-      model.engine()->PredictInto(row, engine_out);
+      model.engine()->PredictBatch(row.data(), 1, row.size(), engine_out.data());
       ExpectExactlyEqual(legacy, engine_out);
     }
   }
@@ -145,9 +147,10 @@ TEST(ExecEngineParityTest, BatchMatchesSingleAtEveryIndexAndStride) {
   gbt_config.num_rounds = 6;
   GradientBoostedTrees gbt = GradientBoostedTrees::Fit(data, gbt_config);
 
-  for (const Classifier* model : {static_cast<const Classifier*>(&forest),
-                                  static_cast<const Classifier*>(&gbt)}) {
-    const size_t k = static_cast<size_t>(model->num_classes());
+  // Every batch row must equal the same row scored alone (n == 1) and the
+  // legacy per-tree traversal, through the classifier's one entry point.
+  auto check = [&](const auto& model) {
+    const size_t k = static_cast<size_t>(model.num_classes());
     for (size_t n : {size_t{1}, size_t{2}, size_t{8}, size_t{65}}) {
       // stride > features exercises the padded-row form the client arena uses.
       for (size_t stride : {features, features + 3}) {
@@ -159,17 +162,19 @@ TEST(ExecEngineParityTest, BatchMatchesSingleAtEveryIndexAndStride) {
         }
         if (n > 2) X[2 * stride] = kNaN;  // a NaN row inside the batch
         std::vector<double> batch_out(n * k);
-        model->engine()->PredictBatch(X.data(), n, stride, batch_out.data());
+        model.PredictBatch(X.data(), n, stride, batch_out.data());
         std::vector<double> single(k);
         for (size_t i = 0; i < n; ++i) {
-          model->engine()->PredictInto({X.data() + i * stride, features}, single);
+          const std::span<const double> row(X.data() + i * stride, features);
+          model.PredictBatch(row.data(), 1, row.size(), single.data());
           ExpectExactlyEqual(single, {batch_out.data() + i * k, k});
-          auto legacy = model->PredictProba({X.data() + i * stride, features});
-          ExpectExactlyEqual(legacy, {batch_out.data() + i * k, k});
+          ExpectExactlyEqual(model.PredictProbaLegacy(row), {batch_out.data() + i * k, k});
         }
       }
     }
-  }
+  };
+  check(forest);
+  check(gbt);
 }
 
 TEST(ExecEngineParityTest, SurvivesSerializationRoundTrip) {
@@ -182,8 +187,8 @@ TEST(ExecEngineParityTest, SurvivesSerializationRoundTrip) {
   ASSERT_NE(restored->engine(), nullptr);
   std::vector<double> a(4), b(4);
   for (const auto& row : TestRows(9, rng)) {
-    forest.engine()->PredictInto(row, a);
-    restored->engine()->PredictInto(row, b);
+    forest.PredictBatch(row.data(), 1, row.size(), a.data());
+    restored->PredictBatch(row.data(), 1, row.size(), b.data());
     ExpectExactlyEqual(a, b);
   }
 }
@@ -221,19 +226,14 @@ TEST(ExecEngineTest, TryCompileDispatchesOnConcreteType) {
    public:
     int num_classes() const override { return 2; }
     int num_features() const override { return 1; }
-    std::vector<double> PredictProba(std::span<const double>) const override {
-      return {0.5, 0.5};
+    void PredictBatch(const double*, size_t n, size_t, double* proba_out) const override {
+      std::fill(proba_out, proba_out + 2 * n, 0.5);
     }
     const char* type_name() const override { return "opaque"; }
     void Serialize(ByteWriter&) const override {}
   };
   Opaque opaque;
   EXPECT_EQ(ExecEngine::TryCompile(opaque), nullptr);
-  // The virtual batch fallback still serves custom classifiers.
-  double x = 0.0, out[4] = {};
-  opaque.PredictBatch(&x, 2, 0, out);
-  EXPECT_EQ(out[0], 0.5);
-  EXPECT_EQ(out[3], 0.5);
 }
 
 }  // namespace

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -81,6 +84,62 @@ TEST(PrometheusTextTest, LabelValuesAreEscaped) {
   EXPECT_EQ(text.find("\nrc_forged"), std::string::npos) << text;
 }
 
+// NaN and the infinities are legal sample values. Gauges hold them directly;
+// a histogram's sum and mean pick them up from its samples, while its
+// quantiles are bucket bounds and stay finite.
+void FillNonFiniteRegistry(MetricsRegistry& reg) {
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  reg.GetGauge("rc_g1").Set(kNaN);
+  reg.GetGauge("rc_g2").Set(kInf);
+  reg.GetGauge("rc_g3").Set(-kInf);
+  reg.GetHistogram("rc_h1").Record(kNaN);
+  reg.GetHistogram("rc_h2").Record(kInf);
+  reg.GetHistogram("rc_h3").Record(-kInf);
+}
+
+// The Prometheus text format spells non-finite values NaN, +Inf and -Inf;
+// every other sample value must be a finite number.
+TEST(PrometheusTextTest, NonFiniteValuesUsePrometheusSpelling) {
+  MetricsRegistry reg;
+  FillNonFiniteRegistry(reg);
+  const std::string text = PrometheusText(reg);
+  for (const char* line : {"rc_g1 NaN\n", "rc_g2 +Inf\n", "rc_g3 -Inf\n", "rc_h1_sum NaN\n",
+                           "rc_h2_sum +Inf\n", "rc_h3_sum -Inf\n"}) {
+    EXPECT_NE(text.find(line), std::string::npos) << line << " missing from\n" << text;
+  }
+  std::istringstream lines(text);
+  std::string line;
+  while (std::getline(lines, line)) {
+    if (line.starts_with("#")) continue;
+    const std::string value = line.substr(line.rfind(' ') + 1);
+    if (value == "NaN" || value == "+Inf" || value == "-Inf") continue;
+    char* end = nullptr;
+    const double v = std::strtod(value.c_str(), &end);
+    EXPECT_TRUE(*end == '\0' && std::isfinite(v)) << line;
+  }
+}
+
+// JSON has no NaN or infinity: /varz and the JSON snapshot write null.
+TEST(JsonTextTest, NonFiniteValuesRenderAsNull) {
+  MetricsRegistry reg;
+  FillNonFiniteRegistry(reg);
+  const std::string text = JsonText(reg);
+  for (const char* entry : {"\"rc_g1\": {\"type\":\"gauge\",\"value\":null}",
+                            "\"rc_g2\": {\"type\":\"gauge\",\"value\":null}",
+                            "\"rc_g3\": {\"type\":\"gauge\",\"value\":null}",
+                            "\"rc_h1\": {\"type\":\"histogram\",\"count\":1,\"sum\":null,"
+                            "\"mean\":null,\"p50\":0.1,",
+                            "\"rc_h2\": {\"type\":\"histogram\",\"count\":1,\"sum\":null,"
+                            "\"mean\":null,\"p50\":10000000,",
+                            "\"rc_h3\": {\"type\":\"histogram\",\"count\":1,\"sum\":null,"
+                            "\"mean\":null,\"p50\":0.1,"}) {
+    EXPECT_NE(text.find(entry), std::string::npos) << entry << " missing from\n" << text;
+  }
+  EXPECT_EQ(text.find("nan"), std::string::npos) << text;
+  EXPECT_EQ(text.find("inf"), std::string::npos) << text;
+}
+
 TEST(JsonTextTest, EmptyRegistryRendersEmptyObject) {
   MetricsRegistry reg;
   EXPECT_EQ(JsonText(reg), "{\n  \"metrics\": {}\n}\n");
@@ -131,6 +190,25 @@ TEST_F(TempFileTest, MergePreservesOtherSeriesAndUpdatesOwn) {
       << text;
   EXPECT_NE(text.find("\"rc_keep\": {\"type\":\"gauge\",\"value\":5}"), std::string::npos)
       << text;
+}
+
+// A null written for a non-finite value must survive the re-parse of the
+// next merge.
+TEST_F(TempFileTest, MergeKeepsNonFiniteValuesAsNull) {
+  MetricsRegistry first;
+  FillNonFiniteRegistry(first);
+  ASSERT_TRUE(MergeJsonMetricsFile(path_, first));
+  MetricsRegistry second;
+  second.GetCounter("rc_x_total").Increment(1);
+  ASSERT_TRUE(MergeJsonMetricsFile(path_, second));
+  const std::string text = ReadFile();
+  EXPECT_NE(text.find("\"rc_g1\": {\"type\":\"gauge\",\"value\":null}"), std::string::npos)
+      << text;
+  EXPECT_NE(text.find("\"rc_x_total\": {\"type\":\"counter\",\"value\":1}"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(text.find("nan"), std::string::npos) << text;
+  EXPECT_EQ(text.find("inf"), std::string::npos) << text;
 }
 
 TEST_F(TempFileTest, MergeOverwritesUnparseableFile) {

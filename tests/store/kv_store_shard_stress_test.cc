@@ -63,7 +63,9 @@ TEST(KvStoreShardStressTest, VersionsAreGloballyUniqueAndPerKeyMonotonic) {
   EXPECT_EQ(all_versions.size(), size_t(kThreads) * kPutsPerThread);
   // The stored version for each key is the largest one any writer was given.
   for (const auto& [ki, v] : max_version) {
-    EXPECT_EQ(store.GetVersion(keys[ki]), v);
+    auto blob = store.Get(keys[ki]);
+    ASSERT_TRUE(blob.has_value()) << keys[ki];
+    EXPECT_EQ(blob->version, v);
   }
 }
 
@@ -149,7 +151,9 @@ TEST(KvStoreShardStressTest, SingleShardOptionPreservesBehavior) {
   EXPECT_EQ(store.Put("a", {1}), 1u);
   EXPECT_EQ(store.Put("a", {2}), 2u);
   EXPECT_EQ(store.Put("b", {3}), 3u);  // global counter: unique across keys
-  EXPECT_EQ(store.GetVersion("a"), 2u);
+  auto a = store.Get("a");
+  ASSERT_TRUE(a.has_value());
+  EXPECT_EQ(a->version, 2u);
   EXPECT_EQ(store.key_count(), 2u);
 }
 

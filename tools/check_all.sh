@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
-# One-shot gate: plain build + full ctest, a metrics-exposition smoke check
-# (quickstart with RC_METRICS_DUMP=1 must emit every required metric family,
-# every series line must parse, every histogram must have _window_count),
+# One-shot gate: plain build + full ctest, metrics-exposition smoke checks
+# (quickstart with RC_METRICS_DUMP=1 and rc_server --smoke must emit every
+# required metric family; in both, every series line must parse and every
+# histogram must have _window_count),
 # then the TSan and ASan/UBSan suites. Any failure stops the script.
 #
 # Usage: tools/check_all.sh
@@ -10,6 +11,34 @@ set -euo pipefail
 
 REPO_ROOT="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 BUILD_DIR="${RC_BUILD_DIR:-${REPO_ROOT}/build}"
+
+# check_exposition LABEL TEXT: every series line in the Prometheus text TEXT
+# must parse as `name{k="escaped",...} number` (label values escape \\, \" and
+# newline; non-finite values are NaN, +Inf or -Inf), so a hostile label value
+# cannot break the exposition or forge a series; and every histogram family
+# must carry its sliding-window _window_count companion.
+check_exposition() {
+  local label="$1" body="$2"
+  local label_re='[a-zA-Z_][a-zA-Z0-9_]*="([^"\\]|\\[\\"n])*"'
+  local value_re='[-+]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?|NaN|[-+]Inf'
+  local series_re="^[a-zA-Z_:][a-zA-Z0-9_:]*(\\{${label_re}(,${label_re})*\\})? (${value_re})\$"
+  local bad_lines
+  bad_lines="$(grep -v '^#' <<<"${body}" | grep -vE "${series_re}" || true)"
+  if [[ -n "${bad_lines}" ]]; then
+    echo "FAIL: ${label} exposition lines outside the series grammar:" >&2
+    echo "${bad_lines}" >&2
+    exit 1
+  fi
+  local histograms family
+  histograms="$(sed -n 's/^# TYPE \([a-zA-Z0-9_:]*\) histogram$/\1/p' <<<"${body}")"
+  for family in ${histograms}; do
+    if ! grep -qE "^${family}_window_count( |\\{)" <<<"${body}"; then
+      echo "FAIL: ${label} histogram family '${family}' has no _window_count series" >&2
+      exit 1
+    fi
+  done
+  echo "${label}: every series line parses; all $(wc -w <<<"${histograms}") histograms have _window_count."
+}
 
 echo "== plain build =="
 cmake -B "${BUILD_DIR}" -S "${REPO_ROOT}"
@@ -79,29 +108,9 @@ for family in "${REQUIRED_FAMILIES[@]}"; do
   fi
 done
 echo "all ${#REQUIRED_FAMILIES[@]} required metric families present."
-# Every series line must parse as `name{k="escaped",...} number` (label
-# values escape \\, \" and newline), so a hostile label value cannot break
-# the exposition or forge a series.
 EXPO_BODY="$(sed -n '/^== metrics (client registry) ==$/,$p' <<<"${EXPO}" \
   | grep -v -e '^== metrics' -e '^$')"
-LABEL='[a-zA-Z_][a-zA-Z0-9_]*="([^"\\]|\\[\\"n])*"'
-VALUE='[-+]?([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][-+]?[0-9]+)?|NaN|[-+]Inf'
-SERIES_LINE="^[a-zA-Z_:][a-zA-Z0-9_:]*(\\{${LABEL}(,${LABEL})*\\})? (${VALUE})\$"
-BAD_LINES="$(grep -v '^#' <<<"${EXPO_BODY}" | grep -vE "${SERIES_LINE}" || true)"
-if [[ -n "${BAD_LINES}" ]]; then
-  echo "FAIL: quickstart exposition lines outside the series grammar:" >&2
-  echo "${BAD_LINES}" >&2
-  exit 1
-fi
-# Every histogram carries its sliding-window companions.
-HISTOGRAMS="$(sed -n 's/^# TYPE \([a-zA-Z0-9_:]*\) histogram$/\1/p' <<<"${EXPO_BODY}")"
-for family in ${HISTOGRAMS}; do
-  if ! grep -qE "^${family}_window_count( |\\{)" <<<"${EXPO_BODY}"; then
-    echo "FAIL: histogram family '${family}' has no _window_count series" >&2
-    exit 1
-  fi
-done
-echo "every series line parses; all $(wc -w <<<"${HISTOGRAMS}") histograms have _window_count."
+check_exposition "quickstart" "${EXPO_BODY}"
 
 echo "== network service smoke check =="
 NET_EXPO="$("${BUILD_DIR}/tools/rc_server" --smoke --vms 3000 2>/dev/null)"
@@ -126,6 +135,7 @@ for family in "${NET_FAMILIES[@]}"; do
   fi
 done
 echo "all ${#NET_FAMILIES[@]} required rc_net_*/rc_client_* metric families present."
+check_exposition "rc_server --smoke" "${NET_EXPO}"
 
 echo "== rc_server flag validation =="
 # A port outside 0-65535 must be refused (exit 2), not truncated to 16 bits.
