@@ -24,6 +24,7 @@ const char* ToString(DegradedReason reason) {
     case DegradedReason::kStoreOutage: return "store-outage";
     case DegradedReason::kStoreErrors: return "store-errors";
     case DegradedReason::kCorruptData: return "corrupt-data";
+    case DegradedReason::kSpecMismatch: return "spec-mismatch";
   }
   return "unknown";
 }
@@ -42,6 +43,15 @@ std::vector<uint8_t> SerializeKeys(const std::vector<std::string>& keys) {
   w.U32(static_cast<uint32_t>(keys.size()));
   for (const auto& key : keys) w.String(key);
   return w.TakeBytes();
+}
+
+// A spec and a model agree when the row the spec's featurizer writes is the
+// row the model's engine reads, and the model scores exactly the spec
+// metric's buckets. Scoring a pair that disagrees would read past the row.
+bool Agree(const ModelSpec& spec, const rc::ml::Classifier& model) {
+  return Featurizer(spec.metric, spec.encoding).num_features() == spec.num_features &&
+         static_cast<uint32_t>(model.engine()->num_features()) == spec.num_features &&
+         model.num_classes() == NumBuckets(spec.metric);
 }
 
 std::vector<std::string> DeserializeKeys(const std::vector<uint8_t>& bytes) {
@@ -117,7 +127,7 @@ void Client::RegisterInstruments() {
   m_.reload_timeouts = counter("rc_client_reload_timeouts", "reloads cut short by deadline");
   m_.degraded_reason = &metrics_->GetGauge(
       "rc_client_degraded_reason", config_.metric_labels,
-      "current DegradedReason (0 none, 1 outage, 2 errors, 3 corrupt)");
+      "current DegradedReason (0 none, 1 outage, 2 errors, 3 corrupt, 4 spec mismatch)");
   m_.predict_latency_us = &metrics_->GetHistogram(
       "rc_client_predict_latency_us", config_.metric_labels,
       "sampled PredictSingle latency (us)");
@@ -259,6 +269,16 @@ void Client::SetDegraded(DegradedReason reason) {
   m_.degraded_reason->Set(static_cast<double>(static_cast<uint8_t>(reason)));
 }
 
+void Client::UpdateSpecMismatchLocked(const ClientState& state) {
+  const bool mismatched = std::any_of(state.models.begin(), state.models.end(),
+                                      [](const auto& m) { return m.second->mismatched(); });
+  if (mismatched) {
+    SetDegraded(DegradedReason::kSpecMismatch);
+  } else if (degraded_reason() == DegradedReason::kSpecMismatch) {
+    SetDegraded(DegradedReason::kNone);
+  }
+}
+
 bool Client::BreakerOpenLocked() {
   if (!breaker_open_) return false;
   if (clock_->NowUs() < breaker_open_until_us_) return true;
@@ -356,6 +376,7 @@ void Client::LoadAllFromStoreLocked(ClientState& state) {
   // One index rewrite per batch, not one per newly seen key.
   PersistIndexLocked();
   if (clean) SetDegraded(DegradedReason::kNone);
+  UpdateSpecMismatchLocked(state);
 }
 
 void Client::LoadAllFromDiskLocked(ClientState& state) {
@@ -393,40 +414,61 @@ Client::IngestResult Client::IngestLocked(ClientState& state, const std::string&
   std::optional<rc::obs::TraceSpan> decode_span;
   decode_span.emplace("client/decode");
   uint64_t subscription_id = 0;
+  bool pair_key = false;  // a spec or a model
   try {
-    if (key.rfind(kModelKeyPrefix, 0) == 0) {
-      std::string name = key.substr(sizeof(kModelKeyPrefix) - 1);
-      auto entry = std::make_shared<LoadedModel>();
-      if (auto it = state.models.find(name); it != state.models.end()) {
-        entry->spec = it->second->spec;
-        entry->featurizer = it->second->featurizer;
+    const bool model_key = key.rfind(kModelKeyPrefix, 0) == 0;
+    pair_key = model_key || key.rfind(kSpecKeyPrefix, 0) == 0;
+    if (pair_key) {
+      // The received half replaces its served counterpart only if it agrees
+      // with the other served half (or that half has not arrived). Otherwise
+      // it pairs with the pending half it agrees with, or waits as pending
+      // itself while the last agreeing pair keeps serving.
+      std::shared_ptr<const rc::ml::Classifier> model;
+      std::optional<ModelSpec> spec;
+      if (model_key) {
+        model = rc::ml::Classifier::DeserializeTagged(blob.data);
+      } else {
+        spec = ModelSpec::Deserialize(blob.data);
       }
-      entry->model = rc::ml::Classifier::DeserializeTagged(blob.data);
-      // DeserializeTagged compiled the engine on this (load) path; pin the
-      // pointer so the batch hot path skips the virtual engine() lookup.
-      entry->engine = entry->model->engine();
+      const std::string name =
+          model_key ? key.substr(sizeof(kModelKeyPrefix) - 1) : spec->name;
+      auto entry = std::make_shared<LoadedModel>();
+      if (auto it = state.models.find(name); it != state.models.end()) *entry = *it->second;
       entry->blob_version = blob.version;
       entry->loaded_at_ns = rc::obs::NowNs();
-      ExportModelBytes(name, *entry->engine);
-      // The spec may arrive before or after the model; featurizer is built
-      // when both are present.
-      if (!entry->spec.name.empty() && entry->featurizer == nullptr) {
-        entry->featurizer =
-            std::make_shared<Featurizer>(entry->spec.metric, entry->spec.encoding);
+      auto set_model = [&](std::shared_ptr<const rc::ml::Classifier> m) {
+        // DeserializeTagged compiled the engine on this (load) path; pin the
+        // pointer so the batch hot path skips the virtual engine() lookup.
+        entry->engine = m->engine();
+        ExportModelBytes(name, *entry->engine);
+        entry->model = std::move(m);
+        entry->pending_model = nullptr;
+      };
+      auto set_spec = [&](ModelSpec sp) {
+        entry->featurizer = std::make_shared<Featurizer>(sp.metric, sp.encoding);
+        entry->spec = std::move(sp);
+        entry->pending_spec.reset();
+      };
+      if (model_key) {
+        if (entry->pending_spec && Agree(*entry->pending_spec, *model)) {
+          set_spec(*entry->pending_spec);
+          set_model(std::move(model));
+        } else if (entry->spec.name.empty() || Agree(entry->spec, *model)) {
+          set_model(std::move(model));
+        } else {
+          entry->pending_model = std::move(model);
+        }
+      } else {
+        if (entry->pending_model != nullptr && Agree(*spec, *entry->pending_model)) {
+          set_model(entry->pending_model);
+          set_spec(std::move(*spec));
+        } else if (entry->model == nullptr || Agree(*spec, *entry->model)) {
+          set_spec(std::move(*spec));
+        } else {
+          entry->pending_spec = std::move(spec);
+        }
       }
       state.models[name] = std::move(entry);
-    } else if (key.rfind(kSpecKeyPrefix, 0) == 0) {
-      ModelSpec spec = ModelSpec::Deserialize(blob.data);
-      auto entry = std::make_shared<LoadedModel>();
-      if (auto it = state.models.find(spec.name); it != state.models.end()) {
-        entry->model = it->second->model;
-        entry->engine = it->second->engine;
-      }
-      entry->blob_version = blob.version;
-      entry->loaded_at_ns = rc::obs::NowNs();
-      entry->spec = spec;
-      entry->featurizer = std::make_shared<Featurizer>(spec.metric, spec.encoding);
-      state.models[spec.name] = std::move(entry);
     } else if (ParseFeatureKey(key, subscription_id)) {
       state.features[subscription_id] = std::make_shared<const SubscriptionFeatures>(
           SubscriptionFeatures::Deserialize(blob.data));
@@ -445,6 +487,7 @@ Client::IngestResult Client::IngestLocked(ClientState& state, const std::string&
       static_cast<uint8_t>(DegradedReason::kCorruptData)) {
     SetDegraded(DegradedReason::kNone);
   }
+  if (pair_key) UpdateSpecMismatchLocked(state);
   if (disk_ == nullptr) return result;
   disk_->Put(key, blob);
   if (known_keys_set_.insert(key).second) {

@@ -128,6 +128,7 @@ enum class DegradedReason : uint8_t {
   kStoreOutage = 1,   // store reported unavailable
   kStoreErrors = 2,   // read errors / retries exhausted / reload timeout
   kCorruptData = 3,   // checksum or decode failure on a received blob
+  kSpecMismatch = 4,  // a received spec and model disagree; the last pair that agreed serves
 };
 const char* ToString(DegradedReason reason);
 
@@ -140,7 +141,7 @@ struct ModelHealth {
   uint64_t spec_version = 0;   // ModelSpec.version of the active spec
   uint64_t blob_version = 0;   // store version of the last blob ingested
   uint64_t loaded_at_ns = 0;   // obs::NowNs() when that blob was published
-  bool ready = false;          // model + featurizer both present
+  bool ready = false;          // an agreeing spec and model both present
 };
 
 struct HealthSnapshot {
@@ -223,6 +224,9 @@ class Client {
 
  private:
   struct LoadedModel {
+    // The served pair. Whenever both halves are present they agree (same
+    // row width, same label set; see Agree in client.cc): the check runs
+    // once per ingest, so the hot path can trust it.
     ModelSpec spec;
     std::shared_ptr<const rc::ml::Classifier> model;
     std::shared_ptr<const Featurizer> featurizer;
@@ -236,8 +240,14 @@ class Client {
     // applied to this entry and when it was published.
     uint64_t blob_version = 0;
     uint64_t loaded_at_ns = 0;
+    // A newer half that disagrees with the served pair's other half, such as
+    // a spec published beside an older model. Held until a partner that
+    // agrees with it arrives; never served.
+    std::optional<ModelSpec> pending_spec;
+    std::shared_ptr<const rc::ml::Classifier> pending_model;
 
     bool ready() const { return model != nullptr && featurizer != nullptr; }
+    bool mismatched() const { return pending_spec.has_value() || pending_model != nullptr; }
   };
 
   // Everything the prediction hot path reads, as one immutable snapshot.
@@ -373,6 +383,9 @@ class Client {
   void BreakerFailureLocked();
   void BreakerSuccessLocked();
   void SetDegraded(DegradedReason reason);
+  // Raises kSpecMismatch while any model in `state` holds a pending half,
+  // and clears it once none does.
+  void UpdateSpecMismatchLocked(const ClientState& state);
   void LoadAllFromStoreLocked(ClientState& state);
   void LoadAllFromDiskLocked(ClientState& state);
   void PersistIndexLocked();

@@ -10,6 +10,7 @@
 #include "src/analysis/periodicity.h"
 #include "src/common/faults.h"
 #include "src/common/hashing.h"
+#include "src/common/parallel.h"
 #include "src/common/sim_time.h"
 #include "src/obs/trace_context.h"
 
@@ -18,11 +19,15 @@ namespace rc::core {
 namespace {
 
 // Stage-duration histogram shared by every pipeline stage; one label per
-// stage so exposition groups them into a single rc_pipeline family.
-rc::obs::Histogram& StageHistogram(rc::obs::MetricsRegistry* metrics, const char* stage) {
+// stage so exposition groups them into a single rc_pipeline family. The
+// train stage is also labeled by model, one series per fit.
+rc::obs::Histogram& StageHistogram(rc::obs::MetricsRegistry* metrics, const char* stage,
+                                   const char* model = nullptr) {
   rc::obs::MetricsRegistry& reg =
       metrics != nullptr ? *metrics : rc::obs::MetricsRegistry::Global();
-  return reg.GetHistogram("rc_pipeline_stage_duration_us", {{"stage", stage}},
+  rc::obs::Labels labels{{"stage", stage}};
+  if (model != nullptr) labels.emplace_back("model", model);
+  return reg.GetHistogram("rc_pipeline_stage_duration_us", std::move(labels),
                           "offline pipeline stage wall time (us)");
 }
 
@@ -344,7 +349,6 @@ rc::ml::Dataset OfflinePipeline::ToDataset(const std::vector<LabeledExample>& ex
 
 TrainedModels OfflinePipeline::Run(const Trace& trace) const {
   rc::obs::Histogram& build_hist = StageHistogram(config_.metrics, "build_examples");
-  rc::obs::Histogram& train_hist = StageHistogram(config_.metrics, "train");
   // One stream and one labeler serve all six metrics and the snapshot.
   ObservationStream stream;
   {
@@ -353,22 +357,19 @@ TrainedModels OfflinePipeline::Run(const Trace& trace) const {
   }
   ClassLabeler labeler(trace, /*use_fft=*/true);
   std::vector<Emission> deploy_emissions;  // built for the first deployment metric
-  TrainedModels trained;
-  for (Metric metric : kAllMetrics) {
-    std::vector<LabeledExample> examples;
-    {
-      rc::obs::ScopedTimer timer(&build_hist);
-      if (IsDeploymentMetric(metric) && deploy_emissions.empty()) {
-        deploy_emissions = DeploymentEmissions(trace);
-      }
-      examples = ExamplesFrom(trace, stream, deploy_emissions, labeler, metric,
-                              config_.train_begin, config_.train_end);
+
+  // A metric's training matrix, or nothing when its window has no examples.
+  // Built on the calling thread only: the labeler's cache is not thread-safe.
+  auto build_dataset = [&](Metric metric) -> std::optional<rc::ml::Dataset> {
+    rc::obs::ScopedTimer timer(&build_hist);
+    if (IsDeploymentMetric(metric) && deploy_emissions.empty()) {
+      deploy_emissions = DeploymentEmissions(trace);
     }
-    if (examples.empty()) continue;
-    rc::obs::ScopedTimer train_timer(&train_hist);
+    const std::vector<LabeledExample> examples = ExamplesFrom(
+        trace, stream, deploy_emissions, labeler, metric, config_.train_begin, config_.train_end);
+    if (examples.empty()) return std::nullopt;
     Featurizer featurizer(metric, EncodingFor(metric));
     rc::ml::Dataset data = ToDataset(examples, featurizer);
-    examples = {};  // the dataset holds everything training needs
     // Guarantee full label arity even if a rare bucket is absent from the
     // window: pad with a single neutral-feature row per missing class.
     int expected = NumBuckets(metric);
@@ -376,31 +377,85 @@ TrainedModels OfflinePipeline::Run(const Trace& trace) const {
       std::vector<double> zeros(featurizer.num_features(), 0.0);
       for (int c = data.NumClasses(); c < expected; ++c) data.AddRow(zeros, c);
     }
+    return data;
+  };
 
-    std::unique_ptr<rc::ml::Classifier> model;
+  // Fits `metric`'s model with its per-metric seed, so the bits do not
+  // depend on which thread runs the fit or on what runs beside it.
+  auto fit = [this](Metric metric, const rc::ml::Dataset& data,
+                    rc::obs::Histogram& train_hist) -> std::unique_ptr<rc::ml::Classifier> {
+    rc::obs::ScopedTimer timer(&train_hist);
+    const uint64_t seed = config_.seed + static_cast<uint64_t>(metric);
     if (UsesRandomForest(metric)) {
       rc::ml::RandomForestConfig cfg = config_.rf;
-      cfg.seed = config_.seed + static_cast<uint64_t>(metric);
-      model = std::make_unique<rc::ml::RandomForest>(rc::ml::RandomForest::Fit(data, cfg));
-    } else {
-      rc::ml::GbtConfig cfg = config_.gbt;
-      cfg.seed = config_.seed + static_cast<uint64_t>(metric);
-      if (metric == Metric::kClass) {
-        // Recall-first for the rare interactive class (paper Section 6.1:
-        // predicting interactive VMs as delay-insensitive is the costly
-        // mistake, the reverse is acceptable).
-        cfg.class_weights = {1.0, 25.0};
-      }
-      model = std::make_unique<rc::ml::GradientBoostedTrees>(
-          rc::ml::GradientBoostedTrees::Fit(data, cfg));
+      cfg.seed = seed;
+      return std::make_unique<rc::ml::RandomForest>(rc::ml::RandomForest::Fit(data, cfg));
     }
+    rc::ml::GbtConfig cfg = config_.gbt;
+    cfg.seed = seed;
+    if (metric == Metric::kClass) {
+      // Recall-first for the rare interactive class (paper Section 6.1:
+      // predicting interactive VMs as delay-insensitive is the costly
+      // mistake, the reverse is acceptable).
+      cfg.class_weights = {1.0, 25.0};
+    }
+    return std::make_unique<rc::ml::GradientBoostedTrees>(
+        rc::ml::GradientBoostedTrees::Fit(data, cfg));
+  };
+  auto train_hist = [&](Metric metric) -> rc::obs::Histogram& {
+    return StageHistogram(config_.metrics, "train", MetricModelName(metric));
+  };
 
+  // The forests first, one at a time: each fit is already parallel over its
+  // trees, and each wide expanded-encoding matrix is freed before the next.
+  std::unique_ptr<rc::ml::Classifier> models[kNumMetrics];
+  for (Metric metric : kAllMetrics) {
+    if (!UsesRandomForest(metric)) continue;
+    if (std::optional<rc::ml::Dataset> data = build_dataset(metric)) {
+      models[static_cast<size_t>(metric)] = fit(metric, *data, train_hist(metric));
+    }
+  }
+
+  // Then the boosted fits, which are serial inside, side by side. Their
+  // matrices are built first; the costliest fit goes first, so with a thread
+  // per fit the calling thread takes it.
+  struct BoostedFit {
+    Metric metric;
+    rc::ml::Dataset data;
+    rc::obs::Histogram* train_hist;
+    // Rows x features x trees per round: what a fit's split search scales with.
+    double cost;
+  };
+  std::vector<BoostedFit> boosted;
+  for (Metric metric : kAllMetrics) {
+    if (UsesRandomForest(metric)) continue;
+    if (std::optional<rc::ml::Dataset> data = build_dataset(metric)) {
+      const int k = data->NumClasses();
+      const double cost = static_cast<double>(data->num_rows()) *
+                          static_cast<double>(data->num_features()) * (k == 2 ? 1 : k);
+      boosted.push_back({metric, std::move(*data), &train_hist(metric), cost});
+    }
+  }
+  std::stable_sort(boosted.begin(), boosted.end(),
+                   [](const BoostedFit& a, const BoostedFit& b) { return a.cost > b.cost; });
+  ParallelFor(boosted.size(), HardwareThreads(), [&](size_t begin, size_t end) {
+    for (size_t j = begin; j < end; ++j) {
+      models[static_cast<size_t>(boosted[j].metric)] =
+          fit(boosted[j].metric, boosted[j].data, *boosted[j].train_hist);
+    }
+  });
+  boosted.clear();
+
+  TrainedModels trained;
+  for (Metric metric : kAllMetrics) {
+    std::unique_ptr<rc::ml::Classifier>& model = models[static_cast<size_t>(metric)];
+    if (model == nullptr) continue;
     ModelSpec spec;
     spec.name = MetricModelName(metric);
     spec.metric = metric;
     spec.encoding = EncodingFor(metric);
     spec.model_family = model->type_name();
-    spec.num_features = static_cast<uint32_t>(featurizer.num_features());
+    spec.num_features = static_cast<uint32_t>(model->num_features());
     spec.version = 1;
     trained.specs[spec.name] = spec;
     trained.models[spec.name] = std::move(model);

@@ -1,6 +1,7 @@
 #include "src/ml/exec_engine.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -197,6 +198,7 @@ void ExecEngine::WalkBlock(bool avx2, int32_t root, int32_t rounds, const double
 
 void ExecEngine::PredictBatch(const double* X, size_t n, size_t stride,
                               double* proba_out, Mode mode) const {
+  assert(stride >= static_cast<size_t>(num_features_));  // the walk reads num_features_ per row
   const size_t k = static_cast<size_t>(num_classes_);
   if (n == 0) return;
   const bool avx2 = Resolve(mode) == Mode::kAvx2 && stride <= kMaxSimdStride;

@@ -57,6 +57,24 @@ GradientBoostedTrees GradientBoostedTrees::Fit(const Dataset& data, const GbtCon
   std::vector<uint32_t> rows;
   rows.reserve(n);
   std::vector<double> probs(static_cast<size_t>(k));
+  // Adds a new tree's value to every row's running score for class column
+  // `c`. The round's sampled rows (`rows`, ascending) take the leaf value
+  // training partitioned them into; only the others walk the tree. Both give
+  // the same value (FitRegressor), so the scores are the same bits.
+  std::vector<double> leaf_value(n);
+  auto add_tree = [&](const DecisionTree& tree, size_t c) {
+    size_t next = 0;
+    for (size_t i = 0; i < n; ++i) {
+      double value;
+      if (next < rows.size() && rows[next] == i) {
+        value = leaf_value[i];
+        ++next;
+      } else {
+        value = tree.PredictValue(data.Row(i));
+      }
+      scores[i * score_width + c] += config.learning_rate * value;
+    }
+  };
 
   for (int round = 0; round < config.num_rounds; ++round) {
     // Row subsample for this round (shared across the per-class trees).
@@ -81,10 +99,8 @@ GradientBoostedTrees GradientBoostedTrees::Fit(const Dataset& data, const GbtCon
         hess[i] = std::max(w * p * (1.0 - p), 1e-9);
       }
       DecisionTree tree =
-          DecisionTree::FitRegressor(view, grad, hess, rows, config.tree, rng);
-      for (size_t i = 0; i < n; ++i) {
-        scores[i] += config.learning_rate * tree.PredictValue(data.Row(i));
-      }
+          DecisionTree::FitRegressor(view, grad, hess, rows, config.tree, rng, leaf_value);
+      add_tree(tree, 0);
       model.trees_.push_back(std::move(tree));
     } else {
       for (int c = 0; c < k; ++c) {
@@ -97,11 +113,8 @@ GradientBoostedTrees GradientBoostedTrees::Fit(const Dataset& data, const GbtCon
           hess[i] = std::max(w * p * (1.0 - p), 1e-9);
         }
         DecisionTree tree =
-            DecisionTree::FitRegressor(view, grad, hess, rows, config.tree, rng);
-        for (size_t i = 0; i < n; ++i) {
-          scores[i * score_width + static_cast<size_t>(c)] +=
-              config.learning_rate * tree.PredictValue(data.Row(i));
-        }
+            DecisionTree::FitRegressor(view, grad, hess, rows, config.tree, rng, leaf_value);
+        add_tree(tree, static_cast<size_t>(c));
         model.trees_.push_back(std::move(tree));
       }
     }

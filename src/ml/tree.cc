@@ -5,11 +5,61 @@
 #include <numeric>
 #include <stdexcept>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 namespace rc::ml {
 
 namespace {
-constexpr int kMaxBins = 256;
+constexpr size_t kMaxBins = 256;
+
+// bin += x as one 128-bit add where SSE2 is available; the two lanes are the
+// same IEEE additions the scalar fallback performs, so both give equal bits.
+inline void AddTo(GradPair& bin, const GradPair& x) {
+#if defined(__SSE2__)
+  _mm_store_pd(&bin.g, _mm_add_pd(_mm_load_pd(&bin.g), _mm_load_pd(&x.g)));
+#else
+  bin.g += x.g;
+  bin.h += x.h;
+#endif
+}
 }  // namespace
+
+void BuildGradHistograms(std::span<const uint32_t> rows, const GradPair* gh,
+                         std::span<const GradHistogram> histograms) {
+  const size_t n = rows.size();
+  size_t f = 0;
+  // Two features per pass: their bin chains are independent, so two updates
+  // are in flight while a run of rows keeps hitting the same bin.
+  for (; f + 1 < histograms.size(); f += 2) {
+    const uint8_t* col_a = histograms[f].column;
+    const uint8_t* col_b = histograms[f + 1].column;
+    GradPair* sums_a = histograms[f].sums;
+    GradPair* sums_b = histograms[f + 1].sums;
+    uint32_t* counts_a = histograms[f].counts;
+    uint32_t* counts_b = histograms[f + 1].counts;
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t row = rows[i];
+      const uint8_t a = col_a[row];
+      const uint8_t b = col_b[row];
+      AddTo(sums_a[a], gh[i]);
+      AddTo(sums_b[b], gh[i]);
+      ++counts_a[a];
+      ++counts_b[b];
+    }
+  }
+  if (f < histograms.size()) {
+    const uint8_t* col = histograms[f].column;
+    GradPair* sums = histograms[f].sums;
+    uint32_t* counts = histograms[f].counts;
+    for (size_t i = 0; i < n; ++i) {
+      const uint8_t b = col[rows[i]];
+      AddTo(sums[b], gh[i]);
+      ++counts[b];
+    }
+  }
+}
 
 // Shared training machinery for both tree modes. Rows live in one index
 // buffer that is partitioned in place as the tree grows.
@@ -36,9 +86,14 @@ class TreeTrainer {
   }
 
   DecisionTree TrainRegressor(std::span<const double> grad, std::span<const double> hess,
-                              std::span<const uint32_t> row_indices) {
+                              std::span<const uint32_t> row_indices,
+                              std::span<double> row_values) {
     grad_ = grad;
     hess_ = hess;
+    row_values_ = row_values;
+    node_gh_.resize(row_indices.size());
+    grad_hist_.resize(2 * kMaxBins);
+    grad_counts_.resize(2 * kMaxBins);
     num_classes_ = 0;
     tree_.num_classes_ = 0;
     tree_.gain_importance_.assign(data_.features, 0.0);
@@ -114,7 +169,11 @@ class TreeTrainer {
         g += grad_[idx_[i]];
         h += hess_[idx_[i]];
       }
-      tree_.leaf_values_.push_back(-g / (h + config_.lambda));
+      const double value = -g / (h + config_.lambda);
+      tree_.leaf_values_.push_back(value);
+      if (!row_values_.empty()) {
+        for (size_t i = begin; i < end; ++i) row_values_[idx_[i]] = value;
+      }
     }
   }
 
@@ -147,7 +206,7 @@ class TreeTrainer {
     double parent_gini = GiniImpurity(parent, static_cast<double>(n));
 
     Split best;
-    std::vector<double> hist(static_cast<size_t>(kMaxBins) * k);
+    std::vector<double> hist(kMaxBins * k);
     std::vector<double> left(k);
     for (uint32_t f : SampleFeatures()) {
       int bins = data_.binner->NumBins(f);
@@ -193,56 +252,78 @@ class TreeTrainer {
   }
 
   Split FindBestSplitGrad(size_t begin, size_t end) {
+    const size_t n = end - begin;
+    // Ordered gradients: the node's (grad, hess) pairs gathered into node
+    // order once, so every feature's histogram pass reads them contiguously.
+    GradPair* gh = node_gh_.data();
     double g_total = 0.0, h_total = 0.0;
-    for (size_t i = begin; i < end; ++i) {
-      g_total += grad_[idx_[i]];
-      h_total += hess_[idx_[i]];
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t row = idx_[begin + i];
+      gh[i] = GradPair{grad_[row], hess_[row]};
+      g_total += gh[i].g;
+      h_total += gh[i].h;
     }
-    const double lambda = config_.lambda;
-    double parent_score = g_total * g_total / (h_total + lambda);
+    const std::span<const uint32_t> rows(idx_.data() + begin, n);
 
     Split best;
-    std::vector<double> g_hist(kMaxBins), h_hist(kMaxBins);
-    std::vector<uint32_t> c_hist(kMaxBins);
-    const size_t n = end - begin;
-    for (uint32_t f : SampleFeatures()) {
-      int bins = data_.binner->NumBins(f);
-      if (bins < 2) continue;
-      std::fill(g_hist.begin(), g_hist.begin() + bins, 0.0);
-      std::fill(h_hist.begin(), h_hist.begin() + bins, 0.0);
-      std::fill(c_hist.begin(), c_hist.begin() + bins, 0u);
-      const uint8_t* col = data_.bins + static_cast<size_t>(f) * data_.rows;
-      for (size_t i = begin; i < end; ++i) {
-        uint32_t row = idx_[i];
-        uint8_t b = col[row];
-        g_hist[b] += grad_[row];
-        h_hist[b] += hess_[row];
-        c_hist[b] += 1;
+    std::span<const uint32_t> features = SampleFeatures();
+    size_t next = 0;
+    while (true) {
+      // The next two splittable features, histogrammed in one pass and then
+      // scanned in feature order, as if one at a time.
+      GradHistogram hists[2];
+      uint32_t hist_feature[2];
+      size_t m = 0;
+      while (m < 2 && next < features.size()) {
+        const uint32_t f = features[next++];
+        const size_t bins = static_cast<size_t>(data_.binner->NumBins(f));
+        if (bins < 2) continue;
+        GradPair* sums = grad_hist_.data() + m * kMaxBins;
+        uint32_t* counts = grad_counts_.data() + m * kMaxBins;
+        std::fill(sums, sums + bins, GradPair{});
+        std::fill(counts, counts + bins, 0u);
+        hists[m] = GradHistogram{data_.bins + static_cast<size_t>(f) * data_.rows, sums, counts};
+        hist_feature[m] = f;
+        ++m;
       }
-      double g_left = 0.0, h_left = 0.0;
-      size_t n_left = 0;
-      for (int b = 0; b < bins - 1; ++b) {
-        g_left += g_hist[b];
-        h_left += h_hist[b];
-        n_left += c_hist[b];
-        size_t n_right = n - n_left;
-        if (n_left < static_cast<size_t>(config_.min_samples_leaf) ||
-            n_right < static_cast<size_t>(config_.min_samples_leaf)) {
-          continue;
-        }
-        double g_right = g_total - g_left;
-        double h_right = h_total - h_left;
-        double gain = g_left * g_left / (h_left + lambda) +
-                      g_right * g_right / (h_right + lambda) - parent_score;
-        if (gain > best.gain + config_.min_gain) {
-          best.found = true;
-          best.feature = f;
-          best.bin = b;
-          best.gain = gain;
-        }
+      if (m == 0) break;
+      BuildGradHistograms(rows, gh, {hists, m});
+      for (size_t j = 0; j < m; ++j) {
+        ScanGradHistogram(hist_feature[j], hists[j], n, g_total, h_total, best);
       }
     }
     return best;
+  }
+
+  // The gain scan over one feature's histogram; keeps `best` unless a bin
+  // beats it by more than min_gain.
+  void ScanGradHistogram(uint32_t f, const GradHistogram& hist, size_t n, double g_total,
+                         double h_total, Split& best) const {
+    const double lambda = config_.lambda;
+    const double parent_score = g_total * g_total / (h_total + lambda);
+    const int bins = data_.binner->NumBins(f);
+    double g_left = 0.0, h_left = 0.0;
+    size_t n_left = 0;
+    for (int b = 0; b < bins - 1; ++b) {
+      g_left += hist.sums[b].g;
+      h_left += hist.sums[b].h;
+      n_left += hist.counts[b];
+      size_t n_right = n - n_left;
+      if (n_left < static_cast<size_t>(config_.min_samples_leaf) ||
+          n_right < static_cast<size_t>(config_.min_samples_leaf)) {
+        continue;
+      }
+      double g_right = g_total - g_left;
+      double h_right = h_total - h_left;
+      double gain = g_left * g_left / (h_left + lambda) +
+                    g_right * g_right / (h_right + lambda) - parent_score;
+      if (gain > best.gain + config_.min_gain) {
+        best.found = true;
+        best.feature = f;
+        best.bin = b;
+        best.gain = gain;
+      }
+    }
   }
 
   static double GiniImpurity(const std::vector<double>& counts, double n) {
@@ -259,10 +340,15 @@ class TreeTrainer {
   std::span<const int> labels_;
   std::span<const double> grad_;
   std::span<const double> hess_;
+  std::span<double> row_values_;  // regression: each training row's leaf value
   int num_classes_ = 0;
 
   std::vector<uint32_t> idx_;
   std::vector<uint32_t> feature_scratch_;
+  // Split-search scratch, sized once per tree and reused by every node.
+  std::vector<GradPair> node_gh_;       // the node's rows' (grad, hess), node order
+  std::vector<GradPair> grad_hist_;     // two features' bin sums
+  std::vector<uint32_t> grad_counts_;   // two features' bin row counts
   DecisionTree tree_;
 };
 
@@ -278,10 +364,11 @@ DecisionTree DecisionTree::FitClassifier(const BinnedView& data, std::span<const
 DecisionTree DecisionTree::FitRegressor(const BinnedView& data, std::span<const double> grad,
                                         std::span<const double> hess,
                                         std::span<const uint32_t> row_indices,
-                                        const TreeConfig& config, Rng& rng) {
+                                        const TreeConfig& config, Rng& rng,
+                                        std::span<double> row_values) {
   if (row_indices.empty()) throw std::invalid_argument("FitRegressor: no rows");
   TreeTrainer trainer(data, config, rng);
-  return trainer.TrainRegressor(grad, hess, row_indices);
+  return trainer.TrainRegressor(grad, hess, row_indices, row_values);
 }
 
 size_t DecisionTree::leaf_count() const {

@@ -38,6 +38,29 @@ struct BinnedView {
   uint8_t Bin(size_t row, size_t f) const { return bins[f * rows + row]; }
 };
 
+// A (gradient, hessian) pair: one row's, gathered into node order, or one
+// histogram bin's sums. 16-byte aligned so one 128-bit add updates a bin.
+struct alignas(16) GradPair {
+  double g = 0.0;
+  double h = 0.0;
+};
+
+// One feature's gradient histogram under construction: the feature's binned
+// column and the per-bin sums and row counts it accumulates into.
+struct GradHistogram {
+  const uint8_t* column = nullptr;
+  GradPair* sums = nullptr;
+  uint32_t* counts = nullptr;
+};
+
+// The split search's histogram kernel. For every histogram, adds gh[i] to
+// bin column[rows[i]] and counts the row, for i in order, so each bin sums
+// its rows in row order. Histograms are built two per pass over `rows`; the
+// caller zeroes their bins first. Exposed so a test can pin it to a naive
+// one-feature-at-a-time loop.
+void BuildGradHistograms(std::span<const uint32_t> rows, const GradPair* gh,
+                         std::span<const GradHistogram> histograms);
+
 class DecisionTree {
  public:
   // Tree node in the AoS layout produced by training/deserialization. Public
@@ -60,11 +83,16 @@ class DecisionTree {
                                     const TreeConfig& config, Rng& rng);
 
   // Fits a regression tree to per-row gradient/hessian pairs (Newton
-  // boosting); leaf value is -sum(g) / (sum(h) + lambda).
+  // boosting); leaf value is -sum(g) / (sum(h) + lambda). When `row_values`
+  // is non-empty (one entry per data row), each training row's entry
+  // receives the value of the leaf it was partitioned into: the value
+  // PredictValue gives that row, because bin routing (bin <= b) and
+  // threshold routing (x < SplitThreshold(f, b)) agree.
   static DecisionTree FitRegressor(const BinnedView& data, std::span<const double> grad,
                                    std::span<const double> hess,
                                    std::span<const uint32_t> row_indices,
-                                   const TreeConfig& config, Rng& rng);
+                                   const TreeConfig& config, Rng& rng,
+                                   std::span<double> row_values = {});
 
   bool is_classifier() const { return num_classes_ > 0; }
   int num_classes() const { return num_classes_; }

@@ -97,6 +97,55 @@ class ClientDegradationTest : public ::testing::Test {
 const Trace* ClientDegradationTest::trace_ = nullptr;
 const TrainedModels* ClientDegradationTest::trained_ = nullptr;
 
+// A spec and a model that disagree must never be scored together: the
+// engine would read the model's row width past the end of the row the spec's
+// featurizer writes. The mismatched spec here switches the P95 forest, which
+// reads the expanded encoding's row, to the much narrower compact encoding.
+TEST_F(ClientDegradationTest, MismatchedSpecAndModelAreNeverScored) {
+  const ModelSpec good = trained_->specs.at("VM_P95UTIL");
+  ModelSpec narrow = good;
+  narrow.encoding = FeatureEncoding::kCompact;
+  narrow.num_features = static_cast<uint32_t>(Featurizer(narrow.metric, narrow.encoding).num_features());
+  ASSERT_LT(narrow.num_features, good.num_features);
+  ClientConfig config;
+  config.result_cache_capacity = 0;  // every prediction scores
+  const auto inputs = KnownInputSet(8);
+
+  // Through Initialize: the store holds the mismatched pair from the start,
+  // so the model has no pair to serve and answers no-prediction.
+  store_->Put(SpecKey("VM_P95UTIL"), narrow.Serialize());
+  {
+    Client client(store_.get(), config);
+    ASSERT_TRUE(client.Initialize());
+    for (const Prediction& p : PredictAll(client, inputs)) EXPECT_FALSE(p.valid);
+    EXPECT_EQ(client.stats().degraded_reason, DegradedReason::kSpecMismatch);
+    EXPECT_TRUE(client.PredictSingle("VM_AVGUTIL", inputs[0]).valid);  // the others serve
+  }
+
+  // Through pushes: the agreeing pair serves, then a mismatched spec and a
+  // mismatched model land in turn; the last agreeing pair keeps serving.
+  store_->Put(SpecKey("VM_P95UTIL"), good.Serialize());
+  Client client(store_.get(), config);
+  ASSERT_TRUE(client.Initialize());
+  const auto baseline = PredictAll(client, inputs);
+  for (const Prediction& p : baseline) ASSERT_TRUE(p.valid);
+  EXPECT_EQ(client.stats().degraded_reason, DegradedReason::kNone);
+
+  store_->Put(SpecKey("VM_P95UTIL"), narrow.Serialize());
+  ExpectSamePredictions(PredictAll(client, inputs), baseline);
+  EXPECT_EQ(client.stats().degraded_reason, DegradedReason::kSpecMismatch);
+  store_->Put(SpecKey("VM_P95UTIL"), good.Serialize());
+  EXPECT_EQ(client.stats().degraded_reason, DegradedReason::kNone);
+
+  // The lifetime model reads the compact row, not the P95 spec's.
+  store_->Put(ModelKey("VM_P95UTIL"), trained_->models.at("VM_LIFETIME")->SerializeTagged());
+  ExpectSamePredictions(PredictAll(client, inputs), baseline);
+  EXPECT_EQ(client.stats().degraded_reason, DegradedReason::kSpecMismatch);
+  store_->Put(ModelKey("VM_P95UTIL"), trained_->models.at("VM_P95UTIL")->SerializeTagged());
+  ExpectSamePredictions(PredictAll(client, inputs), baseline);
+  EXPECT_EQ(client.stats().degraded_reason, DegradedReason::kNone);
+}
+
 // The headline scenario: a store outage followed by a corrupt-blob storm.
 // The client must keep serving its last-good predictions through both, count
 // and surface every rejected blob, and recover the moment clean data lands.

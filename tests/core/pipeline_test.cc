@@ -106,18 +106,49 @@ TEST(PipelineTest, TrainsAllSixModels) {
 
 TEST(PipelineTest, RunAttributesEveryStage) {
   SharedModels();
-  auto count = [](const char* stage) {
+  auto count = [](rc::obs::Labels labels) {
     return SharedRunMetrics()
-        .GetHistogram("rc_pipeline_stage_duration_us", {{"stage", stage}})
+        .GetHistogram("rc_pipeline_stage_duration_us", std::move(labels))
         .TakeSnapshot()
         .count;
   };
   // The observation stream is built once and shared by the six metrics'
   // example builds and the snapshot.
-  EXPECT_EQ(count("observations"), 1u);
-  EXPECT_EQ(count("build_examples"), 6u);
-  EXPECT_EQ(count("train"), 6u);
-  EXPECT_EQ(count("feature_snapshot"), 1u);
+  EXPECT_EQ(count({{"stage", "observations"}}), 1u);
+  EXPECT_EQ(count({{"stage", "build_examples"}}), 6u);
+  // The train stage has one series per model, so the dominant fit shows.
+  uint64_t fits = 0;
+  for (Metric m : kAllMetrics) {
+    const uint64_t n = count({{"stage", "train"}, {"model", MetricModelName(m)}});
+    EXPECT_EQ(n, 1u) << MetricModelName(m);
+    fits += n;
+  }
+  EXPECT_EQ(fits, 6u);
+  EXPECT_EQ(count({{"stage", "feature_snapshot"}}), 1u);
+}
+
+// Run fits the boosted models side by side on several threads. Each must
+// serialize to the same bytes as a fit of its own, on the same dataset and
+// seed, with nothing running beside it.
+TEST(PipelineTest, BoostedModelsMatchStandaloneFits) {
+  const TrainedModels& trained = SharedModels();
+  const PipelineConfig config = FastConfig();
+  for (Metric m : kAllMetrics) {
+    if (OfflinePipeline::UsesRandomForest(m)) continue;
+    SCOPED_TRACE(MetricModelName(m));
+    Featurizer featurizer(m, OfflinePipeline::EncodingFor(m));
+    rc::ml::Dataset data = OfflinePipeline::ToDataset(
+        OfflinePipeline::BuildExamples(SharedTrace(), m, config.train_begin, config.train_end,
+                                       /*fft_labels=*/true),
+        featurizer);
+    std::vector<double> zeros(featurizer.num_features(), 0.0);
+    for (int c = data.NumClasses(); c < NumBuckets(m); ++c) data.AddRow(zeros, c);
+    rc::ml::GbtConfig gbt = config.gbt;
+    gbt.seed = config.seed + static_cast<uint64_t>(m);
+    if (m == Metric::kClass) gbt.class_weights = {1.0, 25.0};
+    EXPECT_EQ(rc::ml::GradientBoostedTrees::Fit(data, gbt).SerializeTagged(),
+              trained.models.at(MetricModelName(m))->SerializeTagged());
+  }
 }
 
 TEST(PipelineTest, ExamplesChronologicalAndWindowed) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -205,6 +206,36 @@ void ExpectMatchesOracle(const Dataset& d, int max_bins) {
     }
   }
   EXPECT_EQ(binner.Transform(d), oracle.Transform(d));
+}
+
+// Training partitions rows by bin (bin <= b goes left) and inference routes
+// raw values by threshold (x < SplitThreshold goes left). The two rules must
+// send every value the same way: on each boundary, just beside it, at the
+// infinities and at NaN, which falls into the top bin and so goes right
+// under both.
+TEST(FeatureBinnerTest, BinRoutingMatchesThresholdRouting) {
+  const Dataset d = MixedColumns(3000, 9, 23);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (int max_bins : {2, 16, 64}) {
+    FeatureBinner binner = FeatureBinner::Fit(d, max_bins);
+    for (size_t f = 0; f < d.num_features(); ++f) {
+      const int bins = binner.NumBins(f);
+      std::vector<double> probes = {inf, -inf, nan, 0.0, -0.0};
+      for (int b = 0; b + 1 < bins; ++b) {
+        const double t = binner.SplitThreshold(f, b);
+        probes.insert(probes.end(), {t, std::nextafter(t, -inf), std::nextafter(t, inf)});
+      }
+      for (size_t i = 0; i < d.num_rows(); i += 97) probes.push_back(d.Value(i, f));
+      EXPECT_EQ(binner.Bin(f, nan), bins - 1) << "feature " << f;
+      for (double v : probes) {
+        for (int b = 0; b + 1 < bins; ++b) {
+          EXPECT_EQ(binner.Bin(f, v) <= b, v < binner.SplitThreshold(f, b))
+              << "max_bins " << max_bins << " feature " << f << " bin " << b << " value " << v;
+        }
+      }
+    }
+  }
 }
 
 TEST(FeatureBinnerTest, ParallelFitAndTransformMatchSequentialOracle) {

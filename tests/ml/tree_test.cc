@@ -1,5 +1,7 @@
 #include "src/ml/tree.h"
 
+#include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -26,6 +28,64 @@ std::vector<uint32_t> AllRows(size_t n) {
   std::vector<uint32_t> rows(n);
   std::iota(rows.begin(), rows.end(), 0u);
   return rows;
+}
+
+// The split search's histogram kernel, pinned bit for bit to the plain
+// one-feature-at-a-time loop it replaced: every bin must sum its rows in row
+// order. Bins repeat heavily (long same-bin runs are where a kernel could
+// reorder adds), the feature count is odd (one feature builds alone), and
+// some features have only two bins.
+TEST(GradHistogramKernelTest, MatchesOneFeatureAtATimeBitForBit) {
+  constexpr size_t kRows = 5000;
+  constexpr size_t kFeatures = 7;
+  Rng rng(11);
+  std::vector<uint8_t> bins(kRows * kFeatures);
+  std::vector<int> num_bins(kFeatures);
+  for (size_t f = 0; f < kFeatures; ++f) {
+    num_bins[f] = f % 3 == 1 ? 2 : static_cast<int>(rng.UniformInt(3, 64));
+    uint8_t run_bin = 0;
+    for (size_t i = 0; i < kRows; ++i) {
+      // Runs of one bin, broken at random.
+      if (rng.NextDouble() < 0.2) run_bin = static_cast<uint8_t>(rng.UniformInt(0, num_bins[f] - 1));
+      bins[f * kRows + i] = run_bin;
+    }
+  }
+  std::vector<double> grad(kRows), hess(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    grad[i] = rng.Normal(0.0, 1.0) * std::pow(10.0, rng.UniformInt(-6, 6));
+    hess[i] = rng.NextDouble() * std::pow(10.0, rng.UniformInt(-9, 3));
+  }
+  // A node's rows: a shuffled subset, as after a few partitions.
+  std::vector<uint32_t> rows = AllRows(kRows);
+  rng.Shuffle(rows);
+  rows.resize(kRows * 3 / 4);
+  std::vector<GradPair> gh(rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) gh[i] = GradPair{grad[rows[i]], hess[rows[i]]};
+
+  std::vector<GradPair> sums(kFeatures * 256);
+  std::vector<uint32_t> counts(kFeatures * 256, 0);
+  std::vector<GradHistogram> hists;
+  for (size_t f = 0; f < kFeatures; ++f) {
+    hists.push_back({bins.data() + f * kRows, sums.data() + f * 256, counts.data() + f * 256});
+  }
+  BuildGradHistograms(rows, gh.data(), hists);
+
+  for (size_t f = 0; f < kFeatures; ++f) {
+    std::vector<double> g(256, 0.0), h(256, 0.0);
+    std::vector<uint32_t> c(256, 0);
+    for (uint32_t row : rows) {
+      const uint8_t b = bins[f * kRows + row];
+      g[b] += grad[row];
+      h[b] += hess[row];
+      c[b] += 1;
+    }
+    for (int b = 0; b < num_bins[f]; ++b) {
+      const GradPair& got = sums[f * 256 + static_cast<size_t>(b)];
+      EXPECT_EQ(std::memcmp(&got.g, &g[b], sizeof(double)), 0) << "feature " << f << " bin " << b;
+      EXPECT_EQ(std::memcmp(&got.h, &h[b], sizeof(double)), 0) << "feature " << f << " bin " << b;
+      EXPECT_EQ(counts[f * 256 + static_cast<size_t>(b)], c[b]) << "feature " << f << " bin " << b;
+    }
+  }
 }
 
 TEST(DecisionTreeTest, LearnsAxisAlignedSplit) {
@@ -180,6 +240,45 @@ TEST(DecisionTreeTest, RegressionFitsStepFunction) {
   double lo = 0.2, hi = 0.8;
   EXPECT_NEAR(tree.PredictValue({&lo, 1}), 2.0, 0.05);
   EXPECT_NEAR(tree.PredictValue({&hi, 1}), -1.0, 0.05);
+}
+
+// Boosting scores its sampled rows from the leaf values training routed them
+// to, without walking the tree; each must be the value the walk gives.
+TEST(DecisionTreeTest, RegressorRowValuesMatchPredictValue) {
+  Dataset d({"x", "y", "z"});
+  Rng rng(5);
+  for (int i = 0; i < 2000; ++i) {
+    double row[] = {rng.Normal(0.0, 1.0), static_cast<double>(rng.UniformInt(0, 3)),
+                    rng.NextDouble() < 0.5 ? -1.0 : 1.0};
+    d.AddRow(row, 0);
+  }
+  Binned b(std::move(d));
+  std::vector<double> grad(2000), hess(2000);
+  for (size_t i = 0; i < grad.size(); ++i) {
+    grad[i] = rng.Normal(b.data.Value(i, 0) * b.data.Value(i, 2), 1.0);
+    hess[i] = 0.5 + rng.NextDouble();
+  }
+  std::vector<uint32_t> rows;  // a subsample, ascending, as boosting draws it
+  for (uint32_t i = 0; i < 2000; ++i) {
+    if (rng.NextDouble() < 0.8) rows.push_back(i);
+  }
+  const double unset = -12345.0;
+  std::vector<double> row_values(2000, unset);
+  TreeConfig config;
+  config.max_depth = 6;
+  DecisionTree tree =
+      DecisionTree::FitRegressor(b.view(), grad, hess, rows, config, rng, row_values);
+  ASSERT_GT(tree.leaf_count(), 4u);
+  size_t next = 0;
+  for (size_t i = 0; i < 2000; ++i) {
+    if (next < rows.size() && rows[next] == i) {
+      ++next;
+      const double walked = tree.PredictValue(b.data.Row(i));
+      EXPECT_EQ(std::memcmp(&row_values[i], &walked, sizeof(double)), 0) << "row " << i;
+    } else {
+      EXPECT_EQ(row_values[i], unset) << "row " << i << " was not sampled";
+    }
+  }
 }
 
 TEST(DecisionTreeTest, RegressionLambdaShrinksLeaves) {

@@ -70,6 +70,12 @@ echo "== rc_core_tests (TSan, no-prediction vs feature push storm) =="
 # Trace generation fills the ground-truth summaries from several threads,
 # each writing its own chunk of VmRecords; the fingerprint suite generates a
 # trace and checks every summary, so it runs regardless of any caller filter.
+# The offline pipeline fits its boosted models side by side, each thread
+# recording into the shared registry's train-stage histograms; the pipeline
+# suites run it and pin its models, so they run regardless of any caller
+# filter.
+echo "== rc_core_tests (TSan, concurrent pipeline fits) =="
+"${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='PipelineTest*:PipelineFingerprint*'
 echo "== rc_trace_tests (TSan, parallel summary pass + fingerprint) =="
 "${BUILD_DIR}/tests/rc_trace_tests" --gtest_filter='TraceFingerprint*'
 echo "== rc_common_tests (TSan, ParallelFor) =="
