@@ -314,8 +314,7 @@ void Client::BreakerSuccessLocked() {
 Client::StoreRead Client::StoreReadLocked(const std::string& key, VersionedBlob& out) {
   if (store_ == nullptr) return StoreRead::kFailed;
   if (BreakerOpenLocked()) return StoreRead::kFailed;  // don't hammer a failing store
-  rc::obs::TraceSpan span("client/store_read");
-  rc::obs::ScopedTimer timer(m_.store_read_latency_us);
+  rc::obs::TraceSpan span("client/store_read", m_.store_read_latency_us);
   int64_t backoff_us = std::max<int64_t>(1, config_.store_retry_backoff_us);
   for (int attempt = 0;; ++attempt) {
     KvStore::GetResult result = faults::InjectError("client/store_read")
@@ -588,18 +587,12 @@ void Client::ExportModelBytes(const std::string& name,
 
 Prediction Client::PredictSingle(const std::string& model_name, const ClientInputs& inputs) {
   // Sampled timing (one call in kPredictLatencySampleEvery per thread) keeps
-  // the two clock reads off most calls; everything else on this path is relaxed
-  // shard increments — no mutex beyond the result-cache shard lock.
-  rc::obs::TraceSpan span("client/predict");
+  // the span's clock pair off most calls; everything else on this path is
+  // relaxed shard increments — no mutex beyond the result-cache shard lock.
   thread_local uint32_t calls = 0;
   const bool timed = ++calls % kPredictLatencySampleEvery == 0;
-  const uint64_t start_ns = timed ? rc::obs::NowNs() : 0;
-  Prediction prediction = PredictSingleImpl(model_name, inputs);
-  if (timed) {
-    m_.predict_latency_us->Record(static_cast<double>(rc::obs::NowNs() - start_ns) /
-                                  1000.0);
-  }
-  return prediction;
+  rc::obs::TraceSpan span("client/predict", timed ? m_.predict_latency_us : nullptr);
+  return PredictSingleImpl(model_name, inputs);
 }
 
 Prediction Client::PredictSingleImpl(const std::string& model_name,

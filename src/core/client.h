@@ -281,7 +281,7 @@ class Client {
     rc::obs::Counter* reload_timeouts;
     rc::obs::Gauge* degraded_reason;            // numeric DegradedReason
     rc::obs::Histogram* predict_latency_us;     // sampled PredictSingle latency
-    rc::obs::Histogram* store_read_latency_us;  // per-attempt store reads
+    rc::obs::Histogram* store_read_latency_us;  // store reads, retries included
     rc::obs::Histogram* batch_size;             // inputs per PredictMany call
   };
   void RegisterInstruments();

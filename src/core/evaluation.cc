@@ -3,17 +3,16 @@
 #include <algorithm>
 #include <sstream>
 
-#include "src/obs/metrics.h"
+#include "src/obs/trace_context.h"
 
 namespace rc::core {
 
 MetricQuality EvaluateModel(const rc::ml::Classifier& model, const Featurizer& featurizer,
                             std::span<const LabeledExample> examples, double theta) {
-  // Evaluation is the "validate" stage of the offline workflow; it shares the
-  // pipeline's stage-duration family (process-global registry).
-  rc::obs::ScopedTimer timer(&rc::obs::MetricsRegistry::Global().GetHistogram(
-      "rc_pipeline_stage_duration_us", {{"stage", "validate"}},
-      "offline pipeline stage wall time (us)"));
+  // Evaluation is the "validate" stage of the offline workflow (process-global
+  // registry).
+  rc::obs::TraceSpan span("pipeline/validate",
+                          &OfflinePipeline::StageHistogram(nullptr, "validate"));
   MetricQuality q;
   q.metric = featurizer.metric();
   q.theta = theta;

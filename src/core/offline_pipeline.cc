@@ -16,23 +16,6 @@
 
 namespace rc::core {
 
-namespace {
-
-// Stage-duration histogram shared by every pipeline stage; one label per
-// stage so exposition groups them into a single rc_pipeline family. The
-// train stage is also labeled by model, one series per fit.
-rc::obs::Histogram& StageHistogram(rc::obs::MetricsRegistry* metrics, const char* stage,
-                                   const char* model = nullptr) {
-  rc::obs::MetricsRegistry& reg =
-      metrics != nullptr ? *metrics : rc::obs::MetricsRegistry::Global();
-  rc::obs::Labels labels{{"stage", stage}};
-  if (model != nullptr) labels.emplace_back("model", model);
-  return reg.GetHistogram("rc_pipeline_stage_duration_us", std::move(labels),
-                          "offline pipeline stage wall time (us)");
-}
-
-}  // namespace
-
 using rc::trace::Trace;
 using rc::trace::VmRecord;
 using rc::trace::WorkloadClass;
@@ -347,12 +330,23 @@ rc::ml::Dataset OfflinePipeline::ToDataset(const std::vector<LabeledExample>& ex
   return data;
 }
 
+rc::obs::Histogram& OfflinePipeline::StageHistogram(rc::obs::MetricsRegistry* metrics,
+                                                    const char* stage, const char* model) {
+  rc::obs::MetricsRegistry& reg =
+      metrics != nullptr ? *metrics : rc::obs::MetricsRegistry::Global();
+  rc::obs::Labels labels{{"stage", stage}};
+  if (model != nullptr) labels.emplace_back("model", model);
+  return reg.GetHistogram("rc_pipeline_stage_duration_us", std::move(labels),
+                          "offline pipeline stage wall time (us)");
+}
+
 TrainedModels OfflinePipeline::Run(const Trace& trace) const {
   rc::obs::Histogram& build_hist = StageHistogram(config_.metrics, "build_examples");
   // One stream and one labeler serve all six metrics and the snapshot.
   ObservationStream stream;
   {
-    rc::obs::ScopedTimer timer(&StageHistogram(config_.metrics, "observations"));
+    rc::obs::TraceSpan span("pipeline/observations",
+                            &StageHistogram(config_.metrics, "observations"));
     stream = BuildObservations(trace, config_.train_end);
   }
   ClassLabeler labeler(trace, /*use_fft=*/true);
@@ -361,7 +355,7 @@ TrainedModels OfflinePipeline::Run(const Trace& trace) const {
   // A metric's training matrix, or nothing when its window has no examples.
   // Built on the calling thread only: the labeler's cache is not thread-safe.
   auto build_dataset = [&](Metric metric) -> std::optional<rc::ml::Dataset> {
-    rc::obs::ScopedTimer timer(&build_hist);
+    rc::obs::TraceSpan span("pipeline/build_examples", &build_hist);
     if (IsDeploymentMetric(metric) && deploy_emissions.empty()) {
       deploy_emissions = DeploymentEmissions(trace);
     }
@@ -384,7 +378,7 @@ TrainedModels OfflinePipeline::Run(const Trace& trace) const {
   // depend on which thread runs the fit or on what runs beside it.
   auto fit = [this](Metric metric, const rc::ml::Dataset& data,
                     rc::obs::Histogram& train_hist) -> std::unique_ptr<rc::ml::Classifier> {
-    rc::obs::ScopedTimer timer(&train_hist);
+    rc::obs::TraceSpan span("pipeline/train", &train_hist);
     const uint64_t seed = config_.seed + static_cast<uint64_t>(metric);
     if (UsesRandomForest(metric)) {
       rc::ml::RandomForestConfig cfg = config_.rf;
@@ -461,7 +455,8 @@ TrainedModels OfflinePipeline::Run(const Trace& trace) const {
     trained.models[spec.name] = std::move(model);
   }
   {
-    rc::obs::ScopedTimer timer(&StageHistogram(config_.metrics, "feature_snapshot"));
+    rc::obs::TraceSpan span("pipeline/feature_snapshot",
+                            &StageHistogram(config_.metrics, "feature_snapshot"));
     trained.feature_data = SnapshotFrom(trace, stream, labeler, config_.train_end);
   }
   return trained;
@@ -475,8 +470,7 @@ size_t OfflinePipeline::Publish(const TrainedModels& trained, rc::store::KvStore
       reg.GetCounter("rc_pipeline_published_records", {}, "records durably published");
   rc::obs::Counter& failures = reg.GetCounter(
       "rc_pipeline_publish_failures", {}, "records dropped after exhausting retries");
-  rc::obs::TraceSpan span("pipeline/publish");
-  rc::obs::ScopedTimer timer(&StageHistogram(metrics, "publish"));
+  rc::obs::TraceSpan span("pipeline/publish", &StageHistogram(metrics, "publish"));
   // Transient publish failures (outage blips, injected faults) are retried;
   // a record that still fails after kAttempts is skipped, not fatal — the
   // next pipeline run republishes everything anyway.

@@ -98,6 +98,12 @@ class OfflinePipeline {
   static bool UsesRandomForest(Metric metric);
   static FeatureEncoding EncodingFor(Metric metric);
 
+  // The rc_pipeline_stage_duration_us series every stage times itself into,
+  // labeled {stage} (and {model} for the per-fit train stage); null
+  // `metrics` = process-global.
+  static rc::obs::Histogram& StageHistogram(rc::obs::MetricsRegistry* metrics,
+                                            const char* stage, const char* model = nullptr);
+
  private:
   PipelineConfig config_;
 };

@@ -49,13 +49,16 @@ FdReserve::~FdReserve() {
   if (spare_fd_ >= 0) ::close(spare_fd_);
 }
 
-bool FdReserve::Shed(int listen_fd) {
+bool FdReserve::Shed(int listen_fd, rc::obs::Counter& shed) {
   std::lock_guard<std::mutex> lock(mu_);
   if (spare_fd_ < 0) spare_fd_ = OpenSpareFd();  // a descriptor freed up since
   if (spare_fd_ < 0) return false;
   ::close(spare_fd_);
   const int fd = AcceptEintr(listen_fd);
-  if (fd >= 0) ::close(fd);
+  if (fd >= 0) {
+    shed.Increment();
+    ::close(fd);
+  }
   spare_fd_ = OpenSpareFd();
   return fd >= 0;
 }
@@ -210,8 +213,7 @@ void ConnLoop::AcceptReady(Worker& worker) {
       if (errno == EMFILE || errno == ENFILE) {
         // Shed the pending connection rather than retry in place: retrying
         // spins on it and starves this worker's own connections.
-        if (!fd_reserve_.Shed(listen_fd_)) return;
-        options_.rejected_fd_limit->Increment();
+        if (!fd_reserve_.Shed(listen_fd_, *options_.rejected_fd_limit)) return;
         continue;
       }
       return;

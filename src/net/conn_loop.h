@@ -49,9 +49,9 @@ int AcceptEintr(int fd);  // accept4(SOCK_NONBLOCK | SOCK_CLOEXEC)
 // Accept-side guard for the descriptor limit. When accept() fails with
 // EMFILE/ENFILE the pending connection stays queued and the listener stays
 // readable, so a plain retry spins without serving anyone. This holds one
-// spare descriptor: Shed() frees it, accepts the pending connection, closes
-// it at once and takes the spare back. Thread-safe, since every worker of a
-// ConnLoop runs the accept loop.
+// spare descriptor: Shed() frees it, accepts the pending connection, counts
+// it, closes it at once and takes the spare back. Thread-safe, since every
+// worker of a ConnLoop runs the accept loop.
 class FdReserve {
  public:
   FdReserve();
@@ -60,10 +60,11 @@ class FdReserve {
   FdReserve(const FdReserve&) = delete;
   FdReserve& operator=(const FdReserve&) = delete;
 
-  // Accepts and closes one pending connection on `listen_fd`. True if one
-  // was shed; false if none was pending or no spare could be taken back
-  // (the caller should then return to its event loop).
-  bool Shed(int listen_fd);
+  // Accepts and closes one pending connection on `listen_fd`, incrementing
+  // `shed` before the close, so a peer that sees its EOF also sees the
+  // count. True if one was shed; false if none was pending or no spare
+  // could be taken back (the caller should then return to its event loop).
+  bool Shed(int listen_fd, rc::obs::Counter& shed);
 
  private:
   std::mutex mu_;

@@ -107,7 +107,8 @@ class Histogram {
 
   void Record(double value) { RecordAt(value, NowNs()); }
   // Same, with an injected timestamp for the window epoch (tests virtualize
-  // time; the lifetime shards don't care).
+  // time, and a TraceSpan reuses its end read; the lifetime shards don't
+  // care).
   void RecordAt(double value, uint64_t now_ns);
 
   // Upper bounds of the finite buckets (the overflow bucket is implicit).
@@ -229,25 +230,6 @@ class MetricsRegistry {
 
   mutable std::mutex mu_;
   std::map<std::string, Entry> entries_;  // keyed by MetricInfo::Key()
-};
-
-// Convenience: times a scope into a histogram (microseconds). `histogram`
-// may be null, making the timer a no-op.
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* histogram)
-      : histogram_(histogram), start_ns_(histogram != nullptr ? NowNs() : 0) {}
-  ~ScopedTimer() {
-    if (histogram_ != nullptr) {
-      histogram_->Record(static_cast<double>(NowNs() - start_ns_) / 1000.0);
-    }
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* histogram_;
-  uint64_t start_ns_;
 };
 
 }  // namespace rc::obs

@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "src/obs/metrics.h"
-
 namespace rc::obs {
 
 namespace internal {
@@ -69,7 +67,7 @@ uint64_t RecordSpanUnder(const char* name, const TraceContext& parent,
 }
 
 void TraceSpan::StartTraced(const TraceContext& parent) {
-  traced_ = true;
+  open_ = true;
   trace_id_ = parent.trace_id;
   parent_span_id_ = parent.span_id;
   span_id_ = Tracer::NextSpanId();
@@ -79,7 +77,12 @@ void TraceSpan::StartTraced(const TraceContext& parent) {
 }
 
 void TraceSpan::Finish() {
-  const uint64_t duration_ns = NowNs() - start_ns_;
+  const uint64_t end_ns = NowNs();
+  const uint64_t duration_ns = end_ns - start_ns_;
+  if (histogram_ != nullptr) {
+    histogram_->RecordAt(static_cast<double>(duration_ns) / 1000.0, end_ns);
+  }
+  if (trace_id_ == 0) return;
   internal::t_current = prev_;
   SpanRecord rec;
   rec.name = name_;
@@ -99,20 +102,12 @@ void TraceSpan::Finish() {
 TraceStore::TraceStore()
     : bucket_bounds_us_{100.0, 1'000.0, 10'000.0, 100'000.0},
       buckets_(bucket_bounds_us_.size() + 1) {
-  for (Bucket& b : buckets_) b.trace_ids.reserve(options_.traces_per_bucket);
+  for (Bucket& b : buckets_) b.trace_ids.reserve(kTracesPerBucket);
 }
 
 TraceStore& TraceStore::Global() {
   static TraceStore* store = new TraceStore();
   return *store;
-}
-
-void TraceStore::Configure(const Options& options) {
-  std::lock_guard<std::mutex> lock(mu_);
-  options_ = options;
-  options_.max_active_traces = std::max<size_t>(options_.max_active_traces, 1);
-  options_.max_spans_per_trace = std::max<size_t>(options_.max_spans_per_trace, 1);
-  options_.traces_per_bucket = std::max<size_t>(options_.traces_per_bucket, 1);
 }
 
 uint64_t TraceStore::NextRandomLocked() {
@@ -124,7 +119,7 @@ void TraceStore::EvictLocked() {
   // One pass over the FIFO at most: retained entries are pinned (bounded by
   // buckets * K, far below the map cap) and get re-queued behind the rest.
   size_t scans = arrival_order_.size();
-  while (traces_.size() > options_.max_active_traces && scans-- > 0) {
+  while (traces_.size() > kMaxActiveTraces && scans-- > 0) {
     uint64_t oldest = arrival_order_.front();
     arrival_order_.pop_front();
     auto it = traces_.find(oldest);
@@ -152,7 +147,7 @@ void TraceStore::Record(const SpanRecord& rec) {
   }
   TraceEntry& entry = it->second;
   if (entry.state == State::kDropped) return;  // tombstone: reservoir said no
-  if (entry.spans.size() >= options_.max_spans_per_trace) return;
+  if (entry.spans.size() >= kMaxSpansPerTrace) return;
   entry.spans.push_back(rec);
 }
 
@@ -169,9 +164,9 @@ void TraceStore::FinishTrace(uint64_t trace_id, uint64_t root_duration_ns) {
   ++bucket.seen;
 
   size_t keep_slot = bucket.trace_ids.size();
-  if (bucket.trace_ids.size() >= options_.traces_per_bucket) {
+  if (bucket.trace_ids.size() >= kTracesPerBucket) {
     uint64_t j = NextRandomLocked() % bucket.seen;
-    if (j >= options_.traces_per_bucket) {
+    if (j >= kTracesPerBucket) {
       // Lost the reservoir draw: drop the spans, keep a tombstone.
       it->second.state = State::kDropped;
       it->second.spans.clear();

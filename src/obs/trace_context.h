@@ -3,26 +3,36 @@
 // sampling, the RAII TraceSpan instrumentation point, and a bounded
 // in-memory store of finished traces for the /tracez introspection endpoint.
 //
-// TraceSpan is the single instrumentation point and TraceStore its single
-// sink. When a sampled context is current, each span pushes itself onto the
-// thread's context stack, so nested spans form a real tree (parent_span_id
-// links) and the finished records land in TraceStore. Span names must be
-// string literals (or otherwise outlive the store): records keep the
-// pointer, never a copy.
+// TraceSpan is the single instrumentation point and the one way to time a
+// scope; TraceStore is its single trace sink. When a sampled context is
+// current, each span pushes itself onto the thread's context stack, so
+// nested spans form a real tree (parent_span_id links) and the finished
+// records land in TraceStore. A span given a Histogram also records its wall
+// time (us) there on every exit, sampled or not. Span names must be string
+// literals (or otherwise outlive the store): records keep the pointer, never
+// a copy.
 //
-// Cost model: with sampling off (the default) a TraceSpan costs one
-// thread-local read. Sampled spans take the TraceStore mutex once at
-// destruction — sampling (Tracer::SetSampleEvery) bounds how often that
-// happens on the hot path.
+// Cost model, with sampling off (the default):
+//   * no histogram: one thread-local read and one branch, no clock read;
+//   * with a histogram: that, plus one clock pair and one histogram record
+//     (relaxed adds on the caller's shard).
+// A sampled span reads the clock once at each end, feeds both its
+// SpanRecord and its histogram from that pair, and takes the TraceStore
+// mutex once at destruction. Sampling (Tracer::SetSampleEvery) bounds how
+// often that happens on the hot path.
 //
-// Instrumented paths (grep for the names):
-//   prediction:  client/predict  client/result_cache  client/featurize
+// Instrumented paths (grep for the names; * = also times a histogram):
+//   prediction:  client/predict*  client/result_cache  client/featurize
 //                client/exec_batch
 //   network:     netclient/call  net/read_frame  net/predict
 //                net/write_frame
-//   store path:  client/store_read  client/crc_verify  client/decode
-//                client/publish_state  store/get  store/put  disk/read
-//                disk/write  pipeline/publish
+//   store path:  client/store_read*  client/crc_verify  client/decode
+//                client/publish_state  store/get*  store/put  disk/read
+//                disk/write
+//   pipeline:    pipeline/observations*  pipeline/build_examples*
+//                pipeline/train*  pipeline/feature_snapshot*
+//                pipeline/publish*  pipeline/validate*
+//   scheduler:   sched/place*  sim/slot*
 //
 // Cross-process: contexts travel over RCNP v2 frames (src/net/protocol.h).
 // Trace and span ids are salted with the pid so ids minted on both ends of
@@ -37,6 +47,8 @@
 #include <string>
 #include <unordered_map>
 #include <vector>
+
+#include "src/obs/metrics.h"
 
 namespace rc::obs {
 
@@ -126,13 +138,21 @@ uint64_t RecordSpanUnder(const char* name, const TraceContext& parent,
 
 // RAII span. When the governing TraceContext is sampled, the span allocates
 // its own span id, becomes the thread's current context for its lifetime
-// (children parent to it), and records to TraceStore on finish. Otherwise
-// it does nothing beyond the context read.
+// (children parent to it), and records to TraceStore on finish. When
+// `histogram` is non-null, the span also records its wall time (us) into it
+// on every exit, sampled or not. With neither, it does nothing beyond the
+// context read.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* name) : name_(name) {
+  explicit TraceSpan(const char* name, Histogram* histogram = nullptr)
+      : name_(name), histogram_(histogram) {
     const TraceContext cur = internal::t_current;
-    if (cur.valid()) StartTraced(cur);
+    if (cur.valid()) {
+      StartTraced(cur);
+    } else if (histogram_ != nullptr) {
+      open_ = true;
+      start_ns_ = NowNs();
+    }
   }
 
   // Starts the span under an explicit parent context instead of the
@@ -144,14 +164,14 @@ class TraceSpan {
   }
 
   ~TraceSpan() {
-    if (traced_) Finish();
+    if (open_) Finish();
   }
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
 
   // This span's context, for handing to another thread or the wire.
   TraceContext context() const {
-    if (!traced_) return {};
+    if (trace_id_ == 0) return {};
     return TraceContext{trace_id_, span_id_, true};
   }
 
@@ -160,9 +180,10 @@ class TraceSpan {
   void Finish();
 
   const char* name_;
-  bool traced_ = false;
+  Histogram* histogram_ = nullptr;
+  bool open_ = false;  // a clock pair to close: sampled, or timing a histogram
   uint64_t start_ns_ = 0;
-  uint64_t trace_id_ = 0;
+  uint64_t trace_id_ = 0;  // non-zero only when sampled
   uint64_t span_id_ = 0;
   uint64_t parent_span_id_ = 0;
   TraceContext prev_;
@@ -182,15 +203,11 @@ class TraceSpan {
 // is FIFO-bounded; reservoir-kept traces are pinned until displaced.
 class TraceStore {
  public:
-  struct Options {
-    size_t max_active_traces = 256;   // live + tombstone entries
-    size_t max_spans_per_trace = 96;  // extra spans are dropped, not resized
-    size_t traces_per_bucket = 4;     // reservoir K
-  };
+  static constexpr size_t kMaxActiveTraces = 256;  // live + tombstone entries
+  static constexpr size_t kMaxSpansPerTrace = 96;  // extra spans are dropped
+  static constexpr size_t kTracesPerBucket = 4;    // reservoir K
 
   static TraceStore& Global();
-
-  void Configure(const Options& options);
 
   void Record(const SpanRecord& rec);
 
@@ -226,7 +243,6 @@ class TraceStore {
   uint64_t NextRandomLocked();
 
   mutable std::mutex mu_;
-  Options options_;
   std::unordered_map<uint64_t, TraceEntry> traces_;
   std::deque<uint64_t> arrival_order_;  // FIFO eviction candidates
   std::vector<double> bucket_bounds_us_;

@@ -1,5 +1,7 @@
 #include "src/sched/scheduler.h"
 
+#include "src/obs/trace_context.h"
+
 namespace rc::sched {
 
 Scheduler::Scheduler(Cluster* cluster, std::vector<std::unique_ptr<Rule>> rules,
@@ -22,7 +24,7 @@ Scheduler::Scheduler(Cluster* cluster, std::vector<std::unique_ptr<Rule>> rules,
 }
 
 std::optional<int> Scheduler::Schedule(const VmRequest& vm) {
-  rc::obs::ScopedTimer timer(place_latency_us_);
+  rc::obs::TraceSpan span("sched/place", place_latency_us_);
   // The non-empty servers plus one empty server stand in for the whole
   // cluster (the rule invariant in rules.h); a leading hard rule that keeps
   // only one kind of non-empty server narrows them to that kind.

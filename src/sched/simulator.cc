@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <queue>
 
+#include "src/obs/trace_context.h"
 #include "src/trace/utilization.h"
 
 namespace rc::sched {
@@ -129,7 +130,7 @@ SimResult ClusterSimulator::Run(std::vector<VmRequest> requests,
 
   const int64_t slots = config_.horizon / kSlot;
   for (int64_t slot = 0; slot < slots; ++slot) {
-    rc::obs::ScopedTimer slot_timer(&slot_latency);
+    rc::obs::TraceSpan slot_span("sim/slot", &slot_latency);
     SimTime slot_start = SlotStart(slot);
     process_events_until(slot_start);
     headroom.Set(policy.cluster().oversub_headroom_cores());

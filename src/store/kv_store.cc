@@ -139,8 +139,7 @@ uint64_t KvStore::Put(const std::string& key, std::vector<uint8_t> data) {
 }
 
 KvStore::GetResult KvStore::TryGet(const std::string& key) const {
-  rc::obs::TraceSpan span("store/get");
-  rc::obs::ScopedTimer timer(m_.get_latency_us);
+  rc::obs::TraceSpan span("store/get", m_.get_latency_us);
   faults::InjectLatency("kv/get");
   MaybeSleep();
   if (faults::InjectError("kv/get")) {

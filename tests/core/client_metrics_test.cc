@@ -12,6 +12,7 @@
 #include "src/common/faults.h"
 #include "src/core/offline_pipeline.h"
 #include "src/obs/export.h"
+#include "src/obs/trace_context.h"
 #include "src/trace/workload_model.h"
 
 namespace rc::core {
@@ -91,6 +92,32 @@ TEST_F(ClientMetricsTest, InstrumentsMirrorClientStats) {
   EXPECT_EQ(reg.GetHistogram("rc_client_predict_latency_us").TakeSnapshot().count, 3u);
   // Store reads happened during Initialize and are timed unconditionally.
   EXPECT_GT(reg.GetHistogram("rc_client_store_read_latency_us").TakeSnapshot().count, 0u);
+}
+
+// rc_client_store_read_latency_us is always on: one sample per store read,
+// with trace sampling off. On a healthy store every read is one TryGet, so
+// the client's count equals the reads the store answered.
+TEST_F(ClientMetricsTest, StoreReadLatencyTakesOneSamplePerStoreRead) {
+  ASSERT_EQ(rc::obs::Tracer::Global().sample_every(), 0u);
+  rc::obs::MetricsRegistry store_reg;
+  KvStore::Options store_options;
+  store_options.metrics = &store_reg;
+  KvStore store(store_options);
+  OfflinePipeline::Publish(*trained_, store);
+  rc::obs::MetricsRegistry client_reg;
+  ClientConfig config;
+  config.metrics = &client_reg;
+  Client client(&store, config);
+  ASSERT_TRUE(client.Initialize());
+  EXPECT_TRUE(client.PredictSingle("VM_P95UTIL", KnownInput()).valid);
+
+  uint64_t reads = 0;
+  for (const char* status : {"ok", "notfound", "failed"}) {
+    reads += store_reg.GetCounter("rc_store_gets", {{"status", status}}).Value();
+  }
+  EXPECT_GT(reads, 0u);
+  EXPECT_EQ(client_reg.GetHistogram("rc_client_store_read_latency_us").TakeSnapshot().count,
+            reads);
 }
 
 TEST_F(ClientMetricsTest, DegradedGaugeAndBreakerTripsMoveThroughAnOutage) {

@@ -81,7 +81,6 @@ class TracePropagationTest : public ::testing::Test {
   }
 
   void SetUp() override {
-    rc::obs::TraceStore::Global().Configure({});
     rc::obs::TraceStore::Global().Clear();
     store_ = std::make_unique<KvStore>();
     OfflinePipeline::Publish(*trained_, *store_);

@@ -1,10 +1,12 @@
 // Trace-context layer: the thread-local context stack under nested
 // TraceSpans, deterministic 1-in-N root sampling, synthetic spans and
-// follows-from links, and the TraceStore lifecycle (finish classification,
-// per-bucket reservoir, late spans after retention, bounded active map).
+// follows-from links, span timing into a histogram, and the TraceStore
+// lifecycle (finish classification, per-bucket reservoir, late spans after
+// retention, bounded active map).
 #include "src/obs/trace_context.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
@@ -17,7 +19,6 @@ namespace {
 class TraceContextTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    TraceStore::Global().Configure({});  // defaults
     TraceStore::Global().Clear();
     Tracer::Global().SetSampleEvery(0);
   }
@@ -27,11 +28,59 @@ class TraceContextTest : public ::testing::Test {
   }
 };
 
+// Unfinished traces the store holds, as /tracez reports them.
+int ActiveTraces() {
+  const std::string json = TraceStore::Global().TracezJson();
+  const size_t pos = json.find("\"active\":");
+  return pos == std::string::npos ? -1 : std::stoi(json.substr(pos + 9));
+}
+
+// With no histogram and no sampled context a span touches nothing.
 TEST_F(TraceContextTest, NoContextByDefault) {
   EXPECT_FALSE(CurrentTraceContext().valid());
-  TraceSpan span("test/untracked");
-  EXPECT_FALSE(CurrentTraceContext().valid());
-  EXPECT_FALSE(span.context().valid());
+  {
+    TraceSpan span("test/untracked");
+    EXPECT_FALSE(CurrentTraceContext().valid());
+    EXPECT_FALSE(span.context().valid());
+  }
+  EXPECT_EQ(ActiveTraces(), 0);
+  EXPECT_EQ(TraceStore::Global().finished_count(), 0u);
+}
+
+TEST_F(TraceContextTest, UnsampledSpanTimesItsHistogramOnly) {
+  Histogram h;
+  {
+    TraceSpan span("test/timed", &h);
+    EXPECT_FALSE(span.context().valid());
+    EXPECT_FALSE(CurrentTraceContext().valid());
+  }
+  EXPECT_EQ(h.TakeSnapshot().count, 1u);
+  EXPECT_EQ(ActiveTraces(), 0);
+  EXPECT_EQ(TraceStore::Global().finished_count(), 0u);
+  EXPECT_EQ(TraceStore::Global().TracezJson().find("test/timed"), std::string::npos);
+}
+
+// A sampled span feeds its histogram and its SpanRecord from one clock pair:
+// the one sample equals the record's duration_ns / 1000 at the precision
+// /tracez renders (0.1 us).
+TEST_F(TraceContextTest, SampledSpanTimesHistogramAndRecordFromOneClockPair) {
+  Tracer::Global().SetSampleEvery(1);
+  const TraceContext root = Tracer::Global().StartTrace();
+  ASSERT_TRUE(root.valid());
+  Histogram h;
+  {
+    ScopedTraceContext scope(root);
+    TraceSpan span("test/timed", &h);
+    EXPECT_TRUE(span.context().valid());
+  }
+  const Histogram::Snapshot snap = h.TakeSnapshot();
+  ASSERT_EQ(snap.count, 1u);
+  EXPECT_EQ(TraceStore::Global().finished_count(), 1u);
+  char dur[64];
+  std::snprintf(dur, sizeof(dur), "\"dur_us\":%.1f", snap.sum);
+  const std::string json = TraceStore::Global().TracezJson();
+  EXPECT_NE(json.find("test/timed"), std::string::npos);
+  EXPECT_NE(json.find(dur), std::string::npos) << dur << " not in " << json;
 }
 
 TEST_F(TraceContextTest, SamplingIsDeterministicOneInN) {
@@ -139,10 +188,7 @@ TEST_F(TraceContextTest, RetainedTracesAbsorbLateSpans) {
 }
 
 TEST_F(TraceContextTest, ReservoirKeepsAtMostKPerBucket) {
-  TraceStore::Options options;
-  options.traces_per_bucket = 2;
-  TraceStore::Global().Configure(options);
-  TraceStore::Global().Clear();
+  static_assert(TraceStore::kTracesPerBucket < 20);
   for (uint64_t i = 1; i <= 20; ++i) {
     TraceContext ctx{i, 0x0, true};
     RecordSpanUnder("test/one", ctx, 0, 1000);
@@ -156,24 +202,20 @@ TEST_F(TraceContextTest, ReservoirKeepsAtMostKPerBucket) {
        pos = json.find("\"trace_id\"", pos + 1)) {
     ++count;
   }
-  EXPECT_EQ(count, 2u);
+  EXPECT_EQ(count, TraceStore::kTracesPerBucket);
 }
 
 TEST_F(TraceContextTest, ActiveMapIsBounded) {
-  TraceStore::Options options;
-  options.max_active_traces = 8;
-  TraceStore::Global().Configure(options);
-  TraceStore::Global().Clear();
-  // 100 traces that never finish: the active map must not grow unboundedly.
-  for (uint64_t i = 1; i <= 100; ++i) {
+  // More traces than the map holds, none finished: the active map must not
+  // grow unboundedly.
+  constexpr uint64_t kTraces = TraceStore::kMaxActiveTraces + 100;
+  for (uint64_t i = 1; i <= kTraces; ++i) {
     TraceContext ctx{i, 0x0, true};
     RecordSpanUnder("test/leak", ctx, 0, 1000);
   }
-  std::string json = TraceStore::Global().TracezJson();
-  size_t active_pos = json.find("\"active\":");
-  ASSERT_NE(active_pos, std::string::npos);
-  int active = std::stoi(json.substr(active_pos + 9));  // strlen("\"active\":")
-  EXPECT_LE(active, 8);
+  const int active = ActiveTraces();
+  ASSERT_GE(active, 0);
+  EXPECT_LE(static_cast<size_t>(active), TraceStore::kMaxActiveTraces);
 }
 
 TEST_F(TraceContextTest, SpanIdsUniqueAcrossThreads) {
@@ -199,26 +241,27 @@ TEST_F(TraceContextTest, SpanIdsUniqueAcrossThreads) {
 }
 
 // Every sampled root span finished concurrently is offered to the store.
-// The active map holds every trace, so none can be evicted between its span
-// record and its finish however the threads interleave.
+// Each round's traces fit in the active map, so none can be evicted between
+// its span record and its finish however the threads interleave.
 TEST_F(TraceContextTest, ConcurrentRootSpansAllFinish) {
   constexpr int kThreads = 4;
-  constexpr int kPerThread = 500;
-  TraceStore::Options options;
-  options.max_active_traces = kThreads * kPerThread;
-  TraceStore::Global().Configure(options);
+  constexpr int kPerThread = 64;
+  static_assert(kThreads * kPerThread <= TraceStore::kMaxActiveTraces);
   Tracer::Global().SetSampleEvery(1);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([] {
-      for (int i = 0; i < kPerThread; ++i) {
-        TraceSpan span("test/concurrent", Tracer::Global().StartTrace());
-      }
-    });
+  for (int round = 0; round < 8; ++round) {
+    TraceStore::Global().Clear();
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([] {
+        for (int i = 0; i < kPerThread; ++i) {
+          TraceSpan span("test/concurrent", Tracer::Global().StartTrace());
+        }
+      });
+    }
+    for (auto& thread : threads) thread.join();
+    EXPECT_EQ(TraceStore::Global().finished_count(),
+              static_cast<uint64_t>(kThreads) * kPerThread);
   }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(TraceStore::Global().finished_count(),
-            static_cast<uint64_t>(kThreads) * kPerThread);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/trace_context.h"
 #include "src/sched/policies.h"
 
 namespace rc::sched {
@@ -46,6 +47,19 @@ TEST(SchedulerTest, FailsWhenFull) {
   Scheduler scheduler(&cluster, BaselineRules());
   EXPECT_TRUE(scheduler.Schedule(Vm(1, 16, true)).has_value());
   EXPECT_FALSE(scheduler.Schedule(Vm(2, 1, true)).has_value());
+}
+
+// rc_sched_place_latency_us is always on: one sample per Schedule(), placed
+// or rejected, with trace sampling off.
+TEST(SchedulerTest, PlaceLatencyTakesOneSamplePerSchedule) {
+  ASSERT_EQ(rc::obs::Tracer::Global().sample_every(), 0u);
+  rc::obs::MetricsRegistry reg;
+  Cluster cluster(ClusterConfig{1, 16, 112.0});
+  Scheduler scheduler(&cluster, BaselineRules(), &reg);
+  EXPECT_TRUE(scheduler.Schedule(Vm(1, 8, true)).has_value());
+  EXPECT_TRUE(scheduler.Schedule(Vm(2, 8, true)).has_value());
+  EXPECT_FALSE(scheduler.Schedule(Vm(3, 1, true)).has_value());
+  EXPECT_EQ(reg.GetHistogram("rc_sched_place_latency_us").TakeSnapshot().count, 3u);
 }
 
 TEST(SchedulerTest, CompleteFreesCapacity) {

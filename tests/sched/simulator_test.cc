@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/trace_context.h"
 #include "src/trace/workload_model.h"
 
 namespace rc::sched {
@@ -177,6 +178,21 @@ TEST(SimulatorTest, MaxOversubSweepMonotoneOversubscription) {
       EXPECT_EQ(result.oversub_placements, 0);
     }
   }
+}
+
+// rc_sim_slot_latency_us is always on: one sample per simulated slot, with
+// trace sampling off.
+TEST(SimulatorTest, SlotLatencyTakesOneSamplePerSlot) {
+  ASSERT_EQ(rc::obs::Tracer::Global().sample_every(), 0u);
+  SimConfig config = SmallSim();
+  config.horizon = kDay;
+  rc::obs::MetricsRegistry reg;
+  config.metrics = &reg;
+  Cluster cluster(config.cluster);
+  SchedulingPolicy policy(PolicyConfig{}, &cluster, nullptr);
+  ClusterSimulator(config).Run(RequestsFromTrace(SimTrace(), config.horizon), policy);
+  EXPECT_EQ(reg.GetHistogram("rc_sim_slot_latency_us").TakeSnapshot().count,
+            static_cast<uint64_t>(config.horizon / kSlot));
 }
 
 TEST(SimulatorTest, HeadroomGaugeMatchesRecountAndSkipsDrainedServers) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/obs/trace_context.h"
+
 namespace rc::store {
 namespace {
 
@@ -47,6 +49,22 @@ TEST(KvStoreTest, OutageHidesData) {
   EXPECT_TRUE(store.ListKeys("").empty());
   store.SetAvailable(true);
   EXPECT_TRUE(store.Get("k").has_value());
+}
+
+// rc_store_get_latency_us is always on: one sample per TryGet whatever its
+// outcome, with trace sampling off.
+TEST(KvStoreTest, GetLatencyTakesOneSamplePerTryGet) {
+  ASSERT_EQ(rc::obs::Tracer::Global().sample_every(), 0u);
+  rc::obs::MetricsRegistry reg;
+  KvStore::Options options;
+  options.metrics = &reg;
+  KvStore store(options);
+  store.Put("k", Bytes({1}));
+  EXPECT_TRUE(store.TryGet("k").ok());
+  EXPECT_EQ(store.TryGet("missing").status, KvStore::GetStatus::kNotFound);
+  store.SetAvailable(false);
+  EXPECT_EQ(store.TryGet("k").status, KvStore::GetStatus::kUnavailable);
+  EXPECT_EQ(reg.GetHistogram("rc_store_get_latency_us").TakeSnapshot().count, 3u);
 }
 
 TEST(KvStoreTest, PutFailsDuringOutage) {

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-shot gate: plain build + full ctest, metrics-exposition smoke checks
 # (quickstart with RC_METRICS_DUMP=1 and rc_server --smoke must emit every
-# required metric family; in both, every series line must parse and every
-# histogram must have _window_count),
+# required metric family; quickstart's pipeline stages and store reads must
+# each have a non-zero _count; in both, every series line must parse and
+# every histogram must have _window_count),
 # then the TSan and ASan/UBSan suites. Any failure stops the script.
 #
 # Usage: tools/check_all.sh
@@ -108,6 +109,29 @@ for family in "${REQUIRED_FAMILIES[@]}"; do
   fi
 done
 echo "all ${#REQUIRED_FAMILIES[@]} required metric families present."
+# No stage may lose its histogram: every stage quickstart runs (train once
+# per model), the store's TryGet and the client's store read must each have
+# taken a sample.
+REQUIRED_COUNTS=(
+  'rc_pipeline_stage_duration_us_count{stage="observations"}'
+  'rc_pipeline_stage_duration_us_count{stage="build_examples"}'
+  'rc_pipeline_stage_duration_us_count{stage="feature_snapshot"}'
+  'rc_pipeline_stage_duration_us_count{stage="publish"}'
+  rc_store_get_latency_us_count
+  rc_client_store_read_latency_us_count
+)
+for model in VM_AVGUTIL VM_P95UTIL DEPLOY_SIZE_VMS DEPLOY_SIZE_CORES VM_LIFETIME \
+             VM_WORKLOAD_CLASS; do
+  REQUIRED_COUNTS+=("rc_pipeline_stage_duration_us_count{model=\"${model}\",stage=\"train\"}")
+done
+for series in "${REQUIRED_COUNTS[@]}"; do
+  if ! awk -v s="${series}" '$1 == s && $2 > 0 { found = 1 } END { exit !found }' \
+      <<<"${EXPO}"; then
+    echo "FAIL: quickstart exposition has no non-zero '${series}'" >&2
+    exit 1
+  fi
+done
+echo "all ${#REQUIRED_COUNTS[@]} required stage and read timers took samples."
 EXPO_BODY="$(sed -n '/^== metrics (client registry) ==$/,$p' <<<"${EXPO}" \
   | grep -v -e '^== metrics' -e '^$')"
 check_exposition "quickstart" "${EXPO_BODY}"
