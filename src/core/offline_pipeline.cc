@@ -10,7 +10,6 @@
 #include "src/analysis/periodicity.h"
 #include "src/common/faults.h"
 #include "src/common/hashing.h"
-#include "src/common/parallel.h"
 #include "src/common/sim_time.h"
 #include "src/obs/trace_context.h"
 
@@ -374,11 +373,13 @@ TrainedModels OfflinePipeline::Run(const Trace& trace) const {
     return data;
   };
 
-  // Fits `metric`'s model with its per-metric seed, so the bits do not
-  // depend on which thread runs the fit or on what runs beside it.
-  auto fit = [this](Metric metric, const rc::ml::Dataset& data,
-                    rc::obs::Histogram& train_hist) -> std::unique_ptr<rc::ml::Classifier> {
-    rc::obs::TraceSpan span("pipeline/train", &train_hist);
+  // Fits `metric`'s model with its per-metric seed. Each fit is parallel
+  // inside: a forest over its trees, a multiclass boosted fit over each
+  // round's class trees.
+  auto fit = [this](Metric metric,
+                    const rc::ml::Dataset& data) -> std::unique_ptr<rc::ml::Classifier> {
+    rc::obs::TraceSpan span("pipeline/train",
+                            &StageHistogram(config_.metrics, "train", MetricModelName(metric)));
     const uint64_t seed = config_.seed + static_cast<uint64_t>(metric);
     if (UsesRandomForest(metric)) {
       rc::ml::RandomForestConfig cfg = config_.rf;
@@ -396,54 +397,14 @@ TrainedModels OfflinePipeline::Run(const Trace& trace) const {
     return std::make_unique<rc::ml::GradientBoostedTrees>(
         rc::ml::GradientBoostedTrees::Fit(data, cfg));
   };
-  auto train_hist = [&](Metric metric) -> rc::obs::Histogram& {
-    return StageHistogram(config_.metrics, "train", MetricModelName(metric));
-  };
 
-  // The forests first, one at a time: each fit is already parallel over its
-  // trees, and each wide expanded-encoding matrix is freed before the next.
-  std::unique_ptr<rc::ml::Classifier> models[kNumMetrics];
-  for (Metric metric : kAllMetrics) {
-    if (!UsesRandomForest(metric)) continue;
-    if (std::optional<rc::ml::Dataset> data = build_dataset(metric)) {
-      models[static_cast<size_t>(metric)] = fit(metric, *data, train_hist(metric));
-    }
-  }
-
-  // Then the boosted fits, which are serial inside, side by side. Their
-  // matrices are built first; the costliest fit goes first, so with a thread
-  // per fit the calling thread takes it.
-  struct BoostedFit {
-    Metric metric;
-    rc::ml::Dataset data;
-    rc::obs::Histogram* train_hist;
-    // Rows x features x trees per round: what a fit's split search scales with.
-    double cost;
-  };
-  std::vector<BoostedFit> boosted;
-  for (Metric metric : kAllMetrics) {
-    if (UsesRandomForest(metric)) continue;
-    if (std::optional<rc::ml::Dataset> data = build_dataset(metric)) {
-      const int k = data->NumClasses();
-      const double cost = static_cast<double>(data->num_rows()) *
-                          static_cast<double>(data->num_features()) * (k == 2 ? 1 : k);
-      boosted.push_back({metric, std::move(*data), &train_hist(metric), cost});
-    }
-  }
-  std::stable_sort(boosted.begin(), boosted.end(),
-                   [](const BoostedFit& a, const BoostedFit& b) { return a.cost > b.cost; });
-  ParallelFor(boosted.size(), HardwareThreads(), [&](size_t begin, size_t end) {
-    for (size_t j = begin; j < end; ++j) {
-      models[static_cast<size_t>(boosted[j].metric)] =
-          fit(boosted[j].metric, boosted[j].data, *boosted[j].train_hist);
-    }
-  });
-  boosted.clear();
-
+  // One model at a time: its matrix is built, fitted and freed before the
+  // next metric's is built.
   TrainedModels trained;
   for (Metric metric : kAllMetrics) {
-    std::unique_ptr<rc::ml::Classifier>& model = models[static_cast<size_t>(metric)];
-    if (model == nullptr) continue;
+    std::optional<rc::ml::Dataset> data = build_dataset(metric);
+    if (!data) continue;
+    std::unique_ptr<rc::ml::Classifier> model = fit(metric, *data);
     ModelSpec spec;
     spec.name = MetricModelName(metric);
     spec.metric = metric;

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "src/common/parallel.h"
 #include "src/ml/exec_engine.h"
 #include "src/ml/link_functions.h"
 
@@ -52,29 +53,25 @@ GradientBoostedTrees GradientBoostedTrees::Fit(const Dataset& data, const GbtCon
                                         : config.class_weights[static_cast<size_t>(label)];
   };
 
+  // A round fits one tree (binary) or one per class (multiclass). The round's
+  // row subsample is drawn from `rng`; each tree gets its own Rng, seeded up
+  // front as RandomForest::Fit seeds its trees, so no Rng is shared across
+  // threads and the bits never depend on the thread count.
   Rng rng(config.seed);
-  std::vector<double> grad(n), hess(n);
+  const size_t num_trees = static_cast<size_t>(config.num_rounds) * score_width;
+  std::vector<uint64_t> tree_seeds(num_trees);
+  {
+    Rng seeder = Rng(config.seed).Fork();
+    for (auto& s : tree_seeds) s = seeder.NextU64();
+  }
+  model.trees_.reserve(num_trees);
+  // Class-major buffers: tree c of a round reads its gradients and hessians
+  // from [c * n, (c + 1) * n) and writes its per-row score deltas there.
+  std::vector<double> grad(score_width * n), hess(score_width * n), delta(score_width * n);
   std::vector<uint32_t> rows;
   rows.reserve(n);
   std::vector<double> probs(static_cast<size_t>(k));
-  // Adds a new tree's value to every row's running score for class column
-  // `c`. The round's sampled rows (`rows`, ascending) take the leaf value
-  // training partitioned them into; only the others walk the tree. Both give
-  // the same value (FitRegressor), so the scores are the same bits.
-  std::vector<double> leaf_value(n);
-  auto add_tree = [&](const DecisionTree& tree, size_t c) {
-    size_t next = 0;
-    for (size_t i = 0; i < n; ++i) {
-      double value;
-      if (next < rows.size() && rows[next] == i) {
-        value = leaf_value[i];
-        ++next;
-      } else {
-        value = tree.PredictValue(data.Row(i));
-      }
-      scores[i * score_width + c] += config.learning_rate * value;
-    }
-  };
+  std::vector<DecisionTree> round_trees(score_width);
 
   for (int round = 0; round < config.num_rounds; ++round) {
     // Row subsample for this round (shared across the per-class trees).
@@ -90,6 +87,9 @@ GradientBoostedTrees GradientBoostedTrees::Fit(const Dataset& data, const GbtCon
           0, static_cast<int64_t>(n) - 1)));
     }
 
+    // Every gradient comes from the round-start scores. Multiclass takes one
+    // softmax per row for all k classes, as XGBoost's softmax objective does,
+    // so the round's class trees are independent of each other.
     if (binary) {
       for (size_t i = 0; i < n; ++i) {
         double p = Sigmoid(scores[i]);
@@ -98,26 +98,50 @@ GradientBoostedTrees GradientBoostedTrees::Fit(const Dataset& data, const GbtCon
         grad[i] = w * (p - y);
         hess[i] = std::max(w * p * (1.0 - p), 1e-9);
       }
-      DecisionTree tree =
-          DecisionTree::FitRegressor(view, grad, hess, rows, config.tree, rng, leaf_value);
-      add_tree(tree, 0);
-      model.trees_.push_back(std::move(tree));
     } else {
-      for (int c = 0; c < k; ++c) {
-        for (size_t i = 0; i < n; ++i) {
-          Softmax({&scores[i * score_width], score_width}, probs);
+      for (size_t i = 0; i < n; ++i) {
+        Softmax({&scores[i * score_width], score_width}, probs);
+        const int label = data.Label(i);
+        const double w = weight_of(label);
+        for (int c = 0; c < k; ++c) {
           double p = probs[static_cast<size_t>(c)];
-          double y = data.Label(i) == c ? 1.0 : 0.0;
-          double w = weight_of(data.Label(i));
-          grad[i] = w * (p - y);
-          hess[i] = std::max(w * p * (1.0 - p), 1e-9);
+          double y = label == c ? 1.0 : 0.0;
+          grad[static_cast<size_t>(c) * n + i] = w * (p - y);
+          hess[static_cast<size_t>(c) * n + i] = std::max(w * p * (1.0 - p), 1e-9);
         }
-        DecisionTree tree =
-            DecisionTree::FitRegressor(view, grad, hess, rows, config.tree, rng, leaf_value);
-        add_tree(tree, static_cast<size_t>(c));
-        model.trees_.push_back(std::move(tree));
       }
     }
+
+    // The class trees side by side, each into its own delta buffer: the
+    // round's sampled rows (`rows`, ascending) take the leaf value training
+    // partitioned them into, and only the others walk the tree. Both routes
+    // give the same value (FitRegressor), so the deltas are the bits a walk
+    // of every row would give.
+    ParallelFor(score_width, HardwareThreads(), [&](size_t begin, size_t end) {
+      for (size_t c = begin; c < end; ++c) {
+        Rng tree_rng(tree_seeds[static_cast<size_t>(round) * score_width + c]);
+        std::span<double> d(&delta[c * n], n);
+        round_trees[c] = DecisionTree::FitRegressor(view, {&grad[c * n], n}, {&hess[c * n], n},
+                                                    rows, config.tree, tree_rng, d);
+        size_t next = 0;
+        for (size_t i = 0; i < n; ++i) {
+          double value;
+          if (next < rows.size() && rows[next] == i) {
+            value = d[i];
+            ++next;
+          } else {
+            value = round_trees[c].PredictValue(data.Row(i));
+          }
+          d[i] = config.learning_rate * value;
+        }
+      }
+    });
+    // Only the calling thread writes the scores, so no two workers write to
+    // one cache line.
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t c = 0; c < score_width; ++c) scores[i * score_width + c] += delta[c * n + i];
+    }
+    for (DecisionTree& tree : round_trees) model.trees_.push_back(std::move(tree));
   }
   model.CompileEngine();
   return model;

@@ -1,7 +1,9 @@
 // Extreme Gradient Boosting Trees: Newton boosting with softmax (K > 2) or
 // logistic (K == 2) loss, shrinkage, row subsampling, and L2-regularized leaf
 // values. The paper uses boosted trees for deployment size, lifetime, and
-// workload class (Table 1).
+// workload class (Table 1). As in XGBoost, a multiclass round takes all K
+// gradients from the scores at the start of the round, so its K class trees
+// are independent and are fit side by side.
 #ifndef RC_SRC_ML_GBT_H_
 #define RC_SRC_ML_GBT_H_
 

@@ -127,9 +127,9 @@ TEST(PipelineTest, RunAttributesEveryStage) {
   EXPECT_EQ(count({{"stage", "feature_snapshot"}}), 1u);
 }
 
-// Run fits the boosted models side by side on several threads. Each must
-// serialize to the same bytes as a fit of its own, on the same dataset and
-// seed, with nothing running beside it.
+// Run fits one model at a time, and each boosted fit runs its class trees
+// on several threads. Each model must serialize to the same bytes as a fit
+// of its own, on the same dataset and seed, outside the pipeline.
 TEST(PipelineTest, BoostedModelsMatchStandaloneFits) {
   const TrainedModels& trained = SharedModels();
   const PipelineConfig config = FastConfig();

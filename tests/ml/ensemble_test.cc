@@ -7,7 +7,9 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/ml/bytes.h"
 #include "src/ml/gbt.h"
+#include "src/ml/link_functions.h"
 #include "src/ml/random_forest.h"
 
 namespace rc::ml {
@@ -220,6 +222,75 @@ TEST(GbtTest, ClassWeightSizeValidated) {
   GbtConfig config;
   config.class_weights = {1.0, 2.0};  // 3 classes
   EXPECT_THROW(GradientBoostedTrees::Fit(train, config), std::invalid_argument);
+}
+
+std::vector<uint8_t> TreeBytes(const DecisionTree& tree) {
+  ByteWriter w;
+  tree.Serialize(w);
+  return w.TakeBytes();
+}
+
+// The multiclass fit, which grows a round's class trees on several threads,
+// pinned to a serial reference of XGBoost's softmax objective: each round
+// takes one softmax per row from the round-start scores, fits the k class
+// trees one after another on the same binned matrix, rows and seeds, and
+// moves the scores only after all k. Class weights cover the weighted
+// gradient.
+TEST(GbtTest, ClassTreesMatchASerialOnePassFit) {
+  const Dataset train = MakeMulticlass(21, 3000);
+  GbtConfig config;
+  config.num_rounds = 6;
+  config.seed = 7;
+  config.class_weights = {1.0, 2.0, 0.5};
+  const GradientBoostedTrees model = GradientBoostedTrees::Fit(train, config);
+
+  const size_t n = train.num_rows();
+  const size_t k = 3;
+  ASSERT_EQ(model.tree_count(), static_cast<size_t>(config.num_rounds) * k);
+  const FeatureBinner binner = FeatureBinner::Fit(train, config.max_bins);
+  const std::vector<uint8_t> bins = binner.Transform(train);
+  const BinnedView view{bins.data(), n, train.num_features(), &binner};
+  std::vector<double> scores(n * k);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t c = 0; c < k; ++c) scores[i * k + c] = model.base_score()[c];
+  }
+
+  Rng rng(config.seed);                       // row subsamples
+  Rng seeder = Rng(config.seed).Fork();       // one seed per tree, in order
+  std::vector<std::vector<double>> grad(k, std::vector<double>(n));
+  std::vector<std::vector<double>> hess(k, std::vector<double>(n));
+  std::vector<double> probs(k);
+  for (int round = 0; round < config.num_rounds; ++round) {
+    std::vector<uint32_t> rows;
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Bernoulli(config.subsample)) rows.push_back(static_cast<uint32_t>(i));
+    }
+    ASSERT_FALSE(rows.empty());
+    for (size_t i = 0; i < n; ++i) {
+      Softmax({&scores[i * k], k}, probs);
+      const size_t label = static_cast<size_t>(train.Label(i));
+      const double w = config.class_weights[label];
+      for (size_t c = 0; c < k; ++c) {
+        const double y = label == c ? 1.0 : 0.0;
+        grad[c][i] = w * (probs[c] - y);
+        hess[c][i] = std::max(w * probs[c] * (1.0 - probs[c]), 1e-9);
+      }
+    }
+    std::vector<DecisionTree> trees;
+    for (size_t c = 0; c < k; ++c) {
+      Rng tree_rng(seeder.NextU64());
+      trees.push_back(
+          DecisionTree::FitRegressor(view, grad[c], hess[c], rows, config.tree, tree_rng));
+      const size_t t = static_cast<size_t>(round) * k + c;
+      ASSERT_EQ(TreeBytes(trees[c]), TreeBytes(model.tree(t))) << "round " << round
+                                                               << " class " << c;
+    }
+    for (size_t i = 0; i < n; ++i) {
+      for (size_t c = 0; c < k; ++c) {
+        scores[i * k + c] += config.learning_rate * trees[c].PredictValue(train.Row(i));
+      }
+    }
+  }
 }
 
 TEST(GbtTest, SerializationRoundTrip) {

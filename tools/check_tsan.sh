@@ -37,9 +37,11 @@ echo "== rc_trace_tests (TSan) =="
 "${BUILD_DIR}/tests/rc_trace_tests" "$@"
 # The exec-engine walks (scalar and the AVX2 kernel) run regardless of any
 # caller filter: the engine is shared read-only across prediction threads,
-# so any mutation the sanitizer can see is a real bug.
-echo "== rc_ml_tests (TSan, exec-engine parity) =="
-"${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*'
+# so any mutation the sanitizer can see is a real bug. A multiclass boosted
+# fit grows each round's class trees on worker threads that share the binned
+# matrix and the row subsample, so the boosting suite runs too.
+echo "== rc_ml_tests (TSan, exec-engine parity + boosted class trees) =="
+"${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*:GbtTest*'
 # Tracing + admin endpoint always run under TSan: the span tree is assembled
 # across client threads and epoll workers, and the admin thread scrapes
 # registries the workers are writing — both are cross-thread by construction.
@@ -70,11 +72,10 @@ echo "== rc_core_tests (TSan, no-prediction vs feature push storm) =="
 # Trace generation fills the ground-truth summaries from several threads,
 # each writing its own chunk of VmRecords; the fingerprint suite generates a
 # trace and checks every summary, so it runs regardless of any caller filter.
-# The offline pipeline fits its boosted models side by side, each thread
-# recording into the shared registry's train-stage histograms; the pipeline
-# suites run it and pin its models, so they run regardless of any caller
-# filter.
-echo "== rc_core_tests (TSan, concurrent pipeline fits) =="
+# The offline pipeline's fits are parallel inside (forest trees, boosted
+# class trees); the pipeline suites run it and pin its models, so they run
+# regardless of any caller filter.
+echo "== rc_core_tests (TSan, parallel pipeline fits) =="
 "${BUILD_DIR}/tests/rc_core_tests" --gtest_filter='PipelineTest*:PipelineFingerprint*'
 echo "== rc_trace_tests (TSan, parallel summary pass + fingerprint) =="
 "${BUILD_DIR}/tests/rc_trace_tests" --gtest_filter='TraceFingerprint*'
