@@ -49,20 +49,35 @@ SubscriptionFeatures SubscriptionFeatures::Deserialize(const std::vector<uint8_t
 }
 
 SubscriptionFeatures FeatureDataBuilder::Snapshot(uint64_t subscription_id) const {
-  auto it = data_.find(subscription_id);
-  if (it != data_.end()) return it->second;
+  auto it = entries_.find(subscription_id);
+  if (it != entries_.end()) return it->second.features;
   SubscriptionFeatures empty;
   empty.subscription_id = subscription_id;
   return empty;
 }
 
 bool FeatureDataBuilder::Has(uint64_t subscription_id) const {
-  return data_.contains(subscription_id);
+  return entries_.contains(subscription_id);
+}
+
+std::unordered_map<uint64_t, SubscriptionFeatures> FeatureDataBuilder::TakeData() {
+  std::unordered_map<uint64_t, SubscriptionFeatures> out;
+  out.reserve(entries_.size());
+  for (auto& [id, entry] : entries_) out.emplace(id, std::move(entry.features));
+  entries_.clear();
+  return out;
+}
+
+FeatureDataBuilder::Entry& FeatureDataBuilder::EntryFor(uint64_t subscription_id) {
+  Entry& entry = entries_[subscription_id];
+  entry.features.subscription_id = subscription_id;
+  return entry;
 }
 
 void FeatureDataBuilder::ObserveUtilization(uint64_t subscription_id, double avg_cpu,
                                             double p95_max_cpu, int cores) {
-  Counters& c = counters_[subscription_id];
+  Entry& entry = EntryFor(subscription_id);
+  Counters& c = entry.counters;
   c.bucket_counts[static_cast<size_t>(Metric::kAvgCpu)]
                  [static_cast<size_t>(UtilizationBucket(avg_cpu))] += 1;
   c.bucket_counts[static_cast<size_t>(Metric::kP95Cpu)]
@@ -71,35 +86,30 @@ void FeatureDataBuilder::ObserveUtilization(uint64_t subscription_id, double avg
   c.sum_avg_cpu += avg_cpu;
   c.sum_p95_cpu += p95_max_cpu;
   c.sum_cores += cores;
-
-  SubscriptionFeatures& f = data_[subscription_id];
-  f.subscription_id = subscription_id;
-  f.vm_count = c.util_observed;
-  Recompute(subscription_id);
+  entry.features.vm_count = c.util_observed;
+  Recompute(entry);
 }
 
 void FeatureDataBuilder::ObserveClass(uint64_t subscription_id,
                                       WorkloadClass workload_class) {
   if (workload_class == WorkloadClass::kUnknown) return;
-  Counters& c = counters_[subscription_id];
+  Entry& entry = EntryFor(subscription_id);
+  Counters& c = entry.counters;
   int cls = workload_class == WorkloadClass::kInteractive ? kClassInteractive
                                                           : kClassDelayInsensitive;
   c.bucket_counts[static_cast<size_t>(Metric::kClass)][static_cast<size_t>(cls)] += 1;
   c.class_observed += 1;
-  SubscriptionFeatures& f = data_[subscription_id];
-  f.subscription_id = subscription_id;
-  Recompute(subscription_id);
+  Recompute(entry);
 }
 
 void FeatureDataBuilder::ObserveLifetime(uint64_t subscription_id, SimDuration lifetime) {
-  Counters& c = counters_[subscription_id];
+  Entry& entry = EntryFor(subscription_id);
+  Counters& c = entry.counters;
   c.bucket_counts[static_cast<size_t>(Metric::kLifetime)]
                  [static_cast<size_t>(LifetimeBucket(lifetime))] += 1;
   c.lifetime_observed += 1;
   c.sum_log_lifetime += std::log(std::max<double>(static_cast<double>(lifetime), 1.0));
-  SubscriptionFeatures& f = data_[subscription_id];
-  f.subscription_id = subscription_id;
-  Recompute(subscription_id);
+  Recompute(entry);
 }
 
 void FeatureDataBuilder::ObserveVm(const VmRecord& vm, WorkloadClass workload_class) {
@@ -110,22 +120,20 @@ void FeatureDataBuilder::ObserveVm(const VmRecord& vm, WorkloadClass workload_cl
 
 void FeatureDataBuilder::ObserveDeployment(uint64_t subscription_id, int64_t vms,
                                            int64_t cores) {
-  Counters& c = counters_[subscription_id];
+  Entry& entry = EntryFor(subscription_id);
+  Counters& c = entry.counters;
   c.bucket_counts[static_cast<size_t>(Metric::kDeployVms)]
                  [static_cast<size_t>(DeploymentSizeBucket(vms))] += 1;
   c.bucket_counts[static_cast<size_t>(Metric::kDeployCores)]
                  [static_cast<size_t>(DeploymentSizeBucket(cores))] += 1;
   c.sum_deploy_vms += static_cast<double>(vms);
-
-  SubscriptionFeatures& f = data_[subscription_id];
-  f.subscription_id = subscription_id;
-  f.deployment_count += 1;
-  Recompute(subscription_id);
+  entry.features.deployment_count += 1;
+  Recompute(entry);
 }
 
-void FeatureDataBuilder::Recompute(uint64_t subscription_id) {
-  const Counters& c = counters_[subscription_id];
-  SubscriptionFeatures& f = data_[subscription_id];
+void FeatureDataBuilder::Recompute(Entry& entry) {
+  const Counters& c = entry.counters;
+  SubscriptionFeatures& f = entry.features;
   for (int m = 0; m < kNumMetrics; ++m) {
     Metric metric = kAllMetrics[static_cast<size_t>(m)];
     int64_t denom;

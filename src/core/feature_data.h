@@ -65,8 +65,10 @@ class FeatureDataBuilder {
   // completed VM's utilization, class, and lifetime at once.
   void ObserveVm(const rc::trace::VmRecord& vm, rc::trace::WorkloadClass workload_class);
 
-  const std::unordered_map<uint64_t, SubscriptionFeatures>& data() const { return data_; }
-  std::unordered_map<uint64_t, SubscriptionFeatures> TakeData() { return std::move(data_); }
+  // Number of subscriptions observed so far.
+  size_t size() const { return entries_.size(); }
+  // Moves every subscription's features out, leaving the builder empty.
+  std::unordered_map<uint64_t, SubscriptionFeatures> TakeData();
 
  private:
   struct Counters {
@@ -81,10 +83,17 @@ class FeatureDataBuilder {
     double sum_deploy_vms = 0.0;
   };
 
-  void Recompute(uint64_t subscription_id);
+  // One subscription's features and the counters they are computed from.
+  struct Entry {
+    SubscriptionFeatures features;
+    Counters counters;
+  };
 
-  std::unordered_map<uint64_t, SubscriptionFeatures> data_;
-  std::unordered_map<uint64_t, Counters> counters_;
+  // The subscription's entry, created (with its id set) on first use.
+  Entry& EntryFor(uint64_t subscription_id);
+  static void Recompute(Entry& entry);
+
+  std::unordered_map<uint64_t, Entry> entries_;
 };
 
 }  // namespace rc::core

@@ -50,8 +50,10 @@ class Dataset {
 // splits) but store raw-value thresholds so inference works on raw features.
 class FeatureBinner {
  public:
-  // Learns bin boundaries from the data, one feature per task across
-  // threads; the result does not depend on the thread count.
+  // Learns bin boundaries from the data: the values at the equal-frequency
+  // ranks, taken by selection rather than a full sort, with threads taking
+  // one feature at a time. The result does not depend on the thread count.
+  // A zero boundary is always +0.0.
   static FeatureBinner Fit(const Dataset& data, int max_bins = 64);
 
   // Bin index of value v for feature f, in [0, NumBins(f)).
@@ -66,8 +68,8 @@ class FeatureBinner {
     return boundaries_[f][static_cast<size_t>(b)];
   }
 
-  // Column-major binned matrix: entry (row, f) at [f * rows + row]. Columns
-  // are filled in parallel.
+  // Column-major binned matrix: entry (row, f) at [f * rows + row]. Filled
+  // in parallel over row ranges, reading each row once.
   std::vector<uint8_t> Transform(const Dataset& data) const;
 
  private:

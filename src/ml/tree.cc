@@ -24,6 +24,16 @@ inline void AddTo(GradPair& bin, const GradPair& x) {
   bin.h += x.h;
 #endif
 }
+
+// bin -= x, lane for lane, as AddTo adds.
+inline void SubFrom(GradPair& bin, const GradPair& x) {
+#if defined(__SSE2__)
+  _mm_store_pd(&bin.g, _mm_sub_pd(_mm_load_pd(&bin.g), _mm_load_pd(&x.g)));
+#else
+  bin.g -= x.g;
+  bin.h -= x.h;
+#endif
+}
 }  // namespace
 
 void BuildGradHistograms(std::span<const uint32_t> rows, const GradPair* gh,
@@ -61,6 +71,15 @@ void BuildGradHistograms(std::span<const uint32_t> rows, const GradPair* gh,
   }
 }
 
+void SubtractGradHistograms(std::span<GradPair> sums, std::span<uint32_t> counts,
+                            std::span<const GradPair> child_sums,
+                            std::span<const uint32_t> child_counts) {
+  for (size_t i = 0; i < sums.size(); ++i) {
+    SubFrom(sums[i], child_sums[i]);
+    counts[i] -= child_counts[i];
+  }
+}
+
 // Shared training machinery for both tree modes. Rows live in one index
 // buffer that is partitioned in place as the tree grows.
 class TreeTrainer {
@@ -81,7 +100,7 @@ class TreeTrainer {
     tree_.num_classes_ = num_classes;
     tree_.gain_importance_.assign(data_.features, 0.0);
     idx_.assign(row_indices.begin(), row_indices.end());
-    BuildNode(0, idx_.size(), 0);
+    BuildNode(0, idx_.size(), 0, false);
     return std::move(tree_);
   }
 
@@ -92,17 +111,43 @@ class TreeTrainer {
     hess_ = hess;
     row_values_ = row_values;
     node_gh_.resize(row_indices.size());
-    grad_hist_.resize(2 * kMaxBins);
-    grad_counts_.resize(2 * kMaxBins);
+    // Every splittable feature's bins, back to back, sized by its real bin
+    // count; features with one bin never split and get none.
+    std::vector<size_t> bin_offset;  // split_features_[j]'s first bin in a slot
+    size_t total_bins = 0;
+    for (uint32_t f = 0; f < data_.features; ++f) {
+      const size_t bins = static_cast<size_t>(data_.binner->NumBins(f));
+      if (bins < 2) continue;
+      split_features_.push_back(f);
+      bin_offset.push_back(total_bins);
+      total_bins += bins;
+    }
+    slots_.resize(static_cast<size_t>(std::max(config_.max_depth, 0)));
+    for (HistSlot& slot : slots_) {
+      slot.sums.resize(total_bins);
+      slot.counts.resize(total_bins);
+      for (size_t j = 0; j < split_features_.size(); ++j) {
+        slot.hists.push_back(GradHistogram{
+            data_.bins + static_cast<size_t>(split_features_[j]) * data_.rows,
+            slot.sums.data() + bin_offset[j], slot.counts.data() + bin_offset[j]});
+      }
+    }
     num_classes_ = 0;
     tree_.num_classes_ = 0;
     tree_.gain_importance_.assign(data_.features, 0.0);
     idx_.assign(row_indices.begin(), row_indices.end());
-    BuildNode(0, idx_.size(), 0);
+    BuildNode(0, idx_.size(), 0, false);
     return std::move(tree_);
   }
 
  private:
+  // One node's histograms: every splittable feature's bins, back to back.
+  struct HistSlot {
+    std::vector<GradPair> sums;
+    std::vector<uint32_t> counts;
+    std::vector<GradHistogram> hists;  // split_features_[j]'s column and bins
+  };
+
   struct Split {
     bool found = false;
     size_t feature = 0;
@@ -112,16 +157,22 @@ class TreeTrainer {
 
   bool IsClassification() const { return num_classes_ > 0; }
 
-  // Builds the subtree over idx_[begin, end); returns its node index.
-  int32_t BuildNode(size_t begin, size_t end, int depth) {
+  bool Searches(size_t n, int depth) const {
+    return depth < config_.max_depth && n >= 2 * static_cast<size_t>(config_.min_samples_leaf);
+  }
+
+  // Builds the subtree over idx_[begin, end); returns its node index. A
+  // regression node that searches keeps its histograms in slots_[depth];
+  // `has_hists` says its parent already put them there.
+  int32_t BuildNode(size_t begin, size_t end, int depth, bool has_hists) {
     size_t n = end - begin;
     int32_t node_id = static_cast<int32_t>(tree_.nodes_.size());
     tree_.nodes_.emplace_back();
 
     Split split;
-    if (depth < config_.max_depth &&
-        n >= 2 * static_cast<size_t>(config_.min_samples_leaf)) {
-      split = FindBestSplit(begin, end);
+    if (Searches(n, depth)) {
+      split = IsClassification() ? FindBestSplitGini(begin, end)
+                                 : FindBestSplitGrad(begin, end, depth, has_hists);
     }
     if (!split.found) {
       MakeLeaf(node_id, begin, end);
@@ -143,8 +194,29 @@ class TreeTrainer {
 
     tree_.nodes_[node_id].feature = static_cast<int32_t>(split.feature);
     tree_.nodes_[node_id].threshold = data_.binner->SplitThreshold(split.feature, split.bin);
-    int32_t left = BuildNode(begin, mid, depth + 1);
-    int32_t right = BuildNode(mid, end, depth + 1);
+    // Histogram subtraction: when both children will search, build the
+    // smaller child's histograms from its rows into slots_[depth + 1] and
+    // turn the parent's, in slots_[depth], into the larger child's. Each
+    // child finds its own in slots_[depth + 1] when it runs; the left
+    // subtree writes only slots deeper than depth, so the right child's
+    // wait in slots_[depth] until they swap in.
+    const size_t n_left = mid - begin;
+    const bool subtract = !IsClassification() && Searches(n_left, depth + 1) &&
+                          Searches(end - mid, depth + 1);
+    if (subtract) {
+      const bool left_smaller = n_left <= end - mid;
+      HistSlot& parent = slots_[static_cast<size_t>(depth)];
+      HistSlot& smaller = slots_[static_cast<size_t>(depth) + 1];
+      GatherGradients(left_smaller ? begin : mid, left_smaller ? mid : end);
+      BuildHistograms(smaller, left_smaller ? begin : mid, left_smaller ? mid : end);
+      SubtractGradHistograms(parent.sums, parent.counts, smaller.sums, smaller.counts);
+      if (!left_smaller) std::swap(parent, smaller);
+    }
+    int32_t left = BuildNode(begin, mid, depth + 1, subtract);
+    if (subtract) {
+      std::swap(slots_[static_cast<size_t>(depth)], slots_[static_cast<size_t>(depth) + 1]);
+    }
+    int32_t right = BuildNode(mid, end, depth + 1, subtract);
     tree_.nodes_[node_id].left = left;
     tree_.nodes_[node_id].right = right;
     return node_id;
@@ -190,11 +262,6 @@ class TreeTrainer {
       std::swap(feature_scratch_[i], feature_scratch_[j]);
     }
     return {feature_scratch_.data(), k};
-  }
-
-  Split FindBestSplit(size_t begin, size_t end) {
-    return IsClassification() ? FindBestSplitGini(begin, end)
-                              : FindBestSplitGrad(begin, end);
   }
 
   Split FindBestSplitGini(size_t begin, size_t end) {
@@ -251,46 +318,36 @@ class TreeTrainer {
     return best;
   }
 
-  Split FindBestSplitGrad(size_t begin, size_t end) {
-    const size_t n = end - begin;
-    // Ordered gradients: the node's (grad, hess) pairs gathered into node
-    // order once, so every feature's histogram pass reads them contiguously.
+  // Ordered gradients: gathers the (grad, hess) pairs of idx_[begin, end)
+  // into node_gh_ in node order, so every feature's histogram pass reads
+  // them contiguously, and returns their sums, added in that order.
+  GradPair GatherGradients(size_t begin, size_t end) {
     GradPair* gh = node_gh_.data();
-    double g_total = 0.0, h_total = 0.0;
-    for (size_t i = 0; i < n; ++i) {
+    GradPair total;
+    for (size_t i = 0; i < end - begin; ++i) {
       const uint32_t row = idx_[begin + i];
       gh[i] = GradPair{grad_[row], hess_[row]};
-      g_total += gh[i].g;
-      h_total += gh[i].h;
+      total.g += gh[i].g;
+      total.h += gh[i].h;
     }
-    const std::span<const uint32_t> rows(idx_.data() + begin, n);
+    return total;
+  }
 
+  // Every splittable feature's histogram of idx_[begin, end), from the
+  // pairs GatherGradients just put in node_gh_.
+  void BuildHistograms(HistSlot& slot, size_t begin, size_t end) {
+    std::fill(slot.sums.begin(), slot.sums.end(), GradPair{});
+    std::fill(slot.counts.begin(), slot.counts.end(), 0u);
+    BuildGradHistograms({idx_.data() + begin, end - begin}, node_gh_.data(), slot.hists);
+  }
+
+  Split FindBestSplitGrad(size_t begin, size_t end, int depth, bool has_hists) {
+    const GradPair total = GatherGradients(begin, end);
+    HistSlot& slot = slots_[static_cast<size_t>(depth)];
+    if (!has_hists) BuildHistograms(slot, begin, end);
     Split best;
-    std::span<const uint32_t> features = SampleFeatures();
-    size_t next = 0;
-    while (true) {
-      // The next two splittable features, histogrammed in one pass and then
-      // scanned in feature order, as if one at a time.
-      GradHistogram hists[2];
-      uint32_t hist_feature[2];
-      size_t m = 0;
-      while (m < 2 && next < features.size()) {
-        const uint32_t f = features[next++];
-        const size_t bins = static_cast<size_t>(data_.binner->NumBins(f));
-        if (bins < 2) continue;
-        GradPair* sums = grad_hist_.data() + m * kMaxBins;
-        uint32_t* counts = grad_counts_.data() + m * kMaxBins;
-        std::fill(sums, sums + bins, GradPair{});
-        std::fill(counts, counts + bins, 0u);
-        hists[m] = GradHistogram{data_.bins + static_cast<size_t>(f) * data_.rows, sums, counts};
-        hist_feature[m] = f;
-        ++m;
-      }
-      if (m == 0) break;
-      BuildGradHistograms(rows, gh, {hists, m});
-      for (size_t j = 0; j < m; ++j) {
-        ScanGradHistogram(hist_feature[j], hists[j], n, g_total, h_total, best);
-      }
+    for (size_t j = 0; j < split_features_.size(); ++j) {
+      ScanGradHistogram(split_features_[j], slot.hists[j], end - begin, total.g, total.h, best);
     }
     return best;
   }
@@ -345,10 +402,11 @@ class TreeTrainer {
 
   std::vector<uint32_t> idx_;
   std::vector<uint32_t> feature_scratch_;
-  // Split-search scratch, sized once per tree and reused by every node.
-  std::vector<GradPair> node_gh_;       // the node's rows' (grad, hess), node order
-  std::vector<GradPair> grad_hist_;     // two features' bin sums
-  std::vector<uint32_t> grad_counts_;   // two features' bin row counts
+  // Gradient split-search scratch, sized once per tree and reused by every
+  // node.
+  std::vector<GradPair> node_gh_;          // a node's rows' (grad, hess), node order
+  std::vector<uint32_t> split_features_;   // features with at least two bins
+  std::vector<HistSlot> slots_;            // slots_[d]: the searching node at depth d
   DecisionTree tree_;
 };
 
@@ -367,6 +425,9 @@ DecisionTree DecisionTree::FitRegressor(const BinnedView& data, std::span<const 
                                         const TreeConfig& config, Rng& rng,
                                         std::span<double> row_values) {
   if (row_indices.empty()) throw std::invalid_argument("FitRegressor: no rows");
+  if (config.max_features != 0) {
+    throw std::invalid_argument("FitRegressor: regression trees search every feature");
+  }
   TreeTrainer trainer(data, config, rng);
   return trainer.TrainRegressor(grad, hess, row_indices, row_values);
 }

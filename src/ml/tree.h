@@ -21,8 +21,10 @@ struct TreeConfig {
   int max_depth = 10;
   int min_samples_leaf = 2;
   double min_gain = 1e-7;
-  // Features considered per split; 0 means all (GBT), sqrt(F) is the usual
-  // Random Forest choice (set by the forest trainer).
+  // Features considered per split by a classification tree; 0 means all,
+  // sqrt(F) is the usual Random Forest choice (set by the forest trainer).
+  // Regression trees always search every feature, since each child derives
+  // its histograms from its parent's; FitRegressor rejects any other value.
   int max_features = 0;
   // L2 regularization on regression leaf values (XGBoost's lambda).
   double lambda = 1.0;
@@ -61,6 +63,14 @@ struct GradHistogram {
 void BuildGradHistograms(std::span<const uint32_t> rows, const GradPair* gh,
                          std::span<const GradHistogram> histograms);
 
+// Histogram subtraction: turns a parent's bins into its larger child's by
+// taking away the smaller child's, bin for bin. Counts come out exact; each
+// sum can differ from a direct sum of the child's rows by rounding. Exposed
+// so a test can bound that difference.
+void SubtractGradHistograms(std::span<GradPair> sums, std::span<uint32_t> counts,
+                            std::span<const GradPair> child_sums,
+                            std::span<const uint32_t> child_counts);
+
 class DecisionTree {
  public:
   // Tree node in the AoS layout produced by training/deserialization. Public
@@ -87,7 +97,9 @@ class DecisionTree {
   // is non-empty (one entry per data row), each training row's entry
   // receives the value of the leaf it was partitioned into: the value
   // PredictValue gives that row, because bin routing (bin <= b) and
-  // threshold routing (x < SplitThreshold(f, b)) agree.
+  // threshold routing (x < SplitThreshold(f, b)) agree. When both children
+  // of a split will search, only the smaller child's histograms are built
+  // from its rows; the larger child's are the parent's minus the smaller's.
   static DecisionTree FitRegressor(const BinnedView& data, std::span<const double> grad,
                                    std::span<const double> hess,
                                    std::span<const uint32_t> row_indices,

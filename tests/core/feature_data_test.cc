@@ -112,7 +112,7 @@ TEST(FeatureDataBuilderTest, SubscriptionsIsolated) {
   builder.ObserveUtilization(2, 0.1, 0.15, 1);
   EXPECT_NEAR(builder.Snapshot(1).mean_avg_cpu, 0.9, 1e-9);
   EXPECT_NEAR(builder.Snapshot(2).mean_avg_cpu, 0.1, 1e-9);
-  EXPECT_EQ(builder.data().size(), 2u);
+  EXPECT_EQ(builder.size(), 2u);
 }
 
 TEST(FeatureDataBuilderTest, ObserveVmComposition) {

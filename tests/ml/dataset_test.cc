@@ -130,8 +130,10 @@ TEST(FeatureBinnerTest, RejectsBadMaxBins) {
   EXPECT_THROW(FeatureBinner::Fit(d, 300), std::invalid_argument);
 }
 
-// Sequential reference for FeatureBinner: one column at a time, the same
-// equal-frequency rule, bins by upper_bound.
+// Sequential reference for FeatureBinner: one column at a time, a full
+// sort, the same equal-frequency rule, bins by upper_bound. Where -0.0 and
+// +0.0 share a column the sort may leave either at a rank, so a zero
+// boundary is pinned to +0.0 bytes, as FeatureBinner keeps it.
 struct OracleBinner {
   std::vector<std::vector<double>> boundaries;
 
@@ -144,6 +146,7 @@ struct OracleBinner {
         size_t idx = col.size() * static_cast<size_t>(b) / static_cast<size_t>(max_bins);
         if (idx >= col.size()) break;
         double v = col[idx];
+        if (v == 0.0) v = 0.0;
         auto& bounds = boundaries[f];
         if (v > col.front() && (bounds.empty() || v > bounds.back())) bounds.push_back(v);
       }
@@ -189,6 +192,42 @@ Dataset MixedColumns(size_t rows, size_t features, uint64_t seed) {
       }
     }
     d.AddRow(row, static_cast<int>(i % 2));
+  }
+  return d;
+}
+
+// Columns that stress rank selection, cycling through: continuous; one
+// value held by 40% of the rows, so it sits on many quantile ranks; -0.0
+// and +0.0 mixed among negative values (zeros at ranks, the minimum below
+// them); zeros of both signs only; ascending integers, all distinct.
+Dataset EdgeColumns(size_t rows, size_t features, uint64_t seed) {
+  std::vector<std::string> names;
+  for (size_t f = 0; f < features; ++f) names.push_back("e" + std::to_string(f));
+  Dataset d(names);
+  Rng rng(seed);
+  std::vector<double> row(features);
+  for (size_t i = 0; i < rows; ++i) {
+    for (size_t f = 0; f < features; ++f) {
+      const double u = rng.NextDouble();
+      switch (f % 5) {
+        case 0:
+          row[f] = rng.Normal(0.0, 1.0);
+          break;
+        case 1:
+          row[f] = u < 0.4 ? 2.5 : rng.Normal(2.5, 1.0);
+          break;
+        case 2:
+          row[f] = u < 0.4 ? -rng.NextDouble() : (u < 0.6 ? -0.0 : (u < 0.8 ? 0.0 : u));
+          break;
+        case 3:
+          row[f] = u < 0.5 ? -0.0 : 0.0;
+          break;
+        default:
+          row[f] = static_cast<double>(i);
+          break;
+      }
+    }
+    d.AddRow(row, 0);
   }
   return d;
 }
@@ -253,6 +292,41 @@ TEST(FeatureBinnerTest, FewerRowsThanFeaturesMatchSequentialOracle) {
   for (size_t rows : {1u, 2u, 5u}) {
     SCOPED_TRACE(rows);
     ExpectMatchesOracle(MixedColumns(rows, features, 23 + rows), 64);
+  }
+}
+
+TEST(FeatureBinnerTest, EdgeRowCountsAndColumnsMatchSequentialOracle) {
+  // Around one bin's worth of rows (63, 64, 65), where ranks repeat or
+  // just stop repeating, one row, and a large column.
+  const size_t features = 2 * HardwareThreads() + 3;
+  for (size_t rows : {1u, 63u, 64u, 65u, 100'000u}) {
+    for (int max_bins : {2, 64, 256}) {
+      SCOPED_TRACE(std::to_string(rows) + " rows, max_bins " + std::to_string(max_bins));
+      ExpectMatchesOracle(EdgeColumns(rows, features, 41 + rows), max_bins);
+    }
+  }
+}
+
+// Selection and a sort can leave different zeros at a rank; the binner keeps
+// every zero boundary as +0.0, so its bytes (and a tree's threshold bytes)
+// never depend on which zero the selection left there.
+TEST(FeatureBinnerTest, ZeroBoundaryIsPositiveZero) {
+  const Dataset d = EdgeColumns(20000, 5, 43);
+  for (size_t f : {2u, 3u}) {
+    for (int max_bins : {2, 64, 256}) {
+      FeatureBinner binner = FeatureBinner::Fit(d, max_bins);
+      int zeros = 0;
+      for (int b = 0; b + 1 < binner.NumBins(f); ++b) {
+        const double t = binner.SplitThreshold(f, b);
+        if (t == 0.0) {
+          EXPECT_FALSE(std::signbit(t)) << "feature " << f << " max_bins " << max_bins;
+          ++zeros;
+        }
+      }
+      // The mixed column has a zero boundary above its negative minimum; the
+      // all-zero column has a single bin and no boundary.
+      EXPECT_EQ(zeros, f == 2 ? 1 : 0) << "feature " << f << " max_bins " << max_bins;
+    }
   }
 }
 

@@ -1,8 +1,11 @@
 #include "src/ml/tree.h"
 
+#include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
@@ -86,6 +89,280 @@ TEST(GradHistogramKernelTest, MatchesOneFeatureAtATimeBitForBit) {
       EXPECT_EQ(counts[f * 256 + static_cast<size_t>(b)], c[b]) << "feature " << f << " bin " << b;
     }
   }
+}
+
+// Histogram subtraction: a parent's histograms minus its smaller child's
+// give the larger child's. Counts must match a direct count exactly. A sum
+// differs from the larger child's direct sum only by rounding: the three
+// sums (parent, smaller child, larger child) each add at most p terms drawn
+// from the bin's parent rows, and one subtraction follows, so with p the
+// bin's parent row count and A the sum of |x| over those rows the two agree
+// within 2 * p * DBL_EPSILON * A.
+TEST(GradHistogramKernelTest, SubtractionGivesSiblingCountsExactlySumsWithinRounding) {
+  constexpr size_t kRows = 6000;
+  constexpr size_t kFeatures = 5;
+  constexpr size_t kBins = 64;
+  Rng rng(29);
+  std::vector<uint8_t> bins(kRows * kFeatures);
+  for (auto& b : bins) b = static_cast<uint8_t>(rng.UniformInt(0, kBins - 1));
+  std::vector<double> grad(kRows), hess(kRows);
+  for (size_t i = 0; i < kRows; ++i) {
+    grad[i] = rng.Normal(0.0, 1.0) * std::pow(10.0, rng.UniformInt(-6, 6));
+    hess[i] = rng.NextDouble() * std::pow(10.0, rng.UniformInt(-9, 3));
+  }
+  std::vector<uint32_t> parent_rows = AllRows(kRows);
+  rng.Shuffle(parent_rows);
+  parent_rows.resize(kRows * 2 / 3);
+
+  struct Hists {
+    std::vector<GradPair> sums = std::vector<GradPair>(kFeatures * kBins);
+    std::vector<uint32_t> counts = std::vector<uint32_t>(kFeatures * kBins, 0);
+  };
+  auto build = [&](std::span<const uint32_t> rows) {
+    Hists out;
+    std::vector<GradPair> gh(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) gh[i] = GradPair{grad[rows[i]], hess[rows[i]]};
+    std::vector<GradHistogram> hists;
+    for (size_t f = 0; f < kFeatures; ++f) {
+      hists.push_back({bins.data() + f * kRows, out.sums.data() + f * kBins,
+                       out.counts.data() + f * kBins});
+    }
+    BuildGradHistograms(rows, gh.data(), hists);
+    return out;
+  };
+
+  // A balanced split on feature 0 and a lopsided one on feature 1 (about 5%
+  // of the rows go left), each partitioned in place as the trainer does.
+  for (const auto& [split_feature, split_bin] : {std::pair<size_t, int>{0, 31}, {1, 2}}) {
+    SCOPED_TRACE(split_feature);
+    std::vector<uint32_t> rows = parent_rows;
+    const uint8_t* col = bins.data() + split_feature * kRows;
+    const auto mid = static_cast<size_t>(
+        std::partition(rows.begin(), rows.end(),
+                       [&](uint32_t r) { return col[r] <= split_bin; }) - rows.begin());
+    const std::span<const uint32_t> left(rows.data(), mid);
+    const std::span<const uint32_t> right(rows.data() + mid, rows.size() - mid);
+    const bool left_smaller = left.size() <= right.size();
+    const std::span<const uint32_t> smaller_rows = left_smaller ? left : right;
+    const std::span<const uint32_t> larger_rows = left_smaller ? right : left;
+
+    Hists derived = build(rows);
+    const Hists smaller = build(smaller_rows);
+    const Hists direct = build(larger_rows);
+    SubtractGradHistograms(derived.sums, derived.counts, smaller.sums, smaller.counts);
+
+    std::vector<double> abs_g(kFeatures * kBins, 0.0), abs_h(kFeatures * kBins, 0.0);
+    std::vector<uint32_t> parent_count(kFeatures * kBins, 0);
+    for (uint32_t r : rows) {
+      for (size_t f = 0; f < kFeatures; ++f) {
+        const size_t slot = f * kBins + bins[f * kRows + r];
+        abs_g[slot] += std::abs(grad[r]);
+        abs_h[slot] += std::abs(hess[r]);
+        parent_count[slot] += 1;
+      }
+    }
+    for (size_t slot = 0; slot < kFeatures * kBins; ++slot) {
+      ASSERT_EQ(derived.counts[slot], direct.counts[slot]) << "slot " << slot;
+      const double p = static_cast<double>(parent_count[slot]);
+      EXPECT_LE(std::abs(derived.sums[slot].g - direct.sums[slot].g),
+                2.0 * p * DBL_EPSILON * abs_g[slot])
+          << "slot " << slot;
+      EXPECT_LE(std::abs(derived.sums[slot].h - direct.sums[slot].h),
+                2.0 * p * DBL_EPSILON * abs_h[slot])
+          << "slot " << slot;
+    }
+  }
+}
+
+// The gradient split search as it was before histogram subtraction: every
+// searching node sums every feature's histogram from its own rows, one
+// feature at a time, then scans it with the same gain rule. Rows are
+// partitioned in place with the same std::partition, so node order, leaf
+// sums and row values follow the same additions as FitRegressor's.
+class DirectHistogramRegressor {
+ public:
+  struct Tree {
+    std::vector<DecisionTree::Node> nodes;
+    std::vector<double> leaf_values;
+  };
+
+  DirectHistogramRegressor(const BinnedView& data, std::span<const double> grad,
+                           std::span<const double> hess, const TreeConfig& config,
+                           std::span<double> row_values)
+      : data_(data), grad_(grad), hess_(hess), config_(config), row_values_(row_values) {}
+
+  Tree Fit(std::span<const uint32_t> rows) {
+    idx_.assign(rows.begin(), rows.end());
+    Build(0, idx_.size(), 0);
+    return std::move(tree_);
+  }
+
+ private:
+  int32_t Build(size_t begin, size_t end, int depth) {
+    const size_t n = end - begin;
+    const auto id = static_cast<int32_t>(tree_.nodes.size());
+    tree_.nodes.emplace_back();
+    bool found = false;
+    size_t best_f = 0;
+    int best_b = 0;
+    double best_gain = 0.0;
+    if (depth < config_.max_depth && n >= 2 * static_cast<size_t>(config_.min_samples_leaf)) {
+      double g_total = 0.0, h_total = 0.0;
+      for (size_t i = begin; i < end; ++i) {
+        g_total += grad_[idx_[i]];
+        h_total += hess_[idx_[i]];
+      }
+      const double parent_score = g_total * g_total / (h_total + config_.lambda);
+      for (size_t f = 0; f < data_.features; ++f) {
+        const int bins = data_.binner->NumBins(f);
+        if (bins < 2) continue;
+        std::vector<double> g(static_cast<size_t>(bins), 0.0), h(static_cast<size_t>(bins), 0.0);
+        std::vector<size_t> c(static_cast<size_t>(bins), 0);
+        for (size_t i = begin; i < end; ++i) {
+          const uint8_t b = data_.Bin(idx_[i], f);
+          g[b] += grad_[idx_[i]];
+          h[b] += hess_[idx_[i]];
+          c[b] += 1;
+        }
+        double g_left = 0.0, h_left = 0.0;
+        size_t n_left = 0;
+        for (int b = 0; b < bins - 1; ++b) {
+          g_left += g[static_cast<size_t>(b)];
+          h_left += h[static_cast<size_t>(b)];
+          n_left += c[static_cast<size_t>(b)];
+          if (n_left < static_cast<size_t>(config_.min_samples_leaf) ||
+              n - n_left < static_cast<size_t>(config_.min_samples_leaf)) {
+            continue;
+          }
+          const double g_right = g_total - g_left;
+          const double h_right = h_total - h_left;
+          const double gain = g_left * g_left / (h_left + config_.lambda) +
+                              g_right * g_right / (h_right + config_.lambda) - parent_score;
+          if (gain > best_gain + config_.min_gain) {
+            found = true;
+            best_f = f;
+            best_b = b;
+            best_gain = gain;
+          }
+        }
+      }
+    }
+    size_t mid = begin;
+    if (found) {
+      mid = static_cast<size_t>(
+          std::partition(idx_.begin() + static_cast<std::ptrdiff_t>(begin),
+                         idx_.begin() + static_cast<std::ptrdiff_t>(end),
+                         [&](uint32_t r) { return data_.Bin(r, best_f) <= best_b; }) -
+          idx_.begin());
+    }
+    if (!found || mid == begin || mid == end) {
+      double g = 0.0, h = 0.0;
+      for (size_t i = begin; i < end; ++i) {
+        g += grad_[idx_[i]];
+        h += hess_[idx_[i]];
+      }
+      const double value = -g / (h + config_.lambda);
+      tree_.nodes[static_cast<size_t>(id)].payload = static_cast<int32_t>(tree_.leaf_values.size());
+      tree_.leaf_values.push_back(value);
+      for (size_t i = begin; i < end; ++i) row_values_[idx_[i]] = value;
+      return id;
+    }
+    tree_.nodes[static_cast<size_t>(id)].feature = static_cast<int32_t>(best_f);
+    tree_.nodes[static_cast<size_t>(id)].threshold = data_.binner->SplitThreshold(best_f, best_b);
+    const int32_t left = Build(begin, mid, depth + 1);
+    const int32_t right = Build(mid, end, depth + 1);
+    tree_.nodes[static_cast<size_t>(id)].left = left;
+    tree_.nodes[static_cast<size_t>(id)].right = right;
+    return id;
+  }
+
+  const BinnedView& data_;
+  std::span<const double> grad_;
+  std::span<const double> hess_;
+  const TreeConfig& config_;
+  std::span<double> row_values_;
+  std::vector<uint32_t> idx_;
+  Tree tree_;
+};
+
+// FitRegressor derives the larger child's histograms by subtraction; the
+// trees must still be byte-identical to the direct search's: every node,
+// every threshold, every leaf value and every row value. The problems mix
+// continuous, small-integer and two-valued features, put a heavy mass on
+// one value (so many splits are lopsided), weight the gradients by class as
+// boosting does, and train on a subsample.
+TEST(DecisionTreeTest, RegressorMatchesDirectHistogramReference) {
+  for (uint64_t seed : {31u, 32u, 33u, 34u, 35u, 36u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    constexpr size_t kRows = 4000;
+    Dataset d({"normal", "skewed", "small_int", "two_valued", "lopsided", "uniform"});
+    std::vector<int> labels(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      const double lopsided = rng.NextDouble() < 0.95 ? 0.0 : rng.Normal(5.0, 2.0);
+      double row[] = {rng.Normal(0.0, 1.0), std::exp(rng.Normal(0.0, 2.0)),
+                      static_cast<double>(rng.UniformInt(0, 9)),
+                      rng.NextDouble() < 0.2 ? -1.0 : 1.0, lopsided, rng.NextDouble()};
+      const double z = row[0] + 0.5 * row[2] * row[3] + (lopsided > 4.0 ? 3.0 : 0.0) +
+                       rng.Normal(0.0, 0.5);
+      labels[i] = z < 0.0 ? 0 : (z < 3.0 ? 1 : 2);
+      d.AddRow(row, labels[i]);
+    }
+    Binned b(std::move(d));
+    // One class's softmax gradient from uniform scores, weighted by class.
+    const double weights[] = {1.0, 2.0, 0.5};
+    std::vector<double> grad(kRows), hess(kRows);
+    for (size_t i = 0; i < kRows; ++i) {
+      const double p = 1.0 / 3.0 + 0.05 * rng.Normal(0.0, 1.0);
+      const double w = weights[labels[i]];
+      grad[i] = w * (p - (labels[i] == 1 ? 1.0 : 0.0));
+      hess[i] = std::max(w * p * (1.0 - p), 1e-9);
+    }
+    std::vector<uint32_t> rows;
+    for (uint32_t i = 0; i < kRows; ++i) {
+      if (seed % 2 == 0 || rng.NextDouble() < 0.8) rows.push_back(i);
+    }
+    TreeConfig config;
+    config.max_depth = 4 + static_cast<int>(seed % 4);
+    config.min_samples_leaf = seed % 3 == 0 ? 1 : 8;
+
+    std::vector<double> got_values(kRows, 0.0), want_values(kRows, 0.0);
+    Rng train_rng(seed);
+    const DecisionTree tree =
+        DecisionTree::FitRegressor(b.view(), grad, hess, rows, config, train_rng, got_values);
+    const DirectHistogramRegressor::Tree want =
+        DirectHistogramRegressor(b.view(), grad, hess, config, want_values).Fit(rows);
+
+    ASSERT_GT(tree.node_count(), 20u);
+    ASSERT_EQ(tree.node_count(), want.nodes.size());
+    for (size_t i = 0; i < want.nodes.size(); ++i) {
+      const DecisionTree::Node& g = tree.nodes()[i];
+      const DecisionTree::Node& w = want.nodes[i];
+      EXPECT_EQ(g.feature, w.feature) << "node " << i;
+      EXPECT_EQ(std::memcmp(&g.threshold, &w.threshold, sizeof(double)), 0) << "node " << i;
+      EXPECT_EQ(g.left, w.left) << "node " << i;
+      EXPECT_EQ(g.right, w.right) << "node " << i;
+      EXPECT_EQ(g.payload, w.payload) << "node " << i;
+    }
+    ASSERT_EQ(tree.leaf_values().size(), want.leaf_values.size());
+    EXPECT_EQ(std::memcmp(tree.leaf_values().data(), want.leaf_values.data(),
+                          want.leaf_values.size() * sizeof(double)),
+              0);
+    EXPECT_EQ(std::memcmp(got_values.data(), want_values.data(), kRows * sizeof(double)), 0);
+  }
+}
+
+TEST(DecisionTreeTest, RegressorRejectsFeatureSampling) {
+  Dataset d({"x"});
+  double v = 0.0;
+  d.AddRow({&v, 1}, 0);
+  Binned b(std::move(d));
+  std::vector<double> grad{1.0}, hess{1.0};
+  TreeConfig config;
+  config.max_features = 1;
+  Rng rng(37);
+  EXPECT_THROW(DecisionTree::FitRegressor(b.view(), grad, hess, AllRows(1), config, rng),
+               std::invalid_argument);
 }
 
 TEST(DecisionTreeTest, LearnsAxisAlignedSplit) {

@@ -39,9 +39,13 @@ echo "== rc_trace_tests (TSan) =="
 # caller filter: the engine is shared read-only across prediction threads,
 # so any mutation the sanitizer can see is a real bug. A multiclass boosted
 # fit grows each round's class trees on worker threads that share the binned
-# matrix and the row subsample, so the boosting suite runs too.
-echo "== rc_ml_tests (TSan, exec-engine parity + boosted class trees) =="
-"${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*:GbtTest*'
+# matrix and the row subsample, each tree's trainer holding its own
+# histogram slots, so the boosting and tree suites run too. Feature binning
+# hands features to threads from one shared counter and fills the binned
+# matrix from row ranges, each thread writing its own stretch of every
+# column; its parity suite checks both against a sequential oracle.
+echo "== rc_ml_tests (TSan, exec-engine parity + boosted class trees + feature binning) =="
+"${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*:GbtTest*:FeatureBinnerTest*:DecisionTreeTest*'
 # Tracing + admin endpoint always run under TSan: the span tree is assembled
 # across client threads and epoll workers, and the admin thread scrapes
 # registries the workers are writing — both are cross-thread by construction.
@@ -81,9 +85,4 @@ echo "== rc_trace_tests (TSan, parallel summary pass + fingerprint) =="
 "${BUILD_DIR}/tests/rc_trace_tests" --gtest_filter='TraceFingerprint*'
 echo "== rc_common_tests (TSan, ParallelFor) =="
 "${BUILD_DIR}/tests/rc_common_tests" --gtest_filter='ParallelFor*'
-# Feature binning fans out over features, each thread writing its own
-# columns of the boundaries and the binned matrix; the parity suite checks
-# both against a sequential oracle, so it runs regardless of any caller filter.
-echo "== rc_ml_tests (TSan, parallel feature binning) =="
-"${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='FeatureBinner*'
 echo "TSan check passed: no data races reported."
