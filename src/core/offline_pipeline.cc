@@ -380,7 +380,7 @@ TrainedModels OfflinePipeline::Run(const Trace& trace) const {
                     const rc::ml::Dataset& data) -> std::unique_ptr<rc::ml::Classifier> {
     rc::obs::TraceSpan span("pipeline/train",
                             &StageHistogram(config_.metrics, "train", MetricModelName(metric)));
-    const uint64_t seed = config_.seed + static_cast<uint64_t>(metric);
+    const uint64_t seed = kSeed + static_cast<uint64_t>(metric);
     if (UsesRandomForest(metric)) {
       rc::ml::RandomForestConfig cfg = config_.rf;
       cfg.seed = seed;

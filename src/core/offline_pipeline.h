@@ -39,7 +39,6 @@ struct PipelineConfig {
   SimTime train_end = 60 * kDay;
   rc::ml::RandomForestConfig rf;  // utilization metrics
   rc::ml::GbtConfig gbt;          // deployment size, lifetime, class
-  uint64_t seed = 17;
   // Registry receiving the rc_pipeline_* stage-duration instruments;
   // null = process-global.
   rc::obs::MetricsRegistry* metrics = nullptr;
@@ -61,6 +60,10 @@ struct TrainedModels {
 
 class OfflinePipeline {
  public:
+  // Metric m's model is fit with seed kSeed + m, whatever `rf.seed` and
+  // `gbt.seed` hold.
+  static constexpr uint64_t kSeed = 17;
+
   explicit OfflinePipeline(PipelineConfig config) : config_(std::move(config)) {}
 
   // Runs the full workflow over the trace and returns the six trained

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <stdexcept>
 
 #include "src/common/parallel.h"
@@ -16,12 +15,12 @@ GradientBoostedTrees GradientBoostedTrees::Fit(const Dataset& data, const GbtCon
   GradientBoostedTrees model;
   model.num_classes_ = data.NumClasses();
   model.num_features_ = static_cast<int>(data.num_features());
-  model.learning_rate_ = config.learning_rate;
+  model.learning_rate_ = kLearningRate;
   const int k = model.num_classes_;
   const size_t n = data.num_rows();
   if (k < 2) throw std::invalid_argument("GBT::Fit: need at least 2 classes");
 
-  FeatureBinner binner = FeatureBinner::Fit(data, config.max_bins);
+  FeatureBinner binner = FeatureBinner::Fit(data);
   std::vector<uint8_t> bins = binner.Transform(data);
   BinnedView view{bins.data(), n, data.num_features(), &binner};
 
@@ -53,18 +52,11 @@ GradientBoostedTrees GradientBoostedTrees::Fit(const Dataset& data, const GbtCon
                                         : config.class_weights[static_cast<size_t>(label)];
   };
 
-  // A round fits one tree (binary) or one per class (multiclass). The round's
-  // row subsample is drawn from `rng`; each tree gets its own Rng, seeded up
-  // front as RandomForest::Fit seeds its trees, so no Rng is shared across
-  // threads and the bits never depend on the thread count.
+  // A round fits one tree (binary) or one per class (multiclass). Only the
+  // round's row subsample draws from `rng`, on the calling thread, so the
+  // bits never depend on the thread count.
   Rng rng(config.seed);
-  const size_t num_trees = static_cast<size_t>(config.num_rounds) * score_width;
-  std::vector<uint64_t> tree_seeds(num_trees);
-  {
-    Rng seeder = Rng(config.seed).Fork();
-    for (auto& s : tree_seeds) s = seeder.NextU64();
-  }
-  model.trees_.reserve(num_trees);
+  model.trees_.reserve(static_cast<size_t>(config.num_rounds) * score_width);
   // Class-major buffers: tree c of a round reads its gradients and hessians
   // from [c * n, (c + 1) * n) and writes its per-row score deltas there.
   std::vector<double> grad(score_width * n), hess(score_width * n), delta(score_width * n);
@@ -76,15 +68,11 @@ GradientBoostedTrees GradientBoostedTrees::Fit(const Dataset& data, const GbtCon
   for (int round = 0; round < config.num_rounds; ++round) {
     // Row subsample for this round (shared across the per-class trees).
     rows.clear();
-    if (config.subsample >= 1.0) {
-      rows.resize(n);
-      std::iota(rows.begin(), rows.end(), 0u);
-    } else {
-      for (size_t i = 0; i < n; ++i) {
-        if (rng.Bernoulli(config.subsample)) rows.push_back(static_cast<uint32_t>(i));
-      }
-      if (rows.empty()) rows.push_back(static_cast<uint32_t>(rng.UniformInt(
-          0, static_cast<int64_t>(n) - 1)));
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Bernoulli(kSubsample)) rows.push_back(static_cast<uint32_t>(i));
+    }
+    if (rows.empty()) {
+      rows.push_back(static_cast<uint32_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1)));
     }
 
     // Every gradient comes from the round-start scores. Multiclass takes one
@@ -119,10 +107,9 @@ GradientBoostedTrees GradientBoostedTrees::Fit(const Dataset& data, const GbtCon
     // of every row would give.
     ParallelFor(score_width, HardwareThreads(), [&](size_t begin, size_t end) {
       for (size_t c = begin; c < end; ++c) {
-        Rng tree_rng(tree_seeds[static_cast<size_t>(round) * score_width + c]);
         std::span<double> d(&delta[c * n], n);
         round_trees[c] = DecisionTree::FitRegressor(view, {&grad[c * n], n}, {&hess[c * n], n},
-                                                    rows, config.tree, tree_rng, d);
+                                                    rows, config.tree, d);
         size_t next = 0;
         for (size_t i = 0; i < n; ++i) {
           double value;
@@ -132,7 +119,7 @@ GradientBoostedTrees GradientBoostedTrees::Fit(const Dataset& data, const GbtCon
           } else {
             value = round_trees[c].PredictValue(data.Row(i));
           }
-          d[i] = config.learning_rate * value;
+          d[i] = kLearningRate * value;
         }
       }
     });
@@ -176,16 +163,7 @@ std::vector<double> GradientBoostedTrees::PredictProbaLegacy(
 }
 
 std::vector<double> GradientBoostedTrees::FeatureImportance() const {
-  std::vector<double> acc(static_cast<size_t>(num_features_), 0.0);
-  for (const auto& tree : trees_) {
-    const auto& gains = tree.gain_importance();
-    for (size_t f = 0; f < gains.size() && f < acc.size(); ++f) acc[f] += gains[f];
-  }
-  double total = std::accumulate(acc.begin(), acc.end(), 0.0);
-  if (total > 0.0) {
-    for (double& v : acc) v /= total;
-  }
-  return acc;
+  return NormalizedGainImportance(trees_, static_cast<size_t>(num_features_));
 }
 
 void GradientBoostedTrees::Serialize(ByteWriter& w) const {

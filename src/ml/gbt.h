@@ -3,7 +3,9 @@
 // values. The paper uses boosted trees for deployment size, lifetime, and
 // workload class (Table 1). As in XGBoost, a multiclass round takes all K
 // gradients from the scores at the start of the round, so its K class trees
-// are independent and are fit side by side.
+// are independent and are fit side by side. The shrinkage and the per-round
+// row subsample are fixed (kLearningRate, kSubsample); the seed draws only
+// the subsample, since a regression tree searches every feature.
 #ifndef RC_SRC_ML_GBT_H_
 #define RC_SRC_ML_GBT_H_
 
@@ -19,20 +21,23 @@ namespace rc::ml {
 
 struct GbtConfig {
   int num_rounds = 60;
-  double learning_rate = 0.2;
-  TreeConfig tree = {.max_depth = 6, .min_samples_leaf = 8, .lambda = 1.0};
-  double subsample = 0.8;  // row subsample per round (without replacement)
+  TreeConfig tree = {.max_depth = 6, .min_samples_leaf = 8};
   // Per-class loss weights (empty = uniform). Upweighting a rare class
   // boosts its recall at the cost of precision — exactly the tradeoff the
   // paper makes for the interactive workload class ("mistakes in this
   // direction are acceptable").
   std::vector<double> class_weights;
   uint64_t seed = 1;
-  int max_bins = 64;
 };
 
 class GradientBoostedTrees final : public Classifier {
  public:
+  // Shrinkage applied to every tree's leaf values.
+  static constexpr double kLearningRate = 0.2;
+  // Each round trains on every row with this probability (without
+  // replacement).
+  static constexpr double kSubsample = 0.8;
+
   static GradientBoostedTrees Fit(const Dataset& data, const GbtConfig& config);
 
   int num_classes() const override { return num_classes_; }
@@ -70,7 +75,7 @@ class GradientBoostedTrees final : public Classifier {
   std::vector<double> base_score_;  // per-class prior log-odds / logits
   int num_classes_ = 0;
   int num_features_ = 0;
-  double learning_rate_ = 0.2;
+  double learning_rate_ = kLearningRate;
   // Shared (not unique) so the model stays copyable; the engine is immutable
   // and safe to share across copies and threads.
   std::shared_ptr<const ExecEngine> engine_;

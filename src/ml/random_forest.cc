@@ -15,18 +15,12 @@ RandomForest RandomForest::Fit(const Dataset& data, const RandomForestConfig& co
   forest.num_classes_ = data.NumClasses();
   forest.num_features_ = static_cast<int>(data.num_features());
 
-  FeatureBinner binner = FeatureBinner::Fit(data, config.max_bins);
+  FeatureBinner binner = FeatureBinner::Fit(data);
   std::vector<uint8_t> bins = binner.Transform(data);
   BinnedView view{bins.data(), data.num_rows(), data.num_features(), &binner};
 
-  TreeConfig tree_config = config.tree;
-  tree_config.max_features =
-      config.max_features > 0
-          ? config.max_features
-          : std::max(1, static_cast<int>(std::sqrt(static_cast<double>(data.num_features()))));
-
-  size_t sample_size = std::max<size_t>(
-      1, static_cast<size_t>(config.bagging_fraction * static_cast<double>(data.num_rows())));
+  const int max_features =
+      std::max(1, static_cast<int>(std::sqrt(static_cast<double>(data.num_features()))));
 
   forest.trees_.resize(static_cast<size_t>(config.num_trees));
   // Pre-derive one RNG per tree so results are independent of thread count.
@@ -36,8 +30,9 @@ RandomForest RandomForest::Fit(const Dataset& data, const RandomForestConfig& co
     for (auto& s : seeds) s = seeder.NextU64();
   }
 
+  // Each tree's bootstrap sample is as large as the training set.
   auto train_range = [&](size_t begin, size_t end) {
-    std::vector<uint32_t> rows(sample_size);
+    std::vector<uint32_t> rows(data.num_rows());
     for (size_t t = begin; t < end; ++t) {
       Rng rng(seeds[t]);
       for (auto& row : rows) {
@@ -45,13 +40,12 @@ RandomForest RandomForest::Fit(const Dataset& data, const RandomForestConfig& co
             rng.UniformInt(0, static_cast<int64_t>(data.num_rows()) - 1));
       }
       forest.trees_[t] = DecisionTree::FitClassifier(view, data.labels(), rows,
-                                                     forest.num_classes_, tree_config, rng);
+                                                     forest.num_classes_, config.tree,
+                                                     max_features, rng);
     }
   };
 
-  const size_t threads = config.num_threads > 0 ? static_cast<size_t>(config.num_threads)
-                                                : std::min<size_t>(HardwareThreads(), 8);
-  ParallelFor(forest.trees_.size(), threads, train_range);
+  ParallelFor(forest.trees_.size(), std::min<size_t>(HardwareThreads(), 8), train_range);
   forest.CompileEngine();
   return forest;
 }
@@ -78,17 +72,7 @@ std::vector<double> RandomForest::PredictProbaLegacy(std::span<const double> x) 
 }
 
 std::vector<double> RandomForest::FeatureImportance() const {
-  std::vector<double> acc(static_cast<size_t>(num_features_), 0.0);
-  for (const auto& tree : trees_) {
-    const auto& gains = tree.gain_importance();
-    for (size_t f = 0; f < gains.size() && f < acc.size(); ++f) acc[f] += gains[f];
-  }
-  double total = 0.0;
-  for (double v : acc) total += v;
-  if (total > 0.0) {
-    for (double& v : acc) v /= total;
-  }
-  return acc;
+  return NormalizedGainImportance(trees_, static_cast<size_t>(num_features_));
 }
 
 void RandomForest::Serialize(ByteWriter& w) const {

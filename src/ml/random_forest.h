@@ -1,6 +1,9 @@
 // Random Forest classifier: bagged Gini CART trees with per-node feature
 // subsampling. The paper uses Random Forests for the two CPU-utilization
-// metrics (Table 1).
+// metrics (Table 1). Each tree trains on a bootstrap sample as large as the
+// training set and searches sqrt(F) features per node. The trees are fit
+// side by side on up to 8 threads, each from a seed drawn up front, so the
+// model's bits do not depend on the thread count.
 #ifndef RC_SRC_ML_RANDOM_FOREST_H_
 #define RC_SRC_ML_RANDOM_FOREST_H_
 
@@ -17,14 +20,7 @@ namespace rc::ml {
 struct RandomForestConfig {
   int num_trees = 48;
   TreeConfig tree = {.max_depth = 14, .min_samples_leaf = 4};
-  // Bootstrap sample size as a fraction of the training set (with
-  // replacement).
-  double bagging_fraction = 1.0;
-  // Per-node feature subsample; 0 means sqrt(num_features).
-  int max_features = 0;
   uint64_t seed = 1;
-  int num_threads = 0;  // 0 = hardware concurrency (capped)
-  int max_bins = 64;
 };
 
 class RandomForest final : public Classifier {

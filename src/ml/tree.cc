@@ -84,19 +84,23 @@ void SubtractGradHistograms(std::span<GradPair> sums, std::span<uint32_t> counts
 // buffer that is partitioned in place as the tree grows.
 class TreeTrainer {
  public:
-  TreeTrainer(const BinnedView& data, const TreeConfig& config, Rng& rng)
-      : data_(data), config_(config), rng_(rng) {
+  TreeTrainer(const BinnedView& data, const TreeConfig& config) : data_(data), config_(config) {
     if (data_.binner == nullptr || data_.bins == nullptr) {
       throw std::invalid_argument("TreeTrainer: null binned view");
     }
-    feature_scratch_.resize(data_.features);
-    std::iota(feature_scratch_.begin(), feature_scratch_.end(), 0u);
   }
 
   DecisionTree TrainClassifier(std::span<const int> labels,
-                               std::span<const uint32_t> row_indices, int num_classes) {
+                               std::span<const uint32_t> row_indices, int num_classes,
+                               int max_features, Rng& rng) {
     labels_ = labels;
     num_classes_ = num_classes;
+    max_features_ = max_features > 0
+                        ? std::min<size_t>(static_cast<size_t>(max_features), data_.features)
+                        : data_.features;
+    rng_ = &rng;
+    feature_scratch_.resize(data_.features);
+    std::iota(feature_scratch_.begin(), feature_scratch_.end(), 0u);
     tree_.num_classes_ = num_classes;
     tree_.gain_importance_.assign(data_.features, 0.0);
     idx_.assign(row_indices.begin(), row_indices.end());
@@ -241,7 +245,7 @@ class TreeTrainer {
         g += grad_[idx_[i]];
         h += hess_[idx_[i]];
       }
-      const double value = -g / (h + config_.lambda);
+      const double value = -g / (h + kLambda);
       tree_.leaf_values_.push_back(value);
       if (!row_values_.empty()) {
         for (size_t i = begin; i < end; ++i) row_values_[idx_[i]] = value;
@@ -251,17 +255,14 @@ class TreeTrainer {
 
   // Candidate features for this node: all, or a uniform subsample.
   std::span<const uint32_t> SampleFeatures() {
-    size_t k = config_.max_features > 0
-                   ? std::min<size_t>(static_cast<size_t>(config_.max_features), data_.features)
-                   : data_.features;
-    if (k == data_.features) return feature_scratch_;
-    // Partial Fisher-Yates: first k entries become the sample.
-    for (size_t i = 0; i < k; ++i) {
+    if (max_features_ == data_.features) return feature_scratch_;
+    // Partial Fisher-Yates: the first max_features_ entries become the sample.
+    for (size_t i = 0; i < max_features_; ++i) {
       size_t j = static_cast<size_t>(
-          rng_.UniformInt(static_cast<int64_t>(i), static_cast<int64_t>(data_.features) - 1));
+          rng_->UniformInt(static_cast<int64_t>(i), static_cast<int64_t>(data_.features) - 1));
       std::swap(feature_scratch_[i], feature_scratch_[j]);
     }
-    return {feature_scratch_.data(), k};
+    return {feature_scratch_.data(), max_features_};
   }
 
   Split FindBestSplitGini(size_t begin, size_t end) {
@@ -307,7 +308,7 @@ class TreeTrainer {
         double child =
             (n_left - gini_left / n_left) + (n_right - gini_right / n_right);
         double gain = parent_gini * static_cast<double>(n) - child;
-        if (gain > best.gain + config_.min_gain) {
+        if (gain > best.gain + kMinGain) {
           best.found = true;
           best.feature = f;
           best.bin = b;
@@ -353,11 +354,10 @@ class TreeTrainer {
   }
 
   // The gain scan over one feature's histogram; keeps `best` unless a bin
-  // beats it by more than min_gain.
+  // beats it by more than kMinGain.
   void ScanGradHistogram(uint32_t f, const GradHistogram& hist, size_t n, double g_total,
                          double h_total, Split& best) const {
-    const double lambda = config_.lambda;
-    const double parent_score = g_total * g_total / (h_total + lambda);
+    const double parent_score = g_total * g_total / (h_total + kLambda);
     const int bins = data_.binner->NumBins(f);
     double g_left = 0.0, h_left = 0.0;
     size_t n_left = 0;
@@ -372,9 +372,9 @@ class TreeTrainer {
       }
       double g_right = g_total - g_left;
       double h_right = h_total - h_left;
-      double gain = g_left * g_left / (h_left + lambda) +
-                    g_right * g_right / (h_right + lambda) - parent_score;
-      if (gain > best.gain + config_.min_gain) {
+      double gain = g_left * g_left / (h_left + kLambda) +
+                    g_right * g_right / (h_right + kLambda) - parent_score;
+      if (gain > best.gain + kMinGain) {
         best.found = true;
         best.feature = f;
         best.bin = b;
@@ -392,7 +392,8 @@ class TreeTrainer {
 
   const BinnedView& data_;
   const TreeConfig& config_;
-  Rng& rng_;
+  Rng* rng_ = nullptr;       // classification: draws each node's features
+  size_t max_features_ = 0;  // classification: features searched per node
 
   std::span<const int> labels_;
   std::span<const double> grad_;
@@ -413,23 +414,34 @@ class TreeTrainer {
 DecisionTree DecisionTree::FitClassifier(const BinnedView& data, std::span<const int> labels,
                                          std::span<const uint32_t> row_indices,
                                          int num_classes, const TreeConfig& config,
-                                         Rng& rng) {
+                                         int max_features, Rng& rng) {
   if (row_indices.empty()) throw std::invalid_argument("FitClassifier: no rows");
-  TreeTrainer trainer(data, config, rng);
-  return trainer.TrainClassifier(labels, row_indices, num_classes);
+  TreeTrainer trainer(data, config);
+  return trainer.TrainClassifier(labels, row_indices, num_classes, max_features, rng);
 }
 
 DecisionTree DecisionTree::FitRegressor(const BinnedView& data, std::span<const double> grad,
                                         std::span<const double> hess,
                                         std::span<const uint32_t> row_indices,
-                                        const TreeConfig& config, Rng& rng,
+                                        const TreeConfig& config,
                                         std::span<double> row_values) {
   if (row_indices.empty()) throw std::invalid_argument("FitRegressor: no rows");
-  if (config.max_features != 0) {
-    throw std::invalid_argument("FitRegressor: regression trees search every feature");
-  }
-  TreeTrainer trainer(data, config, rng);
+  TreeTrainer trainer(data, config);
   return trainer.TrainRegressor(grad, hess, row_indices, row_values);
+}
+
+std::vector<double> NormalizedGainImportance(std::span<const DecisionTree> trees,
+                                             size_t num_features) {
+  std::vector<double> acc(num_features, 0.0);
+  for (const auto& tree : trees) {
+    const auto& gains = tree.gain_importance();
+    for (size_t f = 0; f < gains.size() && f < acc.size(); ++f) acc[f] += gains[f];
+  }
+  const double total = std::accumulate(acc.begin(), acc.end(), 0.0);
+  if (total > 0.0) {
+    for (double& v : acc) v /= total;
+  }
+  return acc;
 }
 
 size_t DecisionTree::leaf_count() const {

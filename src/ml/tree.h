@@ -3,7 +3,10 @@
 // Forest) and second-order gradient regression trees (Extreme Gradient
 // Boosting). Training operates on a quantile-binned matrix (FeatureBinner)
 // for O(bins) split scans; inference walks raw feature values against stored
-// raw-value thresholds, so a trained tree is self-contained.
+// raw-value thresholds, so a trained tree is self-contained. A caller sets
+// only the depth and leaf size (TreeConfig); the minimum split gain and the
+// leaf regularization are the constants below, and only a classification
+// tree samples features, as many per node as its caller asks for.
 #ifndef RC_SRC_ML_TREE_H_
 #define RC_SRC_ML_TREE_H_
 
@@ -20,15 +23,12 @@ namespace rc::ml {
 struct TreeConfig {
   int max_depth = 10;
   int min_samples_leaf = 2;
-  double min_gain = 1e-7;
-  // Features considered per split by a classification tree; 0 means all,
-  // sqrt(F) is the usual Random Forest choice (set by the forest trainer).
-  // Regression trees always search every feature, since each child derives
-  // its histograms from its parent's; FitRegressor rejects any other value.
-  int max_features = 0;
-  // L2 regularization on regression leaf values (XGBoost's lambda).
-  double lambda = 1.0;
 };
+
+// A split is taken only if it beats the best so far by more than this.
+inline constexpr double kMinGain = 1e-7;
+// L2 regularization on regression leaf values (XGBoost's lambda).
+inline constexpr double kLambda = 1.0;
 
 // Read-only view of a binned training matrix.
 struct BinnedView {
@@ -87,13 +87,15 @@ class DecisionTree {
   DecisionTree() = default;
 
   // Fits a Gini classification tree. `row_indices` selects (possibly
-  // repeated, for bagging) training rows.
+  // repeated, for bagging) training rows. Each node searches `max_features`
+  // features drawn from `rng` (all of them when it is 0 or at least F).
   static DecisionTree FitClassifier(const BinnedView& data, std::span<const int> labels,
                                     std::span<const uint32_t> row_indices, int num_classes,
-                                    const TreeConfig& config, Rng& rng);
+                                    const TreeConfig& config, int max_features, Rng& rng);
 
   // Fits a regression tree to per-row gradient/hessian pairs (Newton
-  // boosting); leaf value is -sum(g) / (sum(h) + lambda). When `row_values`
+  // boosting); leaf value is -sum(g) / (sum(h) + kLambda). Every node
+  // searches every feature, so no Rng is needed. When `row_values`
   // is non-empty (one entry per data row), each training row's entry
   // receives the value of the leaf it was partitioned into: the value
   // PredictValue gives that row, because bin routing (bin <= b) and
@@ -103,7 +105,7 @@ class DecisionTree {
   static DecisionTree FitRegressor(const BinnedView& data, std::span<const double> grad,
                                    std::span<const double> hess,
                                    std::span<const uint32_t> row_indices,
-                                   const TreeConfig& config, Rng& rng,
+                                   const TreeConfig& config,
                                    std::span<double> row_values = {});
 
   bool is_classifier() const { return num_classes_ > 0; }
@@ -146,6 +148,12 @@ class DecisionTree {
 
   friend class TreeTrainer;
 };
+
+// Gain importance of an ensemble: each feature's gain_importance() summed
+// over `trees` in order, then normalized to sum to 1 (left all zeros when no
+// split gained anything).
+std::vector<double> NormalizedGainImportance(std::span<const DecisionTree> trees,
+                                             size_t num_features);
 
 }  // namespace rc::ml
 

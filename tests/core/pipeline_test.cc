@@ -144,7 +144,7 @@ TEST(PipelineTest, BoostedModelsMatchStandaloneFits) {
     std::vector<double> zeros(featurizer.num_features(), 0.0);
     for (int c = data.NumClasses(); c < NumBuckets(m); ++c) data.AddRow(zeros, c);
     rc::ml::GbtConfig gbt = config.gbt;
-    gbt.seed = config.seed + static_cast<uint64_t>(m);
+    gbt.seed = OfflinePipeline::kSeed + static_cast<uint64_t>(m);
     if (m == Metric::kClass) gbt.class_weights = {1.0, 25.0};
     EXPECT_EQ(rc::ml::GradientBoostedTrees::Fit(data, gbt).SerializeTagged(),
               trained.models.at(MetricModelName(m))->SerializeTagged());

@@ -39,6 +39,12 @@ int Label(const Classifier& model, std::span<const double> x) {
   return Argmax(Proba(model, x)).label;
 }
 
+std::vector<uint8_t> TreeBytes(const DecisionTree& tree) {
+  ByteWriter w;
+  tree.Serialize(w);
+  return w.TakeBytes();
+}
+
 double Accuracy(const Classifier& model, const Dataset& test) {
   int correct = 0;
   for (size_t i = 0; i < test.num_rows(); ++i) {
@@ -74,21 +80,33 @@ TEST(RandomForestTest, ProbabilitiesNormalized) {
   }
 }
 
-TEST(RandomForestTest, DeterministicAcrossThreadCounts) {
-  Dataset train = MakeMulticlass(5, 1500);
-  RandomForestConfig one_thread;
-  one_thread.num_trees = 8;
-  one_thread.num_threads = 1;
-  RandomForestConfig two_threads = one_thread;
-  two_threads.num_threads = 2;
-  RandomForest a = RandomForest::Fit(train, one_thread);
-  RandomForest b = RandomForest::Fit(train, two_threads);
-  Rng rng(6);
-  for (int i = 0; i < 200; ++i) {
-    double row[3] = {rng.NextDouble(), rng.NextDouble(), rng.NextDouble()};
-    auto pa = Proba(a, row);
-    auto pb = Proba(b, row);
-    for (size_t c = 0; c < pa.size(); ++c) ASSERT_EQ(pa[c], pb[c]);
+// The forest, which fits its trees on several threads, pinned to a serial
+// fit: tree t takes the t-th seed drawn from Rng(seed), draws a bootstrap
+// sample of every row count from that seed's Rng, and searches sqrt(F)
+// features per node with the same Rng.
+TEST(RandomForestTest, TreesMatchASerialFit) {
+  const Dataset train = MakeMulticlass(5, 1500);
+  RandomForestConfig config;
+  config.num_trees = 8;
+  config.seed = 3;
+  const RandomForest forest = RandomForest::Fit(train, config);
+
+  const size_t n = train.num_rows();
+  ASSERT_EQ(forest.tree_count(), 8u);
+  const FeatureBinner binner = FeatureBinner::Fit(train);
+  const std::vector<uint8_t> bins = binner.Transform(train);
+  const BinnedView view{bins.data(), n, train.num_features(), &binner};
+  const int max_features = 1;  // sqrt(3 features), rounded down
+  Rng seeder(config.seed);
+  std::vector<uint32_t> rows(n);
+  for (size_t t = 0; t < forest.tree_count(); ++t) {
+    Rng rng(seeder.NextU64());
+    for (auto& row : rows) {
+      row = static_cast<uint32_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+    }
+    const DecisionTree tree = DecisionTree::FitClassifier(view, train.labels(), rows, 3,
+                                                          config.tree, max_features, rng);
+    ASSERT_EQ(TreeBytes(tree), TreeBytes(forest.tree(t))) << "tree " << t;
   }
 }
 
@@ -224,16 +242,10 @@ TEST(GbtTest, ClassWeightSizeValidated) {
   EXPECT_THROW(GradientBoostedTrees::Fit(train, config), std::invalid_argument);
 }
 
-std::vector<uint8_t> TreeBytes(const DecisionTree& tree) {
-  ByteWriter w;
-  tree.Serialize(w);
-  return w.TakeBytes();
-}
-
 // The multiclass fit, which grows a round's class trees on several threads,
 // pinned to a serial reference of XGBoost's softmax objective: each round
 // takes one softmax per row from the round-start scores, fits the k class
-// trees one after another on the same binned matrix, rows and seeds, and
+// trees one after another on the same binned matrix and rows, and
 // moves the scores only after all k. Class weights cover the weighted
 // gradient.
 TEST(GbtTest, ClassTreesMatchASerialOnePassFit) {
@@ -247,7 +259,7 @@ TEST(GbtTest, ClassTreesMatchASerialOnePassFit) {
   const size_t n = train.num_rows();
   const size_t k = 3;
   ASSERT_EQ(model.tree_count(), static_cast<size_t>(config.num_rounds) * k);
-  const FeatureBinner binner = FeatureBinner::Fit(train, config.max_bins);
+  const FeatureBinner binner = FeatureBinner::Fit(train);
   const std::vector<uint8_t> bins = binner.Transform(train);
   const BinnedView view{bins.data(), n, train.num_features(), &binner};
   std::vector<double> scores(n * k);
@@ -255,15 +267,16 @@ TEST(GbtTest, ClassTreesMatchASerialOnePassFit) {
     for (size_t c = 0; c < k; ++c) scores[i * k + c] = model.base_score()[c];
   }
 
-  Rng rng(config.seed);                       // row subsamples
-  Rng seeder = Rng(config.seed).Fork();       // one seed per tree, in order
+  Rng rng(config.seed);  // row subsamples
   std::vector<std::vector<double>> grad(k, std::vector<double>(n));
   std::vector<std::vector<double>> hess(k, std::vector<double>(n));
   std::vector<double> probs(k);
   for (int round = 0; round < config.num_rounds; ++round) {
     std::vector<uint32_t> rows;
     for (size_t i = 0; i < n; ++i) {
-      if (rng.Bernoulli(config.subsample)) rows.push_back(static_cast<uint32_t>(i));
+      if (rng.Bernoulli(GradientBoostedTrees::kSubsample)) {
+        rows.push_back(static_cast<uint32_t>(i));
+      }
     }
     ASSERT_FALSE(rows.empty());
     for (size_t i = 0; i < n; ++i) {
@@ -278,16 +291,15 @@ TEST(GbtTest, ClassTreesMatchASerialOnePassFit) {
     }
     std::vector<DecisionTree> trees;
     for (size_t c = 0; c < k; ++c) {
-      Rng tree_rng(seeder.NextU64());
-      trees.push_back(
-          DecisionTree::FitRegressor(view, grad[c], hess[c], rows, config.tree, tree_rng));
+      trees.push_back(DecisionTree::FitRegressor(view, grad[c], hess[c], rows, config.tree));
       const size_t t = static_cast<size_t>(round) * k + c;
       ASSERT_EQ(TreeBytes(trees[c]), TreeBytes(model.tree(t))) << "round " << round
                                                                << " class " << c;
     }
     for (size_t i = 0; i < n; ++i) {
       for (size_t c = 0; c < k; ++c) {
-        scores[i * k + c] += config.learning_rate * trees[c].PredictValue(train.Row(i));
+        scores[i * k + c] +=
+            GradientBoostedTrees::kLearningRate * trees[c].PredictValue(train.Row(i));
       }
     }
   }

@@ -212,7 +212,7 @@ class DirectHistogramRegressor {
         g_total += grad_[idx_[i]];
         h_total += hess_[idx_[i]];
       }
-      const double parent_score = g_total * g_total / (h_total + config_.lambda);
+      const double parent_score = g_total * g_total / (h_total + kLambda);
       for (size_t f = 0; f < data_.features; ++f) {
         const int bins = data_.binner->NumBins(f);
         if (bins < 2) continue;
@@ -236,9 +236,9 @@ class DirectHistogramRegressor {
           }
           const double g_right = g_total - g_left;
           const double h_right = h_total - h_left;
-          const double gain = g_left * g_left / (h_left + config_.lambda) +
-                              g_right * g_right / (h_right + config_.lambda) - parent_score;
-          if (gain > best_gain + config_.min_gain) {
+          const double gain = g_left * g_left / (h_left + kLambda) +
+                              g_right * g_right / (h_right + kLambda) - parent_score;
+          if (gain > best_gain + kMinGain) {
             found = true;
             best_f = f;
             best_b = b;
@@ -261,7 +261,7 @@ class DirectHistogramRegressor {
         g += grad_[idx_[i]];
         h += hess_[idx_[i]];
       }
-      const double value = -g / (h + config_.lambda);
+      const double value = -g / (h + kLambda);
       tree_.nodes[static_cast<size_t>(id)].payload = static_cast<int32_t>(tree_.leaf_values.size());
       tree_.leaf_values.push_back(value);
       for (size_t i = begin; i < end; ++i) row_values_[idx_[i]] = value;
@@ -327,9 +327,8 @@ TEST(DecisionTreeTest, RegressorMatchesDirectHistogramReference) {
     config.min_samples_leaf = seed % 3 == 0 ? 1 : 8;
 
     std::vector<double> got_values(kRows, 0.0), want_values(kRows, 0.0);
-    Rng train_rng(seed);
     const DecisionTree tree =
-        DecisionTree::FitRegressor(b.view(), grad, hess, rows, config, train_rng, got_values);
+        DecisionTree::FitRegressor(b.view(), grad, hess, rows, config, got_values);
     const DirectHistogramRegressor::Tree want =
         DirectHistogramRegressor(b.view(), grad, hess, config, want_values).Fit(rows);
 
@@ -352,19 +351,6 @@ TEST(DecisionTreeTest, RegressorMatchesDirectHistogramReference) {
   }
 }
 
-TEST(DecisionTreeTest, RegressorRejectsFeatureSampling) {
-  Dataset d({"x"});
-  double v = 0.0;
-  d.AddRow({&v, 1}, 0);
-  Binned b(std::move(d));
-  std::vector<double> grad{1.0}, hess{1.0};
-  TreeConfig config;
-  config.max_features = 1;
-  Rng rng(37);
-  EXPECT_THROW(DecisionTree::FitRegressor(b.view(), grad, hess, AllRows(1), config, rng),
-               std::invalid_argument);
-}
-
 TEST(DecisionTreeTest, LearnsAxisAlignedSplit) {
   Dataset d({"x"});
   Rng rng(1);
@@ -376,7 +362,7 @@ TEST(DecisionTreeTest, LearnsAxisAlignedSplit) {
   Rng train_rng(2);
   DecisionTree tree = DecisionTree::FitClassifier(b.view(), b.data.labels(),
                                                   AllRows(b.data.num_rows()), 2,
-                                                  TreeConfig{}, train_rng);
+                                                  TreeConfig{}, 0, train_rng);
   std::vector<double> probs(2);
   double lo = 0.1, hi = 0.9;
   tree.PredictProba({&lo, 1}, probs);
@@ -394,7 +380,7 @@ TEST(DecisionTreeTest, PureNodeBecomesLeaf) {
   Binned b(std::move(d));
   Rng rng(3);
   DecisionTree tree = DecisionTree::FitClassifier(b.view(), b.data.labels(), AllRows(20), 2,
-                                                  TreeConfig{}, rng);
+                                                  TreeConfig{}, 0, rng);
   EXPECT_EQ(tree.node_count(), 1u);
   EXPECT_EQ(tree.leaf_count(), 1u);
   EXPECT_EQ(tree.depth(), 1);
@@ -413,7 +399,7 @@ TEST(DecisionTreeTest, RespectsMaxDepth) {
   config.max_depth = 3;
   Rng train_rng(6);
   DecisionTree tree = DecisionTree::FitClassifier(b.view(), b.data.labels(), AllRows(2000),
-                                                  2, config, train_rng);
+                                                  2, config, 0, train_rng);
   EXPECT_LE(tree.depth(), 4);  // root at depth 1, so max_depth splits => depth 4
 }
 
@@ -429,7 +415,7 @@ TEST(DecisionTreeTest, MinSamplesLeafHonored) {
   config.min_samples_leaf = 40;  // only 64 samples => at most a root split is barred
   Rng train_rng(8);
   DecisionTree tree = DecisionTree::FitClassifier(b.view(), b.data.labels(), AllRows(64), 2,
-                                                  config, train_rng);
+                                                  config, 0, train_rng);
   EXPECT_EQ(tree.leaf_count(), 1u);
 }
 
@@ -445,7 +431,7 @@ TEST(DecisionTreeTest, BaggedRowsRespected) {
   TreeConfig config;
   config.min_samples_leaf = 4;  // force a single leaf
   DecisionTree tree =
-      DecisionTree::FitClassifier(b.view(), b.data.labels(), rows, 2, config, rng);
+      DecisionTree::FitClassifier(b.view(), b.data.labels(), rows, 2, config, 0, rng);
   std::vector<double> probs(2);
   tree.PredictProba({&v0, 1}, probs);
   EXPECT_NEAR(probs[1], 0.75, 1e-6);
@@ -461,7 +447,7 @@ TEST(DecisionTreeTest, GainImportanceOnInformativeFeature) {
   Binned b(std::move(d));
   Rng train_rng(12);
   DecisionTree tree = DecisionTree::FitClassifier(b.view(), b.data.labels(), AllRows(2000),
-                                                  2, TreeConfig{}, train_rng);
+                                                  2, TreeConfig{}, 0, train_rng);
   const auto& gains = tree.gain_importance();
   ASSERT_EQ(gains.size(), 2u);
   EXPECT_GT(gains[1], gains[0] * 10);
@@ -477,7 +463,7 @@ TEST(DecisionTreeTest, SerializationRoundTrip) {
   Binned b(std::move(d));
   Rng train_rng(14);
   DecisionTree tree = DecisionTree::FitClassifier(b.view(), b.data.labels(), AllRows(1000),
-                                                  2, TreeConfig{}, train_rng);
+                                                  2, TreeConfig{}, 0, train_rng);
   ByteWriter w;
   tree.Serialize(w);
   std::vector<uint8_t> bytes = w.TakeBytes();
@@ -496,8 +482,9 @@ TEST(DecisionTreeTest, SerializationRoundTrip) {
 }
 
 TEST(DecisionTreeTest, RegressionFitsStepFunction) {
-  // Newton step with constant hessian 1: leaf value = mean(-grad).
-  // Fit to residuals of y: grad = -(y), hess = 1 => leaf predicts mean(y).
+  // Newton step with constant hessian 1: leaf value = sum(-grad) / (n +
+  // kLambda). Fit to residuals of y: grad = -(y), hess = 1 => a leaf of
+  // hundreds of rows predicts close to mean(y).
   Rng rng(15);
   Dataset d({"x"});
   std::vector<double> grad, hess;
@@ -509,11 +496,8 @@ TEST(DecisionTreeTest, RegressionFitsStepFunction) {
     hess.push_back(1.0);
   }
   Binned b(std::move(d));
-  TreeConfig config;
-  config.lambda = 0.0;
-  Rng train_rng(16);
   DecisionTree tree =
-      DecisionTree::FitRegressor(b.view(), grad, hess, AllRows(1000), config, train_rng);
+      DecisionTree::FitRegressor(b.view(), grad, hess, AllRows(1000), TreeConfig{});
   double lo = 0.2, hi = 0.8;
   EXPECT_NEAR(tree.PredictValue({&lo, 1}), 2.0, 0.05);
   EXPECT_NEAR(tree.PredictValue({&hi, 1}), -1.0, 0.05);
@@ -544,7 +528,7 @@ TEST(DecisionTreeTest, RegressorRowValuesMatchPredictValue) {
   TreeConfig config;
   config.max_depth = 6;
   DecisionTree tree =
-      DecisionTree::FitRegressor(b.view(), grad, hess, rows, config, rng, row_values);
+      DecisionTree::FitRegressor(b.view(), grad, hess, rows, config, row_values);
   ASSERT_GT(tree.leaf_count(), 4u);
   size_t next = 0;
   for (size_t i = 0; i < 2000; ++i) {
@@ -568,16 +552,14 @@ TEST(DecisionTreeTest, RegressionLambdaShrinksLeaves) {
     hess.push_back(1.0);
   }
   Binned b(std::move(d));
-  Rng rng(17);
-  TreeConfig no_reg;
-  no_reg.lambda = 0.0;
-  TreeConfig reg;
-  reg.lambda = 10.0;
+  DecisionTree tree =
+      DecisionTree::FitRegressor(b.view(), grad, hess, AllRows(10), TreeConfig{});
+  // One leaf, G = -10 and H = 10: -G / (H + kLambda) = 10/11, not the
+  // unregularized 1.
   double x = 0.0;
-  DecisionTree t0 = DecisionTree::FitRegressor(b.view(), grad, hess, AllRows(10), no_reg, rng);
-  DecisionTree t1 = DecisionTree::FitRegressor(b.view(), grad, hess, AllRows(10), reg, rng);
-  EXPECT_NEAR(t0.PredictValue({&x, 1}), 1.0, 1e-9);
-  EXPECT_NEAR(t1.PredictValue({&x, 1}), 0.5, 1e-9);
+  EXPECT_EQ(tree.leaf_count(), 1u);
+  EXPECT_NEAR(tree.PredictValue({&x, 1}), 10.0 / (10.0 + kLambda), 1e-12);
+  EXPECT_NEAR(tree.PredictValue({&x, 1}), 10.0 / 11.0, 1e-12);
 }
 
 TEST(DecisionTreeTest, EmptyRowsThrows) {
@@ -586,7 +568,7 @@ TEST(DecisionTreeTest, EmptyRowsThrows) {
   d.AddRow({&v, 1}, 0);
   Binned b(std::move(d));
   Rng rng(18);
-  EXPECT_THROW(DecisionTree::FitClassifier(b.view(), b.data.labels(), {}, 2, TreeConfig{},
+  EXPECT_THROW(DecisionTree::FitClassifier(b.view(), b.data.labels(), {}, 2, TreeConfig{}, 0,
                                            rng),
                std::invalid_argument);
 }
@@ -608,7 +590,7 @@ TEST_P(TreeDepthSweep, DeeperTreesFitTighter) {
   config.max_depth = depth;
   Rng train_rng(20);
   DecisionTree tree = DecisionTree::FitClassifier(b.view(), b.data.labels(), AllRows(4000),
-                                                  2, config, train_rng);
+                                                  2, config, 0, train_rng);
   // The target needs ~4 axis-aligned cuts; deep trees should recover it up
   // to quantile-binning resolution, a depth-1 stump cannot.
   int correct = 0;

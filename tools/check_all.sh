@@ -183,6 +183,17 @@ if [[ "${REMOVED_FLAG_STATUS}" -ne 2 ]]; then
   exit 1
 fi
 echo "rc_server rejects removed flags."
+# The other tools parse integer flags the same way: a negative VM count must
+# be refused (exit 2), not read as a trace of no VMs.
+set +e
+"${BUILD_DIR}/tools/trace_gen" --vms -5 --out /dev/null >/dev/null 2>&1
+VMS_STATUS=$?
+set -e
+if [[ "${VMS_STATUS}" -ne 2 ]]; then
+  echo "FAIL: trace_gen --vms -5 exited ${VMS_STATUS}, want 2" >&2
+  exit 1
+fi
+echo "trace_gen rejects a negative --vms."
 
 echo "== admin introspection endpoint check =="
 # Boot a real server with the admin endpoint, 1-in-1 trace sampling, and

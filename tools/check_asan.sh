@@ -29,8 +29,12 @@ done
 # The exec-engine suites run regardless of any caller filter: the walks index
 # gathered/selected node links into pool arrays, and the batched kernels read
 # whole SIMD blocks — exactly the out-of-bounds shapes ASan exists to vet.
-echo "== rc_ml_tests (ASan+UBSan, exec-engine parity) =="
-"${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*'
+# The trainers run too, since the gradient search indexes per-depth histogram
+# slots and bins, and so do the byte fuzz suites, whose reject paths must
+# never read out of bounds while deciding.
+echo "== rc_ml_tests (ASan+UBSan, exec-engine parity + trainers + byte fuzz) =="
+"${BUILD_DIR}/tests/rc_ml_tests" \
+  --gtest_filter='ExecEngine*:DecisionTreeTest*:GbtTest*:RandomForestTest*:BytesFuzzTest*'
 # The admin endpoint parses hostile HTTP (dribbled, oversized, malformed)
 # and the v2 header decoder reads optional trace blocks from untrusted
 # frames — exactly the bounds-handling shapes ASan exists to vet. The frame

@@ -40,12 +40,13 @@ echo "== rc_trace_tests (TSan) =="
 # so any mutation the sanitizer can see is a real bug. A multiclass boosted
 # fit grows each round's class trees on worker threads that share the binned
 # matrix and the row subsample, each tree's trainer holding its own
-# histogram slots, so the boosting and tree suites run too. Feature binning
-# hands features to threads from one shared counter and fills the binned
-# matrix from row ranges, each thread writing its own stretch of every
+# histogram slots, and a forest fits its trees on worker threads that share
+# one binned matrix, so the boosting, forest and tree suites run too. Feature
+# binning hands features to threads from one shared counter and fills the
+# binned matrix from row ranges, each thread writing its own stretch of every
 # column; its parity suite checks both against a sequential oracle.
-echo "== rc_ml_tests (TSan, exec-engine parity + boosted class trees + feature binning) =="
-"${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*:GbtTest*:FeatureBinnerTest*:DecisionTreeTest*'
+echo "== rc_ml_tests (TSan, exec-engine parity + boosted class trees + forest trees + feature binning) =="
+"${BUILD_DIR}/tests/rc_ml_tests" --gtest_filter='ExecEngine*:GbtTest*:RandomForestTest*:FeatureBinnerTest*:DecisionTreeTest*'
 # Tracing + admin endpoint always run under TSan: the span tree is assembled
 # across client threads and epoll workers, and the admin thread scrapes
 # registries the workers are writing — both are cross-thread by construction.

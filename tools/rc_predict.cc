@@ -5,8 +5,10 @@
 //
 //   rc_trace_gen --vms 20000 --out trace.csv
 //   rc_predict --trace trace.csv --days 90 --train-days 60 --count 10
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "src/common/table_printer.h"
@@ -14,6 +16,7 @@
 #include "src/core/offline_pipeline.h"
 #include "src/store/kv_store.h"
 #include "src/trace/trace_io.h"
+#include "tools/int_flag.h"
 
 namespace {
 
@@ -31,6 +34,7 @@ void Usage() {
 int main(int argc, char** argv) {
   std::string trace_path, model_filter;
   int days = 90, train_days = -1, count = 10;
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
       if (i + 1 >= argc) {
@@ -39,14 +43,17 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto int_flag = [&](const char* flag, long long lo, long long hi) {
+      return static_cast<int>(rc::tools::ParseIntFlag(flag, need(flag), lo, hi));
+    };
     if (std::strcmp(argv[i], "--trace") == 0) {
       trace_path = need("--trace");
     } else if (std::strcmp(argv[i], "--days") == 0) {
-      days = std::atoi(need("--days"));
+      days = int_flag("--days", 1, kIntMax);
     } else if (std::strcmp(argv[i], "--train-days") == 0) {
-      train_days = std::atoi(need("--train-days"));
+      train_days = int_flag("--train-days", 0, kIntMax);
     } else if (std::strcmp(argv[i], "--count") == 0) {
-      count = std::atoi(need("--count"));
+      count = int_flag("--count", 0, kIntMax);
     } else if (std::strcmp(argv[i], "--model") == 0) {
       model_filter = need("--model");
     } else {

@@ -12,7 +12,6 @@
 // instruments share one registry; the full Prometheus exposition is dumped
 // on exit (and in --smoke mode this is the primary output, which
 // tools/check_all.sh greps for the required metric families).
-#include <cerrno>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -32,6 +31,7 @@
 #include "src/store/kv_store.h"
 #include "src/trace/trace_io.h"
 #include "src/trace/workload_model.h"
+#include "tools/int_flag.h"
 
 namespace {
 
@@ -54,20 +54,6 @@ void Usage() {
       "  --probe N       self-issue N PredictSingle requests through a pooled\n"
       "                  TCP client after startup (populates /tracez)\n"
       "  --smoke         serve, self-issue a few requests, dump metrics, exit\n";
-}
-
-// Whole-string base-10 integer in [lo, hi]; anything else ("abc", "7x",
-// out of range) exits 2 rather than being truncated or read as 0.
-long long ParseIntFlag(const char* flag, const char* text, long long lo, long long hi) {
-  errno = 0;
-  char* end = nullptr;
-  const long long value = std::strtoll(text, &end, 10);
-  if (errno != 0 || end == text || *end != '\0' || value < lo || value > hi) {
-    std::cerr << flag << " must be an integer in [" << lo << ", " << hi << "], got '"
-              << text << "'\n";
-    std::exit(2);
-  }
-  return value;
 }
 
 }  // namespace
@@ -93,7 +79,7 @@ int main(int argc, char** argv) {
       return argv[++i];
     };
     auto int_flag = [&](const char* flag, long long lo, long long hi) {
-      return ParseIntFlag(flag, need(flag), lo, hi);
+      return rc::tools::ParseIntFlag(flag, need(flag), lo, hi);
     };
     if (std::strcmp(argv[i], "--port") == 0) {
       port = static_cast<int>(int_flag("--port", 0, kPortMax));

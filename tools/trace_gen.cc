@@ -9,10 +9,12 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "src/trace/trace_io.h"
 #include "src/trace/workload_model.h"
+#include "tools/int_flag.h"
 
 namespace {
 
@@ -37,6 +39,8 @@ int main(int argc, char** argv) {
   std::string out = "rc_trace.csv";
   int subs = -1;
   uint64_t readings_for = 0;
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  constexpr long long kI64Max = std::numeric_limits<int64_t>::max();
 
   for (int i = 1; i < argc; ++i) {
     auto need = [&](const char* flag) -> const char* {
@@ -46,20 +50,23 @@ int main(int argc, char** argv) {
       }
       return argv[++i];
     };
+    auto int_flag = [&](const char* flag, long long lo, long long hi) {
+      return rc::tools::ParseIntFlag(flag, need(flag), lo, hi);
+    };
     if (std::strcmp(argv[i], "--vms") == 0) {
-      config.target_vm_count = std::atoll(need("--vms"));
+      config.target_vm_count = int_flag("--vms", 1, kI64Max);
     } else if (std::strcmp(argv[i], "--days") == 0) {
-      config.duration = std::atoll(need("--days")) * rc::kDay;
+      config.duration = int_flag("--days", 1, kIntMax) * rc::kDay;
     } else if (std::strcmp(argv[i], "--subs") == 0) {
-      subs = std::atoi(need("--subs"));
+      subs = static_cast<int>(int_flag("--subs", 1, kIntMax));
     } else if (std::strcmp(argv[i], "--seed") == 0) {
-      config.seed = std::strtoull(need("--seed"), nullptr, 10);
+      config.seed = static_cast<uint64_t>(int_flag("--seed", 0, kI64Max));
     } else if (std::strcmp(argv[i], "--first-party") == 0) {
       config.frac_first_party = std::atof(need("--first-party"));
     } else if (std::strcmp(argv[i], "--out") == 0) {
       out = need("--out");
     } else if (std::strcmp(argv[i], "--readings-for") == 0) {
-      readings_for = std::strtoull(need("--readings-for"), nullptr, 10);
+      readings_for = static_cast<uint64_t>(int_flag("--readings-for", 0, kI64Max));
     } else if (std::strcmp(argv[i], "--help") == 0) {
       Usage();
       return 0;
